@@ -25,6 +25,7 @@ from .geodesy import KAABA, GeoCoordinate, haversine_distance, qibla_azimuth, sl
 from .pipeline import (
     DEFAULT_ALPHA,
     DEFAULT_GUIDANCE_THRESHOLD_DEG,
+    CalibrationState,
     calibrate,
     run_trace,
 )
@@ -103,6 +104,15 @@ def _emit(args: argparse.Namespace, doc: dict, text_lines: list[str]) -> None:
             print(line)
 
 
+def _calibration_doc(cal: CalibrationState) -> dict:
+    return {
+        "hard_iron_ut": list(cal.hard_iron),
+        "samples_used": cal.samples_used,
+        "coverage_deg": cal.coverage_deg,
+        "converged": cal.converged,
+    }
+
+
 def cmd_qibla(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     where = _resolve_location(parser, args)
     decl = _resolve_declination(args, where)
@@ -177,12 +187,7 @@ def cmd_pipeline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         "magnetic_assumed_true": decl is None,
         "alpha": args.alpha,
         "threshold_deg": args.threshold,
-        "calibration": {
-            "hard_iron_ut": list(cal.hard_iron),
-            "samples_used": cal.samples_used,
-            "coverage_deg": cal.coverage_deg,
-            "converged": cal.converged,
-        },
+        "calibration": _calibration_doc(cal),
     }
     meta.update(_meta_timestamp(args))
     truth = list(trace.truth) if trace.truth else None
@@ -201,13 +206,7 @@ def cmd_calibrate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     del parser
     trace = read_trace(args.trace)
     cal = calibrate(list(trace.samples))
-    doc = {
-        "report": "calibration v1",
-        "hard_iron_ut": list(cal.hard_iron),
-        "samples_used": cal.samples_used,
-        "coverage_deg": cal.coverage_deg,
-        "converged": cal.converged,
-    }
+    doc = {"report": "calibration v1", **_calibration_doc(cal)}
     hx, hy, hz = cal.hard_iron
     _emit(args, doc, [
         f"hard iron (uT): {hx:.3f} {hy:.3f} {hz:.3f}",

@@ -1,11 +1,11 @@
 """File formats: city CSV, sensor traces, and machine-readable reports.
 
-All three formats carry a versioned header/tag and round-trip numbers
-exactly (floats are rendered with Python's shortest round-trip repr).
-Loaders never partially succeed: any error raises before a dataset is
-returned.
+Each format carries a fixed header or tag, and traces and reports
+round-trip numbers exactly (floats are rendered with Python's shortest
+round-trip repr). Loaders never partially succeed: any error raises before
+a dataset is returned.
 
-Trace format (line oriented)::
+Trace format (read by `records.read_lines`)::
 
     qtrace v1
     s <t_ms> <ax> <ay> <az> <mx> <my> <mz>
@@ -16,7 +16,8 @@ are optional interleaved truth records. Sample timestamps must be monotone
 nondecreasing.
 
 City CSV: mandatory header ``name,latitude_deg,longitude_deg``; names are
-unique case-insensitively.
+unique case-insensitively. It is read with the `csv` module, so quoted
+names may contain commas.
 
 Report: a JSON document with "report", "meta", "samples" and "summary"
 sections (or a plain-text table via format="text"). When truth records are
@@ -26,15 +27,15 @@ final 10 seconds of the trace.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 from dataclasses import dataclass
 
-from .declination import DeclinationGrid, load_grid
-from .errors import DuplicateCity, EmptyReport, InvalidCoordinate, ParseError
+from .errors import DuplicateCity, EmptyReport, InvalidCoordinate, OutOfSpan, ParseError
 from .geodesy import GeoCoordinate
-from .pipeline import QiblaPointerState, SensorSample, circular_diff
-from .simulator import TruthRecord, truth_heading_at
+from .pipeline import QiblaPointerState, circular_diff
+from .records import SensorSample, TruthRecord, finite_floats, read_lines
 
 TRACE_HEADER = "qtrace v1"
 REPORT_TAG = "qibla-pipeline v1"
@@ -61,30 +62,33 @@ class TraceFile:
 
 def load_cities(path: str) -> list[CityRecord]:
     """Load the city CSV; rejects bad rows and duplicate names outright."""
-    records: list[CityRecord] = []
-    seen: set[str] = set()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip().lower() for h in header) != CITY_HEADER:
-            raise ParseError(f"expected header {','.join(CITY_HEADER)}", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", line=lineno)
-            name = row[0].strip()
-            if not name:
-                raise ParseError("empty city name", line=lineno)
-            key = name.casefold()
-            if key in seen:
-                raise DuplicateCity(name)
-            try:
-                location = GeoCoordinate(float(row[1]), float(row[2]))
-            except (ValueError, InvalidCoordinate) as exc:
-                raise ParseError(f"bad coordinates for {name!r}: {exc}", line=lineno) from None
-            seen.add(key)
-            records.append(CityRecord(name=name, location=location))
+        try:
+            rows = [(reader.line_num, row) for row in reader]
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=reader.line_num) from None
+    if not rows or tuple(h.strip().lower() for h in rows[0][1]) != CITY_HEADER:
+        raise ParseError(f"expected header {','.join(CITY_HEADER)}", line=1)
+    records: list[CityRecord] = []
+    seen: set[str] = set()
+    for lineno, row in rows[1:]:
+        if not row:
+            continue
+        if len(row) != 3:
+            raise ParseError(f"expected 3 fields, got {len(row)}", line=lineno)
+        name = row[0].strip()
+        if not name:
+            raise ParseError("empty city name", line=lineno)
+        key = name.casefold()
+        if key in seen:
+            raise DuplicateCity(f"duplicate city name {name!r}", line=lineno)
+        try:
+            location = GeoCoordinate(*finite_floats(row[1:], lineno, f"coordinates for {name!r}"))
+        except InvalidCoordinate as exc:
+            raise ParseError(f"bad coordinates for {name!r}: {exc}", line=lineno) from None
+        seen.add(key)
+        records.append(CityRecord(name=name, location=location))
     return records
 
 
@@ -117,37 +121,43 @@ def write_trace(trace: TraceFile, path: str) -> None:
 def read_trace(path: str) -> TraceFile:
     """Parse a trace file; any malformed or out-of-order line aborts."""
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != TRACE_HEADER:
-        raise ParseError(f"expected header {TRACE_HEADER!r}", line=1)
+        _, body = read_lines(fh.read(), TRACE_HEADER)
     samples: list[SensorSample] = []
     truth: list[TruthRecord] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        tag, *fields = raw.split()
-        try:
-            values = [float(f) for f in fields]
-        except ValueError:
-            raise ParseError("non-numeric field", line=lineno) from None
-        if tag == "s":
-            if len(values) != 7:
-                raise ParseError(f"sample record needs 7 fields, got {len(values)}", line=lineno)
-            if samples and values[0] < samples[-1].t_ms:
-                raise ParseError("sample timestamps must be monotone nondecreasing", line=lineno)
-            try:
-                samples.append(SensorSample(values[0], tuple(values[1:4]), tuple(values[4:7])))
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-        elif tag == "t":
-            if len(values) != 4:
-                raise ParseError(f"truth record needs 4 fields, got {len(values)}", line=lineno)
-            if truth and values[0] < truth[-1].t_ms:
-                raise ParseError("truth timestamps must be monotone nondecreasing", line=lineno)
-            truth.append(TruthRecord(*values))
-        else:
+    kinds = {"s": ("sample record", 7, samples), "t": ("truth record", 4, truth)}
+    for lineno, (tag, *fields) in body:
+        if tag not in kinds:
             raise ParseError(f"unknown record tag {tag!r}", line=lineno)
+        kind, count, records = kinds[tag]
+        if len(fields) != count:
+            raise ParseError(f"{kind} needs {count} fields, got {len(fields)}", line=lineno)
+        v = finite_floats(fields, lineno, kind)
+        if records and v[0] < records[-1].t_ms:
+            raise ParseError(f"{kind} timestamps must be monotone nondecreasing", line=lineno)
+        records.append(SensorSample(v[0], tuple(v[1:4]), tuple(v[4:7])) if tag == "s" else TruthRecord(*v))
     return TraceFile(samples=tuple(samples), truth=tuple(truth) if truth else None)
+
+
+def truth_heading_at(truth: list[TruthRecord], t_ms: float) -> float:
+    """True heading at an arbitrary time inside the trace span.
+
+    Piecewise-linear interpolation along the shortest circular arc between
+    the two surrounding records; exact record timestamps return the stored
+    heading. Outside the span raises OutOfSpan.
+    """
+    if not truth or not truth[0].t_ms <= t_ms <= truth[-1].t_ms:
+        span = f"[{truth[0].t_ms}, {truth[-1].t_ms}]" if truth else "(empty)"
+        raise OutOfSpan(f"t={t_ms} outside truth span {span}")
+    ts = [r.t_ms for r in truth]
+    j = bisect.bisect_right(ts, t_ms) - 1
+    if j >= len(truth) - 1:
+        return truth[-1].true_heading_deg % 360.0
+    r0, r1 = truth[j], truth[j + 1]
+    if t_ms == r0.t_ms:
+        return r0.true_heading_deg % 360.0
+    frac = (t_ms - r0.t_ms) / (r1.t_ms - r0.t_ms)
+    arc = circular_diff(r1.true_heading_deg, r0.true_heading_deg)
+    return (r0.true_heading_deg + frac * arc) % 360.0
 
 
 def _sample_entry(t_ms: float, state: QiblaPointerState) -> dict:
@@ -256,9 +266,3 @@ def read_report(path: str) -> dict:
     if not isinstance(doc, dict) or doc.get("report") != REPORT_TAG:
         raise ParseError(f"not a {REPORT_TAG} document")
     return doc
-
-
-def load_declination_grid(path: str) -> DeclinationGrid:
-    """Grid loading lives with the declination logic; kept here as the
-    single entry point for file-format consumers."""
-    return load_grid(path)

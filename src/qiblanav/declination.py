@@ -5,7 +5,7 @@ The source is a static rectangular grid with bilinear interpolation between
 nodes; grids are epoch-static (no secular variation) and immutable after
 load, so lookups are pure and thread-safe.
 
-Grid file format (text, line oriented, whitespace tolerant)::
+Grid file format (read by `records.read_lines`)::
 
     declgrid v1 <lat_min> <lat_max> <lat_step> <lon_min> <lon_max> <lon_step>
     <one row of declination values per latitude, ascending;
@@ -18,10 +18,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidAngle, OutOfCoverage, ParseError
-from .geodesy import AzimuthDeg, GeoCoordinate, normalize_azimuth
+from .geodesy import AzimuthDeg, GeoCoordinate
+from .records import finite_floats, read_lines
 
-GRID_HEADER_TAG = "declgrid"
-GRID_FORMAT_VERSION = "v1"
+GRID_HEADER = "declgrid v1 <lat_min> <lat_max> <lat_step> <lon_min> <lon_max> <lon_step>"
 
 
 class DeclinationDeg(float):
@@ -46,20 +46,14 @@ class DeclinationGrid:
     values: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        if not (self.lat_step > 0.0 and self.lon_step > 0.0):
-            raise ValueError("grid steps must be strictly positive")
-        if not (self.lat_max > self.lat_min and self.lon_max > self.lon_min):
-            raise ValueError("grid bounds must satisfy min < max")
         n_lat = _axis_count(self.lat_min, self.lat_max, self.lat_step)
         n_lon = _axis_count(self.lon_min, self.lon_max, self.lon_step)
         if len(self.values) != n_lat:
             raise ValueError(f"expected {n_lat} latitude rows, got {len(self.values)}")
         for i, row in enumerate(self.values):
-            if len(row) != n_lon:
-                raise ValueError(f"row {i}: expected {n_lon} values, got {len(row)}")
-            for v in row:
-                if not (math.isfinite(v) and abs(v) <= 90.0):
-                    raise ValueError(f"row {i}: declination {v!r} outside [-90, +90]")
+            problem = _row_problem(row, n_lon)
+            if problem:
+                raise ValueError(f"row {i}: {problem}")
 
     @property
     def n_lat(self) -> int:
@@ -71,23 +65,41 @@ class DeclinationGrid:
 
 
 def _axis_count(lo: float, hi: float, step: float) -> int:
+    """Number of nodes from lo to hi inclusive, at least two, `step` apart."""
+    if not step > 0.0:
+        raise ValueError(f"grid step {step} must be strictly positive")
     n = (hi - lo) / step + 1.0
-    n_round = round(n)
-    if abs(n - n_round) > 1e-9 or n_round < 2:
+    if not (math.isfinite(n) and n >= 1.5 and abs(n - round(n)) <= 1e-9):
         raise ValueError(f"span [{lo}, {hi}] is not a whole number of steps of {step}")
-    return int(n_round)
+    return round(n)
+
+
+def _row_problem(row: tuple[float, ...], n_lon: int) -> str | None:
+    """What is wrong with one latitude row, or None."""
+    if len(row) != n_lon:
+        return f"expected {n_lon} values, got {len(row)}"
+    for v in row:
+        if not (math.isfinite(v) and abs(v) <= 90.0):
+            return f"declination {v!r} outside [-90, +90]"
+    return None
 
 
 def declination_at(grid: DeclinationGrid, where: GeoCoordinate) -> DeclinationDeg:
     """Bilinear interpolation of the four grid nodes surrounding `where`.
 
     Queries exactly on a node return the stored value; anywhere outside the
-    grid's bounding box raises OutOfCoverage.
+    grid's bounding box raises OutOfCoverage. A longitude outside
+    [lon_min, lon_max] is tried once more shifted by 360 degrees, which
+    covers grids that cross the antimeridian.
     """
     lat, lon = where.latitude_deg, where.longitude_deg
+    if lon < grid.lon_min:
+        lon += 360.0
+    elif lon > grid.lon_max:
+        lon -= 360.0
     if not (grid.lat_min <= lat <= grid.lat_max and grid.lon_min <= lon <= grid.lon_max):
         raise OutOfCoverage(
-            f"({lat}, {lon}) outside grid [{grid.lat_min}, {grid.lat_max}] x "
+            f"({lat}, {where.longitude_deg}) outside grid [{grid.lat_min}, {grid.lat_max}] x "
             f"[{grid.lon_min}, {grid.lon_max}]"
         )
     fi = (lat - grid.lat_min) / grid.lat_step
@@ -106,47 +118,26 @@ def declination_at(grid: DeclinationGrid, where: GeoCoordinate) -> DeclinationDe
 
 def to_true_heading(magnetic: AzimuthDeg, decl: DeclinationDeg) -> AzimuthDeg:
     """Apply east-positive declination: true = magnetic + declination."""
-    return normalize_azimuth(float(magnetic) + float(decl))
+    return AzimuthDeg(float(magnetic) + float(decl))
 
 
 def parse_grid(text: str) -> DeclinationGrid:
     """Parse the declgrid v1 text format; malformed lines raise ParseError."""
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty grid file", line=1)
-    header = lines[0].split()
-    if len(header) != 8 or header[0] != GRID_HEADER_TAG or header[1] != GRID_FORMAT_VERSION:
-        raise ParseError(
-            f"expected header '{GRID_HEADER_TAG} {GRID_FORMAT_VERSION} "
-            "<lat_min> <lat_max> <lat_step> <lon_min> <lon_max> <lon_step>'",
-            line=1,
-        )
+    bounds, body = read_lines(text, GRID_HEADER)
     try:
-        lat_min, lat_max, lat_step, lon_min, lon_max, lon_step = (float(f) for f in header[2:])
-    except ValueError:
-        raise ParseError("header bounds/steps must be numeric", line=1) from None
-
-    rows: list[tuple[float, ...]] = []
-    row_lines: list[int] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        try:
-            rows.append(tuple(float(f) for f in raw.split()))
-        except ValueError:
-            raise ParseError("non-numeric declination value", line=lineno) from None
-        row_lines.append(lineno)
-
-    try:
-        return DeclinationGrid(lat_min, lat_max, lat_step, lon_min, lon_max, lon_step, tuple(rows))
+        n_lat, n_lon = _axis_count(*bounds[:3]), _axis_count(*bounds[3:])
     except ValueError as exc:
-        # Map dimension/range violations back onto a file line where possible.
-        msg = str(exc)
-        line = 1
-        if msg.startswith("row "):
-            idx = int(msg.split(":", 1)[0].split()[1])
-            line = row_lines[idx] if idx < len(row_lines) else row_lines[-1]
-        raise ParseError(msg, line=line) from None
+        raise ParseError(str(exc), line=1) from None
+    rows: list[tuple[float, ...]] = []
+    for lineno, tokens in body:
+        row = tuple(finite_floats(tokens, lineno, "declination row"))
+        problem = _row_problem(row, n_lon)
+        if problem:
+            raise ParseError(problem, line=lineno)
+        rows.append(row)
+    if len(rows) != n_lat:
+        raise ParseError(f"expected {n_lat} latitude rows, got {len(rows)}", line=1)
+    return DeclinationGrid(*bounds, tuple(rows))
 
 
 def load_grid(path: str) -> DeclinationGrid:

@@ -44,16 +44,13 @@ class DynamicSample(QiblaNavError):
     """Accelerometer magnitude is outside the static band; tilt is unusable."""
 
 
-class ScenarioError(QiblaNavError):
-    """Simulation scenario has a missing or invalid field."""
-
-
 class OutOfSpan(QiblaNavError):
     """Query time lies outside the span of a truth trace."""
 
 
 class ParseError(QiblaNavError):
-    """A data file failed to parse; carries the offending line number."""
+    """A data file failed to parse; carries the offending line number when
+    the fault lies on one line."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -62,7 +59,11 @@ class ParseError(QiblaNavError):
         super().__init__(message)
 
 
-class DuplicateCity(QiblaNavError):
+class ScenarioError(ParseError):
+    """Simulation scenario has a missing or invalid field."""
+
+
+class DuplicateCity(ParseError):
     """Two city records share the same case-insensitive name."""
 
 

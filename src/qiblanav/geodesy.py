@@ -84,11 +84,6 @@ class GeoCoordinate:
 KAABA = GeoCoordinate(21.4225, 39.8262)
 
 
-def normalize_azimuth(raw_deg: float) -> AzimuthDeg:
-    """Wrap any finite angle into [0, 360); the result is raw_deg mod 360."""
-    return AzimuthDeg(raw_deg)
-
-
 def _unit_vector(p: GeoCoordinate) -> tuple[float, float, float]:
     lat = math.radians(p.latitude_deg)
     lon = math.radians(p.longitude_deg)
@@ -131,14 +126,12 @@ def initial_bearing(origin: GeoCoordinate, target: GeoCoordinate) -> AzimuthDeg:
     return AzimuthDeg(math.degrees(math.atan2(y, x)))
 
 
-def qibla_azimuth(user: GeoCoordinate, model: EarthModel = EARTH) -> AzimuthDeg:
+def qibla_azimuth(user: GeoCoordinate) -> AzimuthDeg:
     """Bearing from `user` toward the Kaaba.
 
     Depends only on the two latitudes and the longitude difference; the
-    Earth radius plays no role in a bearing, so `model` is accepted purely
-    for interface symmetry with the distance functions.
+    Earth radius plays no role in a bearing.
     """
-    del model
     return initial_bearing(user, KAABA)
 
 

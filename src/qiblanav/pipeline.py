@@ -34,12 +34,8 @@ import numpy as np
 
 from .declination import DeclinationDeg, to_true_heading
 from .errors import DegenerateSweep, DynamicSample, InsufficientData
-from .geodesy import EARTH, AzimuthDeg, EarthModel, GeoCoordinate, qibla_azimuth
-
-G = 9.81  # m/s^2
-
-# Accelerometer magnitude band for a sample to be usable for tilt.
-STATIC_ACCEL_BAND = (0.5 * G, 1.5 * G)
+from .geodesy import AzimuthDeg, GeoCoordinate, qibla_azimuth
+from .records import SensorSample
 
 # Convergence thresholds for a calibration sweep.
 MIN_CALIBRATION_SAMPLES = 200
@@ -52,33 +48,6 @@ MAX_FIT_CONDITION = 1e12
 
 DEFAULT_ALPHA = 0.15
 DEFAULT_GUIDANCE_THRESHOLD_DEG = 2.0
-
-
-@dataclass(frozen=True)
-class SensorSample:
-    """One timestamped accelerometer + magnetometer reading, body frame.
-
-    accel is specific force in m/s^2, mag is microtesla. All components
-    must be finite; timestamps within a trace are monotone nondecreasing
-    (enforced by the trace reader/writer, not here).
-    """
-
-    t_ms: float
-    accel: tuple[float, float, float]
-    mag: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.t_ms):
-            raise ValueError(f"t_ms must be finite, got {self.t_ms!r}")
-        for name, vec in (("accel", self.accel), ("mag", self.mag)):
-            if len(vec) != 3 or not all(math.isfinite(c) for c in vec):
-                raise ValueError(f"{name} must be three finite components, got {vec!r}")
-
-    @property
-    def usable_for_tilt(self) -> bool:
-        """True when the accelerometer magnitude is inside the static band."""
-        lo, hi = STATIC_ACCEL_BAND
-        return lo < math.hypot(*self.accel) < hi
 
 
 @dataclass(frozen=True)
@@ -257,6 +226,10 @@ def calibrate(samples: list[SensorSample]) -> CalibrationState:
     )
 
 
+def _filtered_heading(state: FilterState) -> AzimuthDeg:
+    return AzimuthDeg(math.degrees(math.atan2(state.s, state.c)))
+
+
 def filter_heading(state: FilterState, new_heading: AzimuthDeg) -> tuple[FilterState, AzimuthDeg]:
     """Circular exponential moving average on the unit-vector embedding.
 
@@ -276,11 +249,8 @@ def filter_heading(state: FilterState, new_heading: AzimuthDeg) -> tuple[FilterS
         c, s = math.cos(hr), math.sin(hr)
     else:
         c, s = c / norm, s / norm
-    return replace(state, c=c, s=s), AzimuthDeg(math.degrees(math.atan2(s, c)))
-
-
-def _filtered_heading(state: FilterState) -> AzimuthDeg:
-    return AzimuthDeg(math.degrees(math.atan2(state.s, state.c)))
+    state = replace(state, c=c, s=s)
+    return state, _filtered_heading(state)
 
 
 def process(
@@ -291,7 +261,6 @@ def process(
     decl: DeclinationDeg = DeclinationDeg(0.0),
     *,
     threshold_deg: float = DEFAULT_GUIDANCE_THRESHOLD_DEG,
-    model: EarthModel = EARTH,
 ) -> tuple[FilterState, QiblaPointerState]:
     """Run one sample through the full pointer pipeline.
 
@@ -301,7 +270,7 @@ def process(
     the dynamic flag set; if no heading has been filtered yet there is
     nothing to emit and DynamicSample propagates.
     """
-    qibla = qibla_azimuth(user, model)
+    qibla = qibla_azimuth(user)
     try:
         magnetic = tilt_compensated_heading(sample, cal)
     except DynamicSample:
@@ -334,7 +303,6 @@ def run_trace(
     *,
     alpha: float = DEFAULT_ALPHA,
     threshold_deg: float = DEFAULT_GUIDANCE_THRESHOLD_DEG,
-    model: EarthModel = EARTH,
 ) -> list[tuple[float, QiblaPointerState]]:
     """Process every sample in order, threading the filter state through.
 
@@ -345,9 +313,7 @@ def run_trace(
     out: list[tuple[float, QiblaPointerState]] = []
     for sample in samples:
         try:
-            filt, state = process(
-                sample, user, cal, filt, decl, threshold_deg=threshold_deg, model=model
-            )
+            filt, state = process(sample, user, cal, filt, decl, threshold_deg=threshold_deg)
         except DynamicSample:
             continue
         out.append((sample.t_ms, state))

@@ -21,7 +21,7 @@ drawn for the accelerometer, then one for the magnetometer, and scaled by
 the scenario sigmas. Identical scenarios therefore produce bit-identical
 traces.
 
-Scenario file format (flat key/value text, '#' comments allowed)::
+Scenario file format (flat key/value text read by `records.read_lines`)::
 
     scenario v1
     duration_ms 42000
@@ -45,17 +45,15 @@ and after the last one the end value holds.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfSpan, ScenarioError
-from .pipeline import G, SensorSample
+from .errors import ScenarioError
+from .records import G, SensorSample, TruthRecord, finite_floats, read_lines
 
-SCENARIO_HEADER_TAG = "scenario"
-SCENARIO_FORMAT_VERSION = "v1"
+SCENARIO_HEADER = "scenario v1"
 
 Knots = tuple[tuple[float, float], ...]
 
@@ -67,16 +65,6 @@ class MagneticField:
     horizontal_ut: float
     inclination_deg: float = 0.0
     declination_deg: float = 0.0
-
-
-@dataclass(frozen=True)
-class TruthRecord:
-    """Exact per-sample attitude truth emitted alongside each sensor sample."""
-
-    t_ms: float
-    true_heading_deg: float
-    pitch_deg: float
-    roll_deg: float
 
 
 @dataclass(frozen=True)
@@ -116,19 +104,12 @@ class Scenario:
             raise ScenarioError("field_declination_deg must be finite")
         if len(self.hard_iron_ut) != 3 or not all(math.isfinite(c) for c in self.hard_iron_ut):
             raise ScenarioError("hard_iron_ut must be three finite components")
-        if self.noise_sigma_mag_ut < 0.0:
-            raise ScenarioError("noise_sigma_mag_ut must be nonnegative")
-        if self.noise_sigma_accel_ms2 < 0.0:
-            raise ScenarioError("noise_sigma_accel_ms2 must be nonnegative")
+        for name in ("noise_sigma_mag_ut", "noise_sigma_accel_ms2"):
+            sigma = getattr(self, name)
+            if not (math.isfinite(sigma) and sigma >= 0.0):
+                raise ScenarioError(f"{name} must be finite and nonnegative")
         if not 0 <= int(self.rng_seed) < 2**64:
             raise ScenarioError("rng_seed must fit in 64 bits")
-
-
-def _circular_lerp(v0: float, v1: float, frac: float) -> float:
-    d = (v1 - v0) % 360.0
-    if d > 180.0:
-        d -= 360.0
-    return (v0 + frac * d) % 360.0
 
 
 def _sample_knots(knots: Knots, t: np.ndarray, circular: bool) -> np.ndarray:
@@ -207,114 +188,75 @@ def generate(scenario: Scenario) -> tuple[list[SensorSample], list[TruthRecord]]
     return samples, truth
 
 
-def truth_heading_at(truth: list[TruthRecord], t_ms: float) -> float:
-    """True heading at an arbitrary time inside the trace span.
-
-    Piecewise-linear interpolation along the shortest circular arc between
-    the two surrounding records; exact record timestamps return the stored
-    heading. Outside the span raises OutOfSpan.
-    """
-    if not truth or not truth[0].t_ms <= t_ms <= truth[-1].t_ms:
-        span = f"[{truth[0].t_ms}, {truth[-1].t_ms}]" if truth else "(empty)"
-        raise OutOfSpan(f"t={t_ms} outside truth span {span}")
-    ts = [r.t_ms for r in truth]
-    j = bisect.bisect_right(ts, t_ms) - 1
-    if j >= len(truth) - 1:
-        return truth[-1].true_heading_deg % 360.0
-    r0, r1 = truth[j], truth[j + 1]
-    if t_ms == r0.t_ms:
-        return r0.true_heading_deg % 360.0
-    frac = (t_ms - r0.t_ms) / (r1.t_ms - r0.t_ms)
-    return _circular_lerp(r0.true_heading_deg, r1.true_heading_deg, frac)
-
-
-def _parse_knots(field: str, tokens: list[str]) -> Knots:
-    if not tokens:
-        raise ScenarioError(f"{field}: missing value")
-    try:
-        if any(":" in tok for tok in tokens):
-            knots = []
-            for tok in tokens:
-                t_str, v_str = tok.split(":", 1)
-                knots.append((float(t_str), float(v_str)))
-            return tuple(knots)
-        if len(tokens) == 1:
-            return ((0.0, float(tokens[0])),)
-    except ValueError:
-        raise ScenarioError(f"{field}: expected a number or t_ms:value knots") from None
-    raise ScenarioError(f"{field}: expected a single constant or t_ms:value knots")
-
-
-def _parse_float(field: str, tokens: list[str]) -> float:
-    if len(tokens) != 1:
-        raise ScenarioError(f"{field}: expected one value")
-    try:
-        return float(tokens[0])
-    except ValueError:
-        raise ScenarioError(f"{field}: expected a number, got {tokens[0]!r}") from None
+_KNOWN_FIELDS = {
+    "duration_ms", "sample_rate_hz", "heading_deg", "pitch_deg", "roll_deg",
+    "field_horizontal_ut", "field_inclination_deg", "field_declination_deg",
+    "hard_iron_ut", "noise_sigma_mag_ut", "noise_sigma_accel_ms2", "rng_seed",
+}
+_REQUIRED_FIELDS = ("duration_ms", "sample_rate_hz", "heading_deg", "field_horizontal_ut")
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse the flat key/value scenario format into a Scenario."""
-    lines = [ln for ln in text.splitlines()]
-    if not lines or lines[0].split() != [SCENARIO_HEADER_TAG, SCENARIO_FORMAT_VERSION]:
-        raise ScenarioError(f"first line must be '{SCENARIO_HEADER_TAG} {SCENARIO_FORMAT_VERSION}'")
-    fields: dict[str, list[str]] = {}
-    for raw in lines[1:]:
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        key, *tokens = stripped.split()
-        if key in fields:
-            raise ScenarioError(f"{key}: duplicate field")
-        fields[key] = tokens
+    """Parse the flat key/value scenario format into a Scenario.
 
-    known = {
-        "duration_ms", "sample_rate_hz", "heading_deg", "pitch_deg", "roll_deg",
-        "field_horizontal_ut", "field_inclination_deg", "field_declination_deg",
-        "hard_iron_ut", "noise_sigma_mag_ut", "noise_sigma_accel_ms2", "rng_seed",
-    }
-    for key in fields:
-        if key not in known:
-            raise ScenarioError(f"{key}: unknown field")
-    for required in ("duration_ms", "sample_rate_hz", "heading_deg", "field_horizontal_ut"):
+    Errors in a field's line name that line; a missing required field, or
+    a value the Scenario itself refuses, names the field only.
+    """
+    _, body = read_lines(text, SCENARIO_HEADER, ScenarioError)
+    fields: dict[str, tuple[int, list[str]]] = {}
+    for lineno, (key, *tokens) in body:
+        if key not in _KNOWN_FIELDS:
+            raise ScenarioError(f"{key}: unknown field", lineno)
+        if key in fields:
+            raise ScenarioError(f"{key}: duplicate field", lineno)
+        fields[key] = (lineno, tokens)
+    for required in _REQUIRED_FIELDS:
         if required not in fields:
             raise ScenarioError(f"{required}: required field missing")
 
-    hard_iron = (0.0, 0.0, 0.0)
-    if "hard_iron_ut" in fields:
-        tokens = fields["hard_iron_ut"]
-        if len(tokens) != 3:
-            raise ScenarioError("hard_iron_ut: expected three components")
-        try:
-            hard_iron = (float(tokens[0]), float(tokens[1]), float(tokens[2]))
-        except ValueError:
-            raise ScenarioError("hard_iron_ut: components must be numeric") from None
+    def numbers(key: str, count: int) -> list[float]:
+        line, tokens = fields[key]
+        if len(tokens) != count:
+            raise ScenarioError(f"{key}: expected {count} value(s), got {len(tokens)}", line)
+        return finite_floats(tokens, line, key, ScenarioError)
+
+    def number(key: str) -> float:
+        return numbers(key, 1)[0] if key in fields else 0.0
+
+    def knots(key: str) -> Knots:
+        if key not in fields:
+            return ((0.0, 0.0),)
+        line, tokens = fields[key]
+        if len(tokens) == 1 and ":" not in tokens[0]:
+            return ((0.0, numbers(key, 1)[0]),)
+        pairs = [tok.partition(":") for tok in tokens]
+        if not pairs or not all(sep for _, sep, _ in pairs):
+            raise ScenarioError(f"{key}: expected a single constant or t_ms:value knots", line)
+        parts = [part for t, _, v in pairs for part in (t, v)]
+        values = finite_floats(parts, line, f"{key} knots", ScenarioError)
+        return tuple(zip(values[::2], values[1::2]))
 
     seed = 0
     if "rng_seed" in fields:
-        tokens = fields["rng_seed"]
-        if len(tokens) != 1 or not tokens[0].lstrip("-").isdigit():
-            raise ScenarioError("rng_seed: expected an integer")
+        line, tokens = fields["rng_seed"]
+        if len(tokens) != 1 or not tokens[0].removeprefix("-").isdecimal():
+            raise ScenarioError("rng_seed: expected an integer", line)
         seed = int(tokens[0])
 
-    def opt(key: str, default: float) -> float:
-        return _parse_float(key, fields[key]) if key in fields else default
-
     return Scenario(
-        duration_ms=_parse_float("duration_ms", fields["duration_ms"]),
-        sample_rate_hz=_parse_float("sample_rate_hz", fields["sample_rate_hz"]),
-        heading_knots=_parse_knots("heading_deg", fields["heading_deg"]),
-        pitch_knots=_parse_knots("pitch_deg", fields["pitch_deg"]) if "pitch_deg" in fields else ((0.0, 0.0),),
-        roll_knots=_parse_knots("roll_deg", fields["roll_deg"]) if "roll_deg" in fields else ((0.0, 0.0),),
+        duration_ms=number("duration_ms"),
+        sample_rate_hz=number("sample_rate_hz"),
+        heading_knots=knots("heading_deg"),
+        pitch_knots=knots("pitch_deg"),
+        roll_knots=knots("roll_deg"),
         field=MagneticField(
-            horizontal_ut=_parse_float("field_horizontal_ut", fields["field_horizontal_ut"]),
-            inclination_deg=opt("field_inclination_deg", 0.0),
-            declination_deg=opt("field_declination_deg", 0.0),
+            horizontal_ut=number("field_horizontal_ut"),
+            inclination_deg=number("field_inclination_deg"),
+            declination_deg=number("field_declination_deg"),
         ),
-        hard_iron_ut=hard_iron,
-        noise_sigma_mag_ut=opt("noise_sigma_mag_ut", 0.0),
-        noise_sigma_accel_ms2=opt("noise_sigma_accel_ms2", 0.0),
+        hard_iron_ut=tuple(numbers("hard_iron_ut", 3)) if "hard_iron_ut" in fields else (0.0, 0.0, 0.0),
+        noise_sigma_mag_ut=number("noise_sigma_mag_ut"),
+        noise_sigma_accel_ms2=number("noise_sigma_accel_ms2"),
         rng_seed=seed,
     )
 

@@ -81,6 +81,10 @@ class TestTraceRoundTrip:
         assert back.samples == trace.samples
         assert back.truth == trace.truth
 
+    def test_checked_in_example(self, data_dir):
+        trace = read_trace(str(data_dir / "trace_example.txt"))
+        assert trace.samples and trace.truth
+
     def test_truncated_final_line(self, tmp_path):
         path = write(tmp_path, "t.txt",
                      "qtrace v1\ns 0.0 0.0 0.0 -9.81 40.0 0.0 0.0\ns 20.0 0.0 0.0\n")

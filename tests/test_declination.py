@@ -76,6 +76,19 @@ class TestDeclinationAt:
         assert abs(a - b) < 1e-6
 
 
+class TestAntimeridian:
+    # lon 170..190 in steps of 10: the middle column sits on the antimeridian.
+    GRID = parse_grid("declgrid v1 0 1 1 170 190 10\n1 2 3\n4 5 6\n")
+
+    @pytest.mark.parametrize("lon,expected", [(175.0, 1.5), (180.0, 2.0), (-175.0, 2.5)])
+    def test_inside(self, lon, expected):
+        assert float(declination_at(self.GRID, GeoCoordinate(0.0, lon))) == pytest.approx(expected)
+
+    def test_outside(self):
+        with pytest.raises(OutOfCoverage):
+            declination_at(self.GRID, GeoCoordinate(0.0, 195.0))
+
+
 class TestToTrueHeading:
     @pytest.mark.parametrize(
         "magnetic,decl,expected",

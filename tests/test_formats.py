@@ -1,0 +1,155 @@
+"""The text formats: one line reader, finite numbers only, errors that name
+their line, and loaders that fail with nothing but ParseError."""
+
+import pytest
+from hypothesis import given, strategies as st
+
+from qiblanav import load_cities, load_grid, load_scenario, read_trace
+from qiblanav.errors import DuplicateCity, ParseError, ScenarioError
+from qiblanav.records import TruthRecord, finite_floats, read_lines
+
+from cli_checks import run_cli
+from conftest import DATA_DIR
+
+SCENARIO_HEAD = "scenario v1\nduration_ms 100\nsample_rate_hz 50\nheading_deg 0\nfield_horizontal_ut 40\n"
+
+LOADERS = {
+    "cities.csv": load_cities,
+    "declination_grid.txt": load_grid,
+    "scenario_example.txt": load_scenario,
+    "trace_example.txt": read_trace,
+}
+
+
+class TestLineReader:
+    def test_header_args_and_body(self):
+        args, body = read_lines("fmt v1 1 2.5  # note\n\n  # only a comment\na b # c\n c\n",
+                                "fmt v1 <x> <y>")
+        assert args == [1.0, 2.5]
+        assert list(body) == [(4, ["a", "b"]), (5, ["c"])]
+
+    @pytest.mark.parametrize("text", ["", "\n", "fmt v2 1 2\n", "fmt v1 1\n", "fmt v1 1 2 3\n",
+                                      "other v1 1 2\n", "# fmt v1 1 2\n"])
+    def test_bad_header_is_line_1(self, text):
+        with pytest.raises(ParseError) as exc:
+            read_lines(text, "fmt v1 <x> <y>")
+        assert exc.value.line == 1
+
+    def test_non_finite_header_arg(self):
+        with pytest.raises(ParseError, match="header") as exc:
+            read_lines("fmt v1 1 nan\n", "fmt v1 <x> <y>")
+        assert exc.value.line == 1
+
+    def test_error_type_is_the_callers(self):
+        with pytest.raises(ScenarioError):
+            read_lines("fmt v2\n", "fmt v1", ScenarioError)
+
+    @pytest.mark.parametrize("tokens", [["1", "x"], ["nan"], ["-inf"], ["1e999"], ["²"], ["inf", "-inf"]])
+    def test_finite_floats_refuses(self, tokens):
+        with pytest.raises(ParseError, match="row") as exc:
+            finite_floats(tokens, 7, "row")
+        assert exc.value.line == 7
+
+    def test_finite_floats_converts(self):
+        assert finite_floats(["1", "-2.5e3", "0"], 1, "row") == [1.0, -2500.0, 0.0]
+        # finite values whose sum overflows
+        assert finite_floats(["1e308", "1e308"], 1, "row") == [1e308, 1e308]
+
+    def test_truth_record_refuses_non_finite(self):
+        with pytest.raises(ValueError):
+            TruthRecord(0.0, float("nan"), 0.0, 0.0)
+
+
+# Inputs that once gave a traceback, a bare ValueError, a non-JSON report
+# or an error without a line. Each: file name, contents, loader, error,
+# line, CLI arguments reading the file.
+BAD_INPUTS = {
+    "trace-nan": ("t.txt", "qtrace v1\ns 0 0 0 -9.81 40 0 0\nt 0 nan inf 0\n", read_trace,
+                  ParseError, 3, ["pipeline", "--trace", "{}", "--lat", "0", "--lon", "0",
+                                  "--out", "{}.json"]),
+    "grid-inf-bound": ("g.txt", "declgrid v1 0 inf 1 0 1 1\n1 2\n3 4\n", load_grid,
+                       ParseError, 1, ["qibla", "--lat", "0", "--lon", "0", "--decl-grid", "{}"]),
+    "grid-overflow": ("g.txt", "declgrid v1 0 1e300 1e-300 0 1 1\n1 2\n3 4\n", load_grid,
+                      ParseError, 1, ["qibla", "--lat", "0", "--lon", "0", "--decl-grid", "{}"]),
+    "scenario-nan-sigma": ("s.txt", SCENARIO_HEAD + "noise_sigma_mag_ut nan\n", load_scenario,
+                           ScenarioError, 6, ["simulate", "--scenario", "{}", "--out", "{}.out"]),
+    "scenario-superscript-seed": ("s.txt", SCENARIO_HEAD + "rng_seed ²\n", load_scenario,
+                                  ScenarioError, 6, ["simulate", "--scenario", "{}", "--out", "{}.out"]),
+    "cities-duplicate": ("c.csv", "name,latitude_deg,longitude_deg\nMecca,21.4,39.8\nmecca,21.4,39.8\n",
+                         load_cities, DuplicateCity, 3,
+                         ["qibla", "--city", "Mecca", "--cities", "{}"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_names_line_and_cli_exits_2(tmp_path, case):
+    name, text, loader, error, line, argv = BAD_INPUTS[case]
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error) as exc:
+        loader(str(path))
+    assert exc.value.line == line
+    code, _, err = run_cli([arg.format(path) for arg in argv])
+    assert code == 2
+    assert f"line {line}:" in err
+
+
+# Tokens that exercise numbers, non-finite spellings, knots, comments and
+# every format's keywords.
+TOKENS = st.sampled_from([
+    "0", "1", "-1", "2.5", "90", "1e300", "1e-300", "nan", "inf", "-inf", "²", "x", "",
+    ":", "0:0", "10:5", "#", ",", '"', "s", "t", "v1", "qtrace", "declgrid", "scenario",
+    "duration_ms", "sample_rate_hz", "heading_deg", "field_horizontal_ut", "rng_seed",
+    "hard_iron_ut", "name,latitude_deg,longitude_deg", "Mecca,21.4,39.8",
+])
+LINES = st.lists(st.one_of(st.lists(TOKENS, max_size=9).map(" ".join), st.text(max_size=20)),
+                 max_size=12).map("\n".join)
+
+
+@st.composite
+def mutated_example(draw, name):
+    """A checked-in example with a few lines deleted, duplicated or rewritten."""
+    lines = (DATA_DIR / name).read_text(encoding="utf-8").splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(["delete", "duplicate", "replace", "append", "truncate"]))
+        if action == "delete":
+            del lines[i]
+        elif action == "duplicate":
+            lines.insert(i, lines[i])
+        elif action == "replace":
+            lines[i] = draw(st.lists(TOKENS, max_size=9).map(" ".join))
+        elif action == "append":
+            lines[i] += " " + draw(TOKENS)
+        else:
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("formats")
+
+
+def check_loader(scratch, name, text):
+    path = scratch / name
+    path.write_text(text, encoding="utf-8")
+    n_lines = max(1, len(path.read_text(encoding="utf-8").splitlines()))
+    try:
+        LOADERS[name](str(path))
+    except ParseError as exc:
+        assert exc.line is None or 1 <= exc.line <= n_lines, (exc, n_lines)
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+@given(text=st.one_of(st.text(), LINES))
+def test_any_text_loads_or_raises_parse_error(scratch, name, text):
+    check_loader(scratch, name, text)
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+@given(data=st.data())
+def test_mutated_examples_load_or_raise_parse_error(scratch, name, data):
+    check_loader(scratch, name, data.draw(mutated_example(name)))

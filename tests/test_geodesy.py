@@ -14,7 +14,6 @@ from qiblanav import (
     angular_separation,
     haversine_distance,
     initial_bearing,
-    normalize_azimuth,
     qibla_azimuth,
     slc_distance,
 )
@@ -33,22 +32,24 @@ KAABA_BANDUNG_KM_ORACLE = 8029.907430997966
 
 
 class TestNormalizeAzimuth:
+    """AzimuthDeg wraps any finite angle into [0, 360)."""
+
     @pytest.mark.parametrize("raw,expected", [(-90.0, 270.0), (360.0, 0.0), (725.0, 5.0)])
     def test_examples(self, raw, expected):
-        assert float(normalize_azimuth(raw)) == expected
+        assert float(AzimuthDeg(raw)) == expected
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(InvalidAngle):
-            normalize_azimuth(bad)
+            AzimuthDeg(bad)
 
     def test_tiny_negative_does_not_round_to_360(self):
         # -1e-18 % 360.0 evaluates to 360.0 in floating point
-        assert 0.0 <= float(normalize_azimuth(-1e-18)) < 360.0
+        assert 0.0 <= float(AzimuthDeg(-1e-18)) < 360.0
 
     @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
     def test_closure_and_congruence(self, raw):
-        result = float(normalize_azimuth(raw))
+        result = float(AzimuthDeg(raw))
         assert 0.0 <= result < 360.0
         remainder = (result - raw) % 360.0
         assert min(remainder, 360.0 - remainder) < 1e-9

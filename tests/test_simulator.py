@@ -131,6 +131,13 @@ class TestScenarioValidation:
             Scenario(duration_ms=100.0, sample_rate_hz=50.0,
                      heading_knots=((0.0, 0.0),), field=MagneticField(0.0))
 
+    @pytest.mark.parametrize("name", ["noise_sigma_mag_ut", "noise_sigma_accel_ms2"])
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+    def test_noise_sigmas_finite_nonnegative(self, name, sigma):
+        with pytest.raises(ScenarioError, match=name):
+            Scenario(duration_ms=100.0, sample_rate_hz=50.0, heading_knots=((0.0, 0.0),),
+                     **{name: sigma})
+
     def test_inclination_open_interval(self):
         with pytest.raises(ScenarioError, match="field_inclination_deg"):
             Scenario(duration_ms=100.0, sample_rate_hz=50.0, heading_knots=((0.0, 0.0),),
