@@ -29,19 +29,23 @@ from __future__ import annotations
 
 import bisect
 import csv
+import io
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import DuplicateCity, EmptyReport, InvalidCoordinate, OutOfSpan, ParseError
 from .geodesy import GeoCoordinate
 from .pipeline import QiblaPointerState, circular_diff
-from .records import SensorSample, TruthRecord, finite_floats, read_lines
+from .records import SensorSample, TruthRecord, finite_floats, read_lines, read_text
 
 TRACE_HEADER = "qtrace v1"
 REPORT_TAG = "qibla-pipeline v1"
 CITY_HEADER = ("name", "latitude_deg", "longitude_deg")
 
 STEADY_STATE_WINDOW_MS = 10000.0
+
+_T_MS = attrgetter("t_ms")
 
 
 @dataclass(frozen=True)
@@ -62,12 +66,11 @@ class TraceFile:
 
 def load_cities(path: str) -> list[CityRecord]:
     """Load the city CSV; rejects bad rows and duplicate names outright."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            rows = [(reader.line_num, row) for row in reader]
-        except csv.Error as exc:
-            raise ParseError(str(exc), line=reader.line_num) from None
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
     if not rows or tuple(h.strip().lower() for h in rows[0][1]) != CITY_HEADER:
         raise ParseError(f"expected header {','.join(CITY_HEADER)}", line=1)
     records: list[CityRecord] = []
@@ -92,8 +95,8 @@ def load_cities(path: str) -> list[CityRecord]:
     return records
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _line(tag: str, *values: float) -> str:
+    return " ".join((tag, *map(repr, map(float, values))))
 
 
 def write_trace(trace: TraceFile, path: str) -> None:
@@ -101,27 +104,23 @@ def write_trace(trace: TraceFile, path: str) -> None:
     ts = [s.t_ms for s in trace.samples]
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise ValueError("sample timestamps must be monotone nondecreasing")
+    truth = trace.truth or ()
+    truth_lines = [_line("t", r.t_ms, r.true_heading_deg, r.pitch_deg, r.roll_deg) for r in truth]
     lines = [TRACE_HEADER]
-    truth = list(trace.truth) if trace.truth else []
     ti = 0
     for s in trace.samples:
-        lines.append("s " + " ".join(_fmt(v) for v in (s.t_ms, *s.accel, *s.mag)))
+        lines.append(_line("s", s.t_ms, *s.accel, *s.mag))
         while ti < len(truth) and truth[ti].t_ms <= s.t_ms:
-            r = truth[ti]
-            lines.append("t " + " ".join(
-                _fmt(v) for v in (r.t_ms, r.true_heading_deg, r.pitch_deg, r.roll_deg)))
+            lines.append(truth_lines[ti])
             ti += 1
-    for r in truth[ti:]:
-        lines.append("t " + " ".join(
-            _fmt(v) for v in (r.t_ms, r.true_heading_deg, r.pitch_deg, r.roll_deg)))
+    lines += truth_lines[ti:]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_trace(path: str) -> TraceFile:
     """Parse a trace file; any malformed or out-of-order line aborts."""
-    with open(path, encoding="utf-8") as fh:
-        _, body = read_lines(fh.read(), TRACE_HEADER)
+    _, body = read_lines(read_text(path), TRACE_HEADER)
     samples: list[SensorSample] = []
     truth: list[TruthRecord] = []
     kinds = {"s": ("sample record", 7, samples), "t": ("truth record", 4, truth)}
@@ -141,15 +140,15 @@ def read_trace(path: str) -> TraceFile:
 def truth_heading_at(truth: list[TruthRecord], t_ms: float) -> float:
     """True heading at an arbitrary time inside the trace span.
 
-    Piecewise-linear interpolation along the shortest circular arc between
-    the two surrounding records; exact record timestamps return the stored
-    heading. Outside the span raises OutOfSpan.
+    `truth` must be in time order, as `read_trace` and `generate` produce
+    it. Piecewise-linear interpolation along the shortest circular arc
+    between the two surrounding records; exact record timestamps return the
+    stored heading. Outside the span raises OutOfSpan.
     """
     if not truth or not truth[0].t_ms <= t_ms <= truth[-1].t_ms:
         span = f"[{truth[0].t_ms}, {truth[-1].t_ms}]" if truth else "(empty)"
         raise OutOfSpan(f"t={t_ms} outside truth span {span}")
-    ts = [r.t_ms for r in truth]
-    j = bisect.bisect_right(ts, t_ms) - 1
+    j = bisect.bisect_right(truth, t_ms, key=_T_MS) - 1
     if j >= len(truth) - 1:
         return truth[-1].true_heading_deg % 360.0
     r0, r1 = truth[j], truth[j + 1]
@@ -179,7 +178,7 @@ def summarize(
 ) -> dict:
     """Summary block for a pointer stream: deviation stats, plus heading
     and deviation error against truth over the final 10 s when truth is
-    supplied."""
+    supplied. Truth must be in time order (see `truth_heading_at`)."""
     if not entries:
         raise EmptyReport("cannot summarize an empty state stream")
     deviations = [abs(state.deviation_deg) for _, state in entries]
@@ -191,16 +190,10 @@ def summarize(
     if truth:
         t_end = entries[-1][0]
         window = [(t, s) for t, s in entries if t >= t_end - STEADY_STATE_WINDOW_MS]
-        truth_list = list(truth)
-        # entry timestamps normally coincide with truth records; interpolate
-        # only the stragglers
-        heading_by_t = {r.t_ms: r.true_heading_deg % 360.0 for r in truth_list}
         head_errs = []
         dev_errs = []
         for t, s in window:
-            true_h = heading_by_t.get(t)
-            if true_h is None:
-                true_h = truth_heading_at(truth_list, t)
+            true_h = truth_heading_at(truth, t)
             err = circular_diff(s.true_heading, true_h)
             head_errs.append(abs(err))
             true_dev = circular_diff(s.qibla, true_h)

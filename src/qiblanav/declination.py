@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidAngle, OutOfCoverage, ParseError
 from .geodesy import AzimuthDeg, GeoCoordinate
-from .records import finite_floats, read_lines
+from .records import finite_floats, read_lines, read_text
 
 GRID_HEADER = "declgrid v1 <lat_min> <lat_max> <lat_step> <lon_min> <lon_max> <lon_step>"
 
@@ -142,5 +142,4 @@ def parse_grid(text: str) -> DeclinationGrid:
 
 def load_grid(path: str) -> DeclinationGrid:
     """Read and parse a declgrid file from disk."""
-    with open(path, encoding="utf-8") as fh:
-        return parse_grid(fh.read())
+    return parse_grid(read_text(path))

@@ -1,8 +1,8 @@
 """Great-circle math on the spherical Earth model.
 
 All public angles are degrees; radians stay internal. Bearings are measured
-clockwise from true north and normalized to [0, 360). Distances use a
-configurable sphere radius (mean radius 6371.0 km by default).
+clockwise from true north and normalized to [0, 360). Distances are on a
+sphere of the mean Earth radius, 6371.0 km.
 
 Everything here is a pure function of its inputs and safe to call from any
 number of threads.
@@ -41,20 +41,6 @@ class DistanceKm(float):
         if not math.isfinite(value_km) or value_km < 0.0:
             raise ValueError(f"distance must be finite and nonnegative, got {value_km!r}")
         return super().__new__(cls, value_km)
-
-
-@dataclass(frozen=True)
-class EarthModel:
-    """Spherical Earth with a configurable radius in kilometers."""
-
-    radius_km: float = EARTH_RADIUS_KM
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.radius_km) and self.radius_km > 0.0):
-            raise ValueError(f"radius_km must be finite and positive, got {self.radius_km!r}")
-
-
-EARTH = EarthModel()
 
 
 @dataclass(frozen=True)
@@ -135,11 +121,11 @@ def qibla_azimuth(user: GeoCoordinate) -> AzimuthDeg:
     return initial_bearing(user, KAABA)
 
 
-def haversine_distance(a: GeoCoordinate, b: GeoCoordinate, model: EarthModel = EARTH) -> DistanceKm:
+def haversine_distance(a: GeoCoordinate, b: GeoCoordinate) -> DistanceKm:
     """Great-circle distance via the haversine of the central angle.
 
     c = 2*asin(sqrt(sin^2(dlat/2) + cos(lat1)*cos(lat2)*sin^2(dlon/2))),
-    distance = radius * c. Numerically stable at all separations.
+    distance = EARTH_RADIUS_KM * c. Numerically stable at all separations.
     """
     lat1 = math.radians(a.latitude_deg)
     lat2 = math.radians(b.latitude_deg)
@@ -147,10 +133,10 @@ def haversine_distance(a: GeoCoordinate, b: GeoCoordinate, model: EarthModel = E
     dlon = math.radians(b.longitude_deg - a.longitude_deg)
     h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
     c = 2.0 * math.asin(min(1.0, math.sqrt(h)))
-    return DistanceKm(model.radius_km * c)
+    return DistanceKm(EARTH_RADIUS_KM * c)
 
 
-def slc_distance(a: GeoCoordinate, b: GeoCoordinate, model: EarthModel = EARTH) -> DistanceKm:
+def slc_distance(a: GeoCoordinate, b: GeoCoordinate) -> DistanceKm:
     """Great-circle distance via the spherical law of cosines.
 
     c = acos(sin(lat1)*sin(lat2) + cos(lat1)*cos(lat2)*cos(dlon)). Agrees
@@ -163,4 +149,4 @@ def slc_distance(a: GeoCoordinate, b: GeoCoordinate, model: EarthModel = EARTH) 
     dlon = math.radians(b.longitude_deg - a.longitude_deg)
     arg = math.sin(lat1) * math.sin(lat2) + math.cos(lat1) * math.cos(lat2) * math.cos(dlon)
     c = math.acos(max(-1.0, min(1.0, arg)))
-    return DistanceKm(model.radius_km * c)
+    return DistanceKm(EARTH_RADIUS_KM * c)

@@ -27,7 +27,7 @@ distinct threads freely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -139,16 +139,10 @@ def guidance(deviation_deg: float, threshold_deg: float = DEFAULT_GUIDANCE_THRES
     return Guidance.ALIGNED
 
 
-def _pitch_roll(accel: tuple[float, float, float]) -> tuple[float, float]:
-    """Pitch/roll in radians from a static specific-force sample."""
-    ax, ay, az = accel
+def _heading_from(sample: SensorSample, hard_iron: tuple[float, float, float]) -> AzimuthDeg:
+    ax, ay, az = sample.accel
     pitch = math.atan2(ax, math.hypot(ay, az))
     roll = math.atan2(-ay, -az)
-    return pitch, roll
-
-
-def _heading_from(sample: SensorSample, hard_iron: tuple[float, float, float]) -> AzimuthDeg:
-    pitch, roll = _pitch_roll(sample.accel)
     mx = sample.mag[0] - hard_iron[0]
     my = sample.mag[1] - hard_iron[1]
     mz = sample.mag[2] - hard_iron[2]
@@ -159,6 +153,13 @@ def _heading_from(sample: SensorSample, hard_iron: tuple[float, float, float]) -
     return AzimuthDeg(math.degrees(math.atan2(-yh, xh)))
 
 
+def _require_static(sample: SensorSample) -> None:
+    if not sample.usable_for_tilt:
+        raise DynamicSample(
+            f"accel magnitude {math.hypot(*sample.accel):.3f} m/s^2 outside static band"
+        )
+
+
 def tilt_compensated_heading(sample: SensorSample, cal: CalibrationState) -> AzimuthDeg:
     """Magnetic heading from one sample, leveled using the accelerometer.
 
@@ -167,10 +168,7 @@ def tilt_compensated_heading(sample: SensorSample, cal: CalibrationState) -> Azi
     the horizontal angle (see the module docstring for the exact algebra).
     Raises DynamicSample when the accelerometer magnitude is out of band.
     """
-    if not sample.usable_for_tilt:
-        raise DynamicSample(
-            f"accel magnitude {math.hypot(*sample.accel):.3f} m/s^2 outside static band"
-        )
+    _require_static(sample)
     return _heading_from(sample, cal.hard_iron)
 
 
@@ -241,7 +239,7 @@ def filter_heading(state: FilterState, new_heading: AzimuthDeg) -> tuple[FilterS
     h = AzimuthDeg(new_heading)
     hr = math.radians(h)
     if state.c is None or state.alpha == 1.0:
-        return replace(state, c=math.cos(hr), s=math.sin(hr)), h
+        return FilterState(state.alpha, math.cos(hr), math.sin(hr)), h
     c = (1.0 - state.alpha) * state.c + state.alpha * math.cos(hr)
     s = (1.0 - state.alpha) * state.s + state.alpha * math.sin(hr)
     norm = math.hypot(c, s)
@@ -249,8 +247,38 @@ def filter_heading(state: FilterState, new_heading: AzimuthDeg) -> tuple[FilterS
         c, s = math.cos(hr), math.sin(hr)
     else:
         c, s = c / norm, s / norm
-    state = replace(state, c=c, s=s)
+    state = FilterState(state.alpha, c, s)
     return state, _filtered_heading(state)
+
+
+def _step(
+    sample: SensorSample,
+    qibla: AzimuthDeg,
+    cal: CalibrationState,
+    filt: FilterState,
+    decl: DeclinationDeg,
+    threshold_deg: float,
+) -> tuple[FilterState, QiblaPointerState]:
+    """One sample through the pointer. A dynamic sample carries the filtered
+    heading forward, so the caller passes one only once `filt` holds a
+    heading."""
+    dynamic = not sample.usable_for_tilt
+    if dynamic:
+        magnetic = filtered = _filtered_heading(filt)
+    else:
+        magnetic = _heading_from(sample, cal.hard_iron)
+        filt, filtered = filter_heading(filt, magnetic)
+    true_heading = to_true_heading(filtered, decl)
+    deviation = circular_diff(qibla, true_heading)
+    return filt, QiblaPointerState(
+        magnetic_heading=magnetic,
+        true_heading=true_heading,
+        qibla=qibla,
+        deviation_deg=deviation,
+        guidance=guidance(deviation, threshold_deg),
+        calibrated=cal.converged,
+        dynamic=dynamic,
+    )
 
 
 def process(
@@ -271,28 +299,9 @@ def process(
     nothing to emit and DynamicSample propagates.
     """
     qibla = qibla_azimuth(user)
-    try:
-        magnetic = tilt_compensated_heading(sample, cal)
-    except DynamicSample:
-        if filt.c is None:
-            raise
-        magnetic = _filtered_heading(filt)
-        filtered = magnetic
-        dynamic = True
-    else:
-        filt, filtered = filter_heading(filt, magnetic)
-        dynamic = False
-    true_heading = to_true_heading(filtered, decl)
-    deviation = circular_diff(qibla, true_heading)
-    return filt, QiblaPointerState(
-        magnetic_heading=magnetic,
-        true_heading=true_heading,
-        qibla=qibla,
-        deviation_deg=deviation,
-        guidance=guidance(deviation, threshold_deg),
-        calibrated=cal.converged,
-        dynamic=dynamic,
-    )
+    if filt.c is None:
+        _require_static(sample)
+    return _step(sample, qibla, cal, filt, decl, threshold_deg)
 
 
 def run_trace(
@@ -306,15 +315,18 @@ def run_trace(
 ) -> list[tuple[float, QiblaPointerState]]:
     """Process every sample in order, threading the filter state through.
 
-    Returns (t_ms, state) pairs. Dynamic samples before the first usable
-    one produce no output (there is no heading to carry forward yet).
+    Returns (t_ms, state) pairs, the same ones `process` gives sample by
+    sample. The qibla bearing is computed once, so a user at the Kaaba or
+    its antipode raises even for an empty trace. Dynamic samples before the
+    first usable one produce no output (there is no heading to carry
+    forward yet).
     """
     filt = FilterState(alpha=alpha)
+    qibla = qibla_azimuth(user)
     out: list[tuple[float, QiblaPointerState]] = []
     for sample in samples:
-        try:
-            filt, state = process(sample, user, cal, filt, decl, threshold_deg=threshold_deg)
-        except DynamicSample:
+        if filt.c is None and not sample.usable_for_tilt:
             continue
+        filt, state = _step(sample, qibla, cal, filt, decl, threshold_deg)
         out.append((sample.t_ms, state))
     return out

@@ -1,5 +1,6 @@
 """Record types shared by the pipeline, the simulator and the file formats,
-plus the one line reader that every versioned text format goes through.
+plus the one file reader every loader goes through and the one line reader
+every versioned text format goes through.
 
 This module imports only `errors`, so every other module may import it.
 
@@ -79,6 +80,17 @@ def finite_floats(
     if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
         raise error(f"{what}: expected finite numbers, got {' '.join(tokens)!r}", line)
     return values
+
+
+def read_text(path: str) -> str:
+    """The contents of a UTF-8 text file. A byte sequence that does not
+    decode raises ParseError naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid UTF-8: {exc.reason}", data.count(b"\n", 0, exc.start) + 1) from None
 
 
 def read_lines(

@@ -40,7 +40,8 @@ Scenario file format (flat key/value text read by `records.read_lines`)::
 heading_deg, pitch_deg and roll_deg take either a single constant or a list
 of t_ms:value knots. Heading interpolates along the shortest circular arc
 between knots; pitch and roll interpolate linearly. Before the first knot
-and after the last one the end value holds.
+and after the last one the end value holds. A scenario may ask for at most
+MAX_SAMPLES samples, duration_ms * sample_rate_hz / 1000.
 """
 
 from __future__ import annotations
@@ -51,9 +52,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScenarioError
-from .records import G, SensorSample, TruthRecord, finite_floats, read_lines
+from .records import G, SensorSample, TruthRecord, finite_floats, read_lines, read_text
 
 SCENARIO_HEADER = "scenario v1"
+
+# Largest trace a scenario may ask for: about 55 h at 50 Hz. generate
+# holds the whole trace in memory.
+MAX_SAMPLES = 10**7
 
 Knots = tuple[tuple[float, float], ...]
 
@@ -87,6 +92,10 @@ class Scenario:
             raise ScenarioError("duration_ms must be positive")
         if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0.0):
             raise ScenarioError("sample_rate_hz must be positive")
+        count = self.duration_ms * self.sample_rate_hz / 1000.0
+        if not (math.isfinite(count) and round(count) <= MAX_SAMPLES):
+            raise ScenarioError(
+                f"duration_ms gives {count:.3g} samples at sample_rate_hz, more than {MAX_SAMPLES}")
         for name in ("heading_knots", "pitch_knots", "roll_knots"):
             knots = getattr(self, name)
             if not knots:
@@ -154,37 +163,18 @@ def generate(scenario: Scenario) -> tuple[list[SensorSample], list[TruthRecord]]
         return x2, y1 * cr + z2 * sr, -y1 * sr + z2 * cr
 
     zeros = np.zeros(n)
-    ax, ay, az = to_body(zeros, zeros, np.full(n, -G))
-    mx, my, mz = to_body(np.full(n, m_n), np.full(n, m_e), np.full(n, m_d))
-    mx, my, mz = (mx + scenario.hard_iron_ut[0], my + scenario.hard_iron_ut[1],
-                  mz + scenario.hard_iron_ut[2])
+    accel = np.column_stack(to_body(zeros, zeros, np.full(n, -G)))
+    mag = np.column_stack(to_body(np.full(n, m_n), np.full(n, m_e), np.full(n, m_d)))
+    mag += scenario.hard_iron_ut
 
     rng = np.random.Generator(np.random.PCG64(int(scenario.rng_seed)))
-    accel_noise = rng.standard_normal((n, 3)) * scenario.noise_sigma_accel_ms2
-    mag_noise = rng.standard_normal((n, 3)) * scenario.noise_sigma_mag_ut
+    accel += rng.standard_normal((n, 3)) * scenario.noise_sigma_accel_ms2
+    mag += rng.standard_normal((n, 3)) * scenario.noise_sigma_mag_ut
 
-    samples = [
-        SensorSample(
-            t_ms=float(t[i]),
-            accel=(float(ax[i] + accel_noise[i, 0]),
-                   float(ay[i] + accel_noise[i, 1]),
-                   float(az[i] + accel_noise[i, 2])),
-            mag=(float(mx[i] + mag_noise[i, 0]),
-                 float(my[i] + mag_noise[i, 1]),
-                 float(mz[i] + mag_noise[i, 2])),
-        )
-        for i in range(n)
-    ]
-    heading_deg = np.degrees(yaw) % 360.0
-    truth = [
-        TruthRecord(
-            t_ms=float(t[i]),
-            true_heading_deg=float(heading_deg[i]),
-            pitch_deg=float(math.degrees(pitch[i])),
-            roll_deg=float(math.degrees(roll[i])),
-        )
-        for i in range(n)
-    ]
+    t_ms = t.tolist()
+    samples = list(map(SensorSample, t_ms, map(tuple, accel.tolist()), map(tuple, mag.tolist())))
+    truth = list(map(TruthRecord, t_ms, (np.degrees(yaw) % 360.0).tolist(),
+                     map(math.degrees, pitch.tolist()), map(math.degrees, roll.tolist())))
     return samples, truth
 
 
@@ -263,5 +253,4 @@ def parse_scenario(text: str) -> Scenario:
 
 def load_scenario(path: str) -> Scenario:
     """Read and parse a scenario file from disk."""
-    with open(path, encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    return parse_scenario(read_text(path))

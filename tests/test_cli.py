@@ -140,12 +140,16 @@ class TestSimulate:
         assert json.loads(out)["samples"] == 2100
 
     def test_malformed_scenario_names_field(self, tmp_path):
+        head = "scenario v1\nsample_rate_hz 50\nheading_deg 0\n"
         bad = tmp_path / "bad.txt"
-        bad.write_text("scenario v1\nduration_ms 100\nsample_rate_hz 50\nheading_deg 0\n")
-        code, _, err = run_cli(["simulate", "--scenario", str(bad),
-                                "--out", str(tmp_path / "t.txt")])
-        assert code == 2
-        assert "field_horizontal_ut" in err
+        for text, field in ((head + "duration_ms 100\n", "field_horizontal_ut"),
+                            (head + "field_horizontal_ut 40\nduration_ms 1e300\n", "duration_ms"),
+                            (head + "field_horizontal_ut 40\nduration_ms 1e12\n", "duration_ms")):
+            bad.write_text(text)
+            code, _, err = run_cli(["simulate", "--scenario", str(bad),
+                                    "--out", str(tmp_path / "t.txt")])
+            assert code == 2
+            assert field in err
 
     def test_missing_scenario_file(self, tmp_path):
         code, _, _ = run_cli(["simulate", "--scenario", str(tmp_path / "nope.txt"),

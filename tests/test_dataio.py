@@ -6,12 +6,14 @@ from qiblanav import (
     CalibrationState,
     GeoCoordinate,
     TraceFile,
+    circular_diff,
     generate,
     load_cities,
     read_report,
     read_trace,
     run_trace,
     summarize,
+    truth_heading_at,
     write_report,
     write_trace,
 )
@@ -150,6 +152,25 @@ class TestReports:
         assert "steady_state_error_deg" in summary
         doc = read_report(str(path))
         assert doc["summary"]["steady_state_error_deg"] == summary["steady_state_error_deg"]
+
+    def test_summary_interpolates_half_rate_truth(self):
+        # 12 s of entries, so the 10 s window leaves some out; truth at half
+        # the sample rate, so every other entry falls between two records
+        entries, truth = make_entries(601, with_truth=True)
+        half = list(truth)[::2]
+        window = [(t, s) for t, s in entries if t >= entries[-1][0] - 10000.0]
+        assert len(window) < len(entries)
+        assert any(t not in {r.t_ms for r in half} for t, _ in window)
+        head_errs, dev_errs = [], []
+        for t, s in window:
+            true_h = truth_heading_at(half, t)
+            head_errs.append(abs(circular_diff(s.true_heading, true_h)))
+            dev_errs.append(abs(circular_diff(s.deviation_deg, circular_diff(s.qibla, true_h))))
+        summary = summarize(entries, half)
+        assert summary["steady_state_error_deg"] == sum(head_errs) / len(head_errs)
+        assert summary["steady_state_max_error_deg"] == max(head_errs)
+        assert summary["steady_state_deviation_error_deg"] == sum(dev_errs) / len(dev_errs)
+        assert summary["steady_state_max_deviation_error_deg"] == max(dev_errs)
 
     def test_empty_stream_rejected(self, tmp_path):
         with pytest.raises(EmptyReport):

@@ -60,24 +60,36 @@ class TestLineReader:
             TruthRecord(0.0, float("nan"), 0.0, 0.0)
 
 
-# Inputs that once gave a traceback, a bare ValueError, a non-JSON report
-# or an error without a line. Each: file name, contents, loader, error,
-# line, CLI arguments reading the file.
+PIPELINE_ARGV = ["pipeline", "--trace", "{}", "--lat", "0", "--lon", "0", "--out", "{}.json"]
+GRID_ARGV = ["qibla", "--lat", "0", "--lon", "0", "--decl-grid", "{}"]
+SCENARIO_ARGV = ["simulate", "--scenario", "{}", "--out", "{}.out"]
+CITIES_ARGV = ["qibla", "--city", "Mecca", "--cities", "{}"]
+
+# Inputs that once gave a traceback, a bare ValueError or UnicodeDecodeError,
+# a non-JSON report or an error without a line. Each: file name, contents
+# (bytes where they are not UTF-8), loader, error, line, CLI arguments
+# reading the file.
 BAD_INPUTS = {
     "trace-nan": ("t.txt", "qtrace v1\ns 0 0 0 -9.81 40 0 0\nt 0 nan inf 0\n", read_trace,
-                  ParseError, 3, ["pipeline", "--trace", "{}", "--lat", "0", "--lon", "0",
-                                  "--out", "{}.json"]),
+                  ParseError, 3, PIPELINE_ARGV),
     "grid-inf-bound": ("g.txt", "declgrid v1 0 inf 1 0 1 1\n1 2\n3 4\n", load_grid,
-                       ParseError, 1, ["qibla", "--lat", "0", "--lon", "0", "--decl-grid", "{}"]),
+                       ParseError, 1, GRID_ARGV),
     "grid-overflow": ("g.txt", "declgrid v1 0 1e300 1e-300 0 1 1\n1 2\n3 4\n", load_grid,
-                      ParseError, 1, ["qibla", "--lat", "0", "--lon", "0", "--decl-grid", "{}"]),
+                      ParseError, 1, GRID_ARGV),
     "scenario-nan-sigma": ("s.txt", SCENARIO_HEAD + "noise_sigma_mag_ut nan\n", load_scenario,
-                           ScenarioError, 6, ["simulate", "--scenario", "{}", "--out", "{}.out"]),
+                           ScenarioError, 6, SCENARIO_ARGV),
     "scenario-superscript-seed": ("s.txt", SCENARIO_HEAD + "rng_seed ²\n", load_scenario,
-                                  ScenarioError, 6, ["simulate", "--scenario", "{}", "--out", "{}.out"]),
+                                  ScenarioError, 6, SCENARIO_ARGV),
     "cities-duplicate": ("c.csv", "name,latitude_deg,longitude_deg\nMecca,21.4,39.8\nmecca,21.4,39.8\n",
-                         load_cities, DuplicateCity, 3,
-                         ["qibla", "--city", "Mecca", "--cities", "{}"]),
+                         load_cities, DuplicateCity, 3, CITIES_ARGV),
+    "trace-bad-utf8": ("t.txt", b"qtrace v1\ns 0 0 0 -9.81 40 0 0\n\xff\xfe\n", read_trace,
+                       ParseError, 3, PIPELINE_ARGV),
+    "grid-bad-utf8": ("g.txt", b"declgrid v1 0 1 1 0 1 1\n1 2 # \xe2\x82\n3 4\n", load_grid,
+                      ParseError, 2, GRID_ARGV),
+    "scenario-bad-utf8": ("s.txt", SCENARIO_HEAD.encode() + b"# caf\xe9\n", load_scenario,
+                          ParseError, 6, SCENARIO_ARGV),
+    "cities-bad-utf8": ("c.csv", b"name,latitude_deg,longitude_deg\nMecca,21.4,39.8\n\xffBad,1,2\n",
+                        load_cities, ParseError, 3, CITIES_ARGV),
 }
 
 
@@ -85,7 +97,7 @@ BAD_INPUTS = {
 def test_bad_input_names_line_and_cli_exits_2(tmp_path, case):
     name, text, loader, error, line, argv = BAD_INPUTS[case]
     path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     with pytest.raises(error) as exc:
         loader(str(path))
     assert exc.value.line == line
@@ -133,10 +145,10 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("formats")
 
 
-def check_loader(scratch, name, text):
+def check_loader(scratch, name, data):
     path = scratch / name
-    path.write_text(text, encoding="utf-8")
-    n_lines = max(1, len(path.read_text(encoding="utf-8").splitlines()))
+    path.write_bytes(data)
+    n_lines = max(1, len(data.decode("utf-8", "replace").splitlines()))
     try:
         LOADERS[name](str(path))
     except ParseError as exc:
@@ -144,12 +156,12 @@ def check_loader(scratch, name, text):
 
 
 @pytest.mark.parametrize("name", sorted(LOADERS))
-@given(text=st.one_of(st.text(), LINES))
-def test_any_text_loads_or_raises_parse_error(scratch, name, text):
-    check_loader(scratch, name, text)
+@given(data=st.one_of(st.text().map(str.encode), LINES.map(str.encode), st.binary()))
+def test_any_text_loads_or_raises_parse_error(scratch, name, data):
+    check_loader(scratch, name, data)
 
 
 @pytest.mark.parametrize("name", sorted(LOADERS))
 @given(data=st.data())
 def test_mutated_examples_load_or_raise_parse_error(scratch, name, data):
-    check_loader(scratch, name, data.draw(mutated_example(name)))
+    check_loader(scratch, name, data.draw(mutated_example(name)).encode())

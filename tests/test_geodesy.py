@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qiblanav import (
-    EARTH,
+    EARTH_RADIUS_KM,
     KAABA,
     AzimuthDeg,
     DistanceKm,
-    EarthModel,
     GeoCoordinate,
     angular_separation,
     haversine_distance,
@@ -67,9 +66,7 @@ class TestDomainTypes:
             DistanceKm(float("nan"))
 
     def test_earth_model_default_radius(self):
-        assert EARTH.radius_km == 6371.0
-        with pytest.raises(ValueError):
-            EarthModel(radius_km=0.0)
+        assert EARTH_RADIUS_KM == 6371.0
 
     @pytest.mark.parametrize("lat", [-90.0001, 95.0, 200.0])
     def test_latitude_out_of_range_rejected(self, lat):
@@ -240,7 +237,7 @@ class TestDistances:
 
     def test_never_exceeds_half_circumference(self):
         rng = np.random.default_rng(12)
-        bound = math.pi * EARTH.radius_km
+        bound = math.pi * EARTH_RADIUS_KM
         for _ in range(500):
             lat1, lat2 = np.degrees(np.arcsin(rng.uniform(-1, 1, 2)))
             lon1, lon2 = rng.uniform(-180, 180, 2)
@@ -248,7 +245,6 @@ class TestDistances:
             b = GeoCoordinate(float(lat2), float(lon2))
             assert 0.0 <= float(haversine_distance(a, b)) <= bound
 
-    def test_custom_radius(self):
-        model = EarthModel(radius_km=1.0)
-        d = float(haversine_distance(GeoCoordinate(0, 0), GeoCoordinate(0, 180), model))
-        assert d == pytest.approx(math.pi, rel=1e-15)
+    def test_equator_antipode_is_half_circumference(self):
+        d = float(haversine_distance(GeoCoordinate(0, 0), GeoCoordinate(0, 180)))
+        assert d == math.pi * EARTH_RADIUS_KM

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qiblanav import (
+    KAABA,
     DeclinationDeg,
     CalibrationState,
     FilterState,
@@ -23,7 +25,13 @@ from qiblanav import (
     run_trace,
     tilt_compensated_heading,
 )
-from qiblanav.errors import DegenerateSweep, DynamicSample, InsufficientData
+from qiblanav.errors import (
+    AntipodalPoints,
+    DegeneratePoints,
+    DegenerateSweep,
+    DynamicSample,
+    InsufficientData,
+)
 
 from oracles import circular_abs_diff
 from scenarios import FIELD, flat_sweep, tumbled_sweep
@@ -138,6 +146,9 @@ class TestTiltCompensatedHeading:
             assert circular_abs_diff(rotated, (base + delta) % 360.0) < 1e-6
 
 
+OFFSETS = st.floats(min_value=-100.0, max_value=100.0)
+
+
 class TestCalibrate:
     def test_zero_offset_noiseless(self):
         samples, _ = generate(tumbled_sweep(seed=0))
@@ -151,6 +162,15 @@ class TestCalibrate:
         samples, _ = generate(tumbled_sweep(seed=0, hard_iron=(10.0, -5.0, 3.0)))
         cal = calibrate(list(samples))
         assert cal.hard_iron == pytest.approx((10.0, -5.0, 3.0), abs=1e-6)
+
+    @settings(max_examples=25, deadline=None)
+    @given(b=st.tuples(OFFSETS, OFFSETS, OFFSETS))
+    def test_hard_iron_shift_moves_center_by_same_vector(self, b):
+        base = tumbled_sweep(seed=3, hard_iron=(25.0, -18.0, 9.0), noise_mag=2.0, noise_accel=0.05)
+        shifted = dataclasses.replace(base, hard_iron_ut=tuple(h + d for h, d in zip(base.hard_iron_ut, b)))
+        before = calibrate(generate(base)[0]).hard_iron
+        after = calibrate(generate(shifted)[0]).hard_iron
+        assert [a - c for a, c in zip(after, before)] == pytest.approx(list(b), abs=1e-9)
 
     def test_injected_offset_noisy_statistical(self):
         samples, _ = generate(tumbled_sweep(
@@ -345,3 +365,61 @@ class TestProcess:
         assert [t for t, _ in entries] == [s.t_ms for s in samples]
         for _, state in entries:
             assert circular_abs_diff(float(state.true_heading), 100.0) < 1e-6
+
+    def test_run_trace_refuses_kaaba_and_antipode(self):
+        # the bearing is computed once up front, even for an empty trace
+        with pytest.raises(DegeneratePoints):
+            run_trace([], KAABA, CalibrationState.zero())
+        with pytest.raises(AntipodalPoints):
+            run_trace([], GeoCoordinate(-KAABA.latitude_deg, KAABA.longitude_deg - 180.0),
+                      CalibrationState.zero())
+
+    @settings(max_examples=25, deadline=None)
+    @given(delta=st.floats(min_value=-720.0, max_value=720.0))
+    def test_heading_knot_offset_shifts_true_headings(self, delta):
+        base = tumbled_sweep(seed=0, hard_iron=(25.0, -18.0, 9.0))
+        shifted = dataclasses.replace(
+            base, heading_knots=tuple((t, v + delta) for t, v in base.heading_knots))
+        runs = []
+        for scenario in (base, shifted):
+            samples, _ = generate(scenario)
+            runs.append(run_trace(samples, BANDUNG, calibrate(samples), DeclinationDeg(0.8)))
+        assert len(runs[0]) == len(runs[1])
+        for (_, a), (_, b) in zip(*runs):
+            assert circular_abs_diff(float(b.true_heading), (float(a.true_heading) + delta) % 360.0) < 1e-9
+
+
+STATIC_ACCEL = st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0), st.just(-9.81))
+DYNAMIC_ACCEL = st.sampled_from([(0.0, 0.0, -30.0), (0.0, 0.0, -2.0), (15.0, 0.0, 0.0), (0.0, 0.0, 0.0)])
+MAG = st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0), st.floats(-60.0, 60.0))
+
+
+def as_samples(readings):
+    return [SensorSample(20.0 * i, accel, mag) for i, (accel, mag) in enumerate(readings)]
+
+
+@given(
+    lead=st.lists(st.tuples(DYNAMIC_ACCEL, MAG), max_size=4),
+    rest=st.lists(st.tuples(st.one_of(STATIC_ACCEL, DYNAMIC_ACCEL), MAG), max_size=30),
+    hard_iron=st.tuples(OFFSETS, OFFSETS, OFFSETS),
+    decl=st.floats(-30.0, 30.0),
+    alpha=st.floats(0.01, 1.0),
+    threshold=st.floats(0.1, 20.0),
+)
+def test_run_trace_equals_process_fold(lead, rest, hard_iron, decl, alpha, threshold):
+    """run_trace gives exactly what process gives sample by sample, skipping
+    the samples that raise DynamicSample."""
+    samples = as_samples(lead + rest)
+    cal = CalibrationState(hard_iron)
+    filt = FilterState(alpha=alpha)
+    expected = []
+    for sample in samples:
+        try:
+            filt, state = process(sample, BANDUNG, cal, filt, DeclinationDeg(decl), threshold_deg=threshold)
+        except DynamicSample:
+            continue
+        expected.append((sample.t_ms, state))
+    got = run_trace(samples, BANDUNG, cal, DeclinationDeg(decl), alpha=alpha, threshold_deg=threshold)
+    assert len(got) == len(expected)
+    for entry, reference in zip(got, expected):
+        assert entry == reference

@@ -193,9 +193,11 @@ class TestScenarioFile:
                 "field_horizontal_ut 40\nwobble 3\n")
 
     def test_bad_number_named(self):
-        with pytest.raises(ScenarioError, match="duration_ms"):
-            parse_scenario("scenario v1\nduration_ms abc\nsample_rate_hz 50\n"
-                           "heading_deg 0\nfield_horizontal_ut 40\n")
+        # 1e300 overflows numpy's array size; 1e12 asks for 5e10 samples
+        for duration in ("abc", "1e300", "1e12"):
+            with pytest.raises(ScenarioError, match="duration_ms"):
+                parse_scenario(f"scenario v1\nduration_ms {duration}\nsample_rate_hz 50\n"
+                               "heading_deg 0\nfield_horizontal_ut 40\n")
 
     def test_bad_header(self):
         with pytest.raises(ScenarioError):
