@@ -18,7 +18,7 @@ import json
 import sys
 from datetime import datetime, timezone
 
-from .dataio import TraceFile, load_cities, read_trace, write_report, write_trace
+from .dataio import REPORT_TAG, TraceFile, load_cities, read_trace, write_report, write_trace
 from .declination import DeclinationDeg, declination_at, load_grid
 from .errors import DegenerateSweep, InsufficientData, QiblaNavError
 from .geodesy import KAABA, GeoCoordinate, haversine_distance, qibla_azimuth, slc_distance
@@ -168,12 +168,12 @@ def cmd_pipeline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     where = _resolve_location(parser, args)
     decl = _resolve_declination(args, where)
     trace = read_trace(args.trace)
-    cal_samples = list(trace.samples)
+    cal_samples = trace.samples
     if args.sweep_ms is not None:
         cal_samples = [s for s in cal_samples if s.t_ms <= args.sweep_ms]
     cal = calibrate(cal_samples)
     entries = run_trace(
-        list(trace.samples),
+        trace.samples,
         where,
         cal,
         decl if decl is not None else DeclinationDeg(0.0),
@@ -190,9 +190,8 @@ def cmd_pipeline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         "calibration": _calibration_doc(cal),
     }
     meta.update(_meta_timestamp(args))
-    truth = list(trace.truth) if trace.truth else None
-    summary = write_report(entries, args.out, fmt=args.format, truth=truth, meta=meta)
-    doc = {"report": "qibla-pipeline v1", "meta": meta, "summary": summary}
+    summary = write_report(entries, args.out, fmt=args.format, truth=trace.truth, meta=meta)
+    doc = {"report": REPORT_TAG, "meta": meta, "summary": summary}
     text = [f"processed {summary['samples']} samples, report written to {args.out}"]
     if "steady_state_error_deg" in summary:
         text.append(f"steady-state heading error: {summary['steady_state_error_deg']:.3f} deg")
@@ -205,7 +204,7 @@ def cmd_pipeline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 def cmd_calibrate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     del parser
     trace = read_trace(args.trace)
-    cal = calibrate(list(trace.samples))
+    cal = calibrate(trace.samples)
     doc = {"report": "calibration v1", **_calibration_doc(cal)}
     hx, hy, hz = cal.hard_iron
     _emit(args, doc, [

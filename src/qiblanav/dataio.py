@@ -12,8 +12,9 @@ Trace format (read by `records.read_lines`)::
     t <t_ms> <true_heading_deg> <pitch_deg> <roll_deg>
 
 's' lines are sensor samples (m/s^2 and microtesla, body frame), 't' lines
-are optional interleaved truth records. Sample timestamps must be monotone
-nondecreasing.
+are optional interleaved truth records. The timestamps of each stream must
+be monotone nondecreasing. A trace without 't' lines reads back with
+`truth == ()`.
 
 City CSV: mandatory header ``name,latitude_deg,longitude_deg``; names are
 unique case-insensitively. It is read with the `csv` module, so quoted
@@ -31,6 +32,7 @@ import bisect
 import csv
 import io
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -58,10 +60,11 @@ class CityRecord:
 
 @dataclass(frozen=True)
 class TraceFile:
-    """Ordered sensor samples with an optional paired truth stream."""
+    """Ordered sensor samples with a paired truth stream, `()` when the
+    trace has none."""
 
     samples: tuple[SensorSample, ...]
-    truth: tuple[TruthRecord, ...] | None = None
+    truth: tuple[TruthRecord, ...] = ()
 
 
 def load_cities(path: str) -> list[CityRecord]:
@@ -100,11 +103,16 @@ def _line(tag: str, *values: float) -> str:
 
 
 def write_trace(trace: TraceFile, path: str) -> None:
-    """Serialize a trace, interleaving truth lines by timestamp."""
-    ts = [s.t_ms for s in trace.samples]
-    if any(b < a for a, b in zip(ts, ts[1:])):
-        raise ValueError("sample timestamps must be monotone nondecreasing")
-    truth = trace.truth or ()
+    """Serialize a trace, interleaving truth lines by timestamp.
+
+    Refuses, before opening `path`, a stream that `read_trace` would refuse:
+    sample or truth timestamps out of order.
+    """
+    truth = trace.truth
+    for kind, records in (("sample", trace.samples), ("truth record", truth)):
+        ts = [r.t_ms for r in records]
+        if any(b < a for a, b in zip(ts, ts[1:])):
+            raise ValueError(f"{kind} timestamps must be monotone nondecreasing")
     truth_lines = [_line("t", r.t_ms, r.true_heading_deg, r.pitch_deg, r.roll_deg) for r in truth]
     lines = [TRACE_HEADER]
     ti = 0
@@ -134,10 +142,10 @@ def read_trace(path: str) -> TraceFile:
         if records and v[0] < records[-1].t_ms:
             raise ParseError(f"{kind} timestamps must be monotone nondecreasing", line=lineno)
         records.append(SensorSample(v[0], tuple(v[1:4]), tuple(v[4:7])) if tag == "s" else TruthRecord(*v))
-    return TraceFile(samples=tuple(samples), truth=tuple(truth) if truth else None)
+    return TraceFile(samples=tuple(samples), truth=tuple(truth))
 
 
-def truth_heading_at(truth: list[TruthRecord], t_ms: float) -> float:
+def truth_heading_at(truth: Sequence[TruthRecord], t_ms: float) -> float:
     """True heading at an arbitrary time inside the trace span.
 
     `truth` must be in time order, as `read_trace` and `generate` produce
@@ -173,12 +181,12 @@ def _sample_entry(t_ms: float, state: QiblaPointerState) -> dict:
 
 
 def summarize(
-    entries: list[tuple[float, QiblaPointerState]],
-    truth: list[TruthRecord] | None = None,
+    entries: Sequence[tuple[float, QiblaPointerState]],
+    truth: Sequence[TruthRecord] = (),
 ) -> dict:
     """Summary block for a pointer stream: deviation stats, plus heading
     and deviation error against truth over the final 10 s when truth is
-    supplied. Truth must be in time order (see `truth_heading_at`)."""
+    non-empty. Truth must be in time order (see `truth_heading_at`)."""
     if not entries:
         raise EmptyReport("cannot summarize an empty state stream")
     deviations = [abs(state.deviation_deg) for _, state in entries]
@@ -207,11 +215,11 @@ def summarize(
 
 
 def write_report(
-    entries: list[tuple[float, QiblaPointerState]],
+    entries: Sequence[tuple[float, QiblaPointerState]],
     path: str,
     fmt: str = "json",
     *,
-    truth: list[TruthRecord] | None = None,
+    truth: Sequence[TruthRecord] = (),
     meta: dict | None = None,
 ) -> dict:
     """Write the per-sample report plus summary; returns the summary block.

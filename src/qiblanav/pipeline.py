@@ -27,6 +27,7 @@ distinct threads freely.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,35 +53,25 @@ DEFAULT_GUIDANCE_THRESHOLD_DEG = 2.0
 
 @dataclass(frozen=True)
 class CalibrationState:
-    """Estimated hard-iron offset plus how much sweep supported it."""
+    """Estimated hard-iron offset plus how much sweep supported it;
+    `CalibrationState()` is the uncalibrated state."""
 
-    hard_iron: tuple[float, float, float]
+    hard_iron: tuple[float, float, float] = (0.0, 0.0, 0.0)
     samples_used: int = 0
     coverage_deg: float = 0.0
-    converged: bool = False
 
-    def __post_init__(self) -> None:
-        if self.converged and not (
-            self.samples_used >= MIN_CALIBRATION_SAMPLES
-            and self.coverage_deg >= MIN_COVERAGE_DEG
-        ):
-            raise ValueError(
-                f"converged requires >= {MIN_CALIBRATION_SAMPLES} samples over "
-                f">= {MIN_COVERAGE_DEG} deg of heading"
-            )
-
-    @classmethod
-    def zero(cls) -> "CalibrationState":
-        """An uncalibrated state with no offset correction."""
-        return cls((0.0, 0.0, 0.0))
+    @property
+    def converged(self) -> bool:
+        """At least 200 usable samples spanning at least 180 degrees."""
+        return self.samples_used >= MIN_CALIBRATION_SAMPLES and self.coverage_deg >= MIN_COVERAGE_DEG
 
 
 @dataclass(frozen=True)
 class FilterState:
     """Circular EMA state: a unit vector (c, s) accumulating the heading.
 
-    c/s are None until the first heading initializes them. alpha is fixed
-    per pipeline instance.
+    c/s are both None until the first heading initializes them. alpha is
+    fixed per pipeline instance.
     """
 
     alpha: float = DEFAULT_ALPHA
@@ -90,6 +81,8 @@ class FilterState:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha!r}")
+        if (self.c is None) != (self.s is None):
+            raise ValueError(f"c and s must be set together, got c={self.c!r}, s={self.s!r}")
 
 
 class Guidance(str, Enum):
@@ -130,8 +123,8 @@ def circular_diff(target: float, current: float) -> float:
 
 def guidance(deviation_deg: float, threshold_deg: float = DEFAULT_GUIDANCE_THRESHOLD_DEG) -> Guidance:
     """Classify a signed deviation against an alignment threshold."""
-    if threshold_deg <= 0.0:
-        raise ValueError(f"threshold_deg must be positive, got {threshold_deg!r}")
+    if not (math.isfinite(threshold_deg) and threshold_deg > 0.0):
+        raise ValueError(f"threshold_deg must be finite and positive, got {threshold_deg!r}")
     if deviation_deg > threshold_deg:
         return Guidance.TURN_RIGHT
     if deviation_deg < -threshold_deg:
@@ -183,7 +176,7 @@ def _heading_coverage_deg(headings_deg: list[float]) -> float:
     return 360.0 - max_gap
 
 
-def calibrate(samples: list[SensorSample]) -> CalibrationState:
+def calibrate(samples: Sequence[SensorSample]) -> CalibrationState:
     """Estimate the hard-iron offset from a rotation sweep.
 
     Least-squares sphere fit of the magnetometer point cloud (linear solve
@@ -215,13 +208,7 @@ def calibrate(samples: list[SensorSample]) -> CalibrationState:
     hard_iron = (float(center[0]), float(center[1]), float(center[2]))
 
     headings = [float(_heading_from(s, hard_iron)) for s in usable]
-    coverage = _heading_coverage_deg(headings)
-    return CalibrationState(
-        hard_iron=hard_iron,
-        samples_used=len(usable),
-        coverage_deg=coverage,
-        converged=len(usable) >= MIN_CALIBRATION_SAMPLES and coverage >= MIN_COVERAGE_DEG,
-    )
+    return CalibrationState(hard_iron, len(usable), _heading_coverage_deg(headings))
 
 
 def _filtered_heading(state: FilterState) -> AzimuthDeg:
@@ -305,7 +292,7 @@ def process(
 
 
 def run_trace(
-    samples: list[SensorSample],
+    samples: Sequence[SensorSample],
     user: GeoCoordinate,
     cal: CalibrationState,
     decl: DeclinationDeg = DeclinationDeg(0.0),

@@ -110,7 +110,7 @@ def test_criterion_4_tilt_round_trip():
     start = time.perf_counter()
     rng = np.random.default_rng(44)
     field = MagneticField(40.0, inclination_deg=-30.0)
-    cal = CalibrationState.zero()
+    cal = CalibrationState()
     worst = 0.0
     for _ in range(1000):
         yaw = float(rng.uniform(0.0, 360.0))

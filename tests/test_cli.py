@@ -226,6 +226,30 @@ class TestPipeline:
         assert code == 0
         assert out == golden("pipeline.json")
 
+    def test_non_finite_threshold_refused(self, acceptance_trace):
+        for threshold in ("nan", "inf"):
+            code, out, err = run_cli([
+                "pipeline", "--trace", "trace.txt", "--lat", "-6.9147", "--lon", "107.6098",
+                "--threshold", threshold, "--out", "report.json", "--format", "json"])
+            assert code == 2
+            assert "threshold_deg" in err
+            assert out == ""
+            assert not (acceptance_trace / "report.json").exists()
+
+    def test_report_example_has_the_written_keys(self, acceptance_trace):
+        code, _, _ = run_cli([
+            "pipeline", "--trace", "trace.txt", "--city", "Bandung", "--cities", CITIES,
+            "--decl", "0.8", "--sweep-ms", "12000", "--out", "report.json",
+            "--format", "json"])
+        assert code == 0
+
+        def keys(doc):
+            return (list(doc), list(doc["meta"]), list(doc["meta"]["calibration"]),
+                    list(doc["samples"][0]), list(doc["summary"]))
+
+        example = read_report(str(DATA_DIR / "report_example.json"))
+        assert keys(example) == keys(read_report("report.json"))
+
     def test_warns_without_declination(self, acceptance_trace):
         code, out, _ = run_cli([
             "pipeline", "--trace", "trace.txt", "--lat", "-6.9147", "--lon", "107.6098",

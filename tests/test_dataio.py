@@ -114,24 +114,27 @@ class TestTraceRoundTrip:
         assert exc.value.line == 1
 
     def test_write_rejects_unordered_samples(self, tmp_path):
-        samples, _ = generate(tumbled_sweep(seed=0, duration_ms=200.0))
-        shuffled = tuple(reversed(samples))
-        with pytest.raises(ValueError):
-            write_trace(TraceFile(shuffled), str(tmp_path / "t.txt"))
+        samples, truth = generate(tumbled_sweep(seed=0, duration_ms=200.0))
+        path = tmp_path / "t.txt"
+        for trace in (TraceFile(tuple(reversed(samples))),
+                      TraceFile(tuple(samples), tuple(reversed(truth)))):
+            with pytest.raises(ValueError, match="monotone"):
+                write_trace(trace, str(path))
+            assert not path.exists()
 
     def test_trace_without_truth(self, tmp_path):
         samples, _ = generate(tumbled_sweep(seed=0, duration_ms=200.0))
         path = tmp_path / "t.txt"
         write_trace(TraceFile(tuple(samples)), str(path))
         back = read_trace(str(path))
-        assert back.truth is None
+        assert back.truth == ()
         assert back.samples == tuple(samples)
 
 
 def make_entries(n=3, with_truth=False, seed=0):
     scenario = tumbled_sweep(seed=seed, duration_ms=n * 20.0)
     samples, truth = generate(scenario)
-    entries = run_trace(list(samples), BANDUNG, CalibrationState.zero())
+    entries = run_trace(list(samples), BANDUNG, CalibrationState())
     return entries, (truth if with_truth else None)
 
 

@@ -97,35 +97,36 @@ class TestGuidance:
         assert guidance(deviation, 2.0) is expected
 
     def test_threshold_must_be_positive(self):
-        with pytest.raises(ValueError):
-            guidance(0.0, 0.0)
+        for threshold in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                guidance(0.0, threshold)
 
 
 class TestTiltCompensatedHeading:
     def test_flat_facing_magnetic_north(self):
         sample = SensorSample(0.0, (0.0, 0.0, -9.81), (30.0, 0.0, 20.0))
-        got = tilt_compensated_heading(sample, CalibrationState.zero())
+        got = tilt_compensated_heading(sample, CalibrationState())
         assert float(got) == 0.0
 
     def test_flat_rotated_90(self):
         sample, _ = one_sample(heading=90.0, field=MagneticField(40.0))
-        got = tilt_compensated_heading(sample, CalibrationState.zero())
+        got = tilt_compensated_heading(sample, CalibrationState())
         assert circular_abs_diff(float(got), 90.0) < 1e-9
 
     def test_tilted_recovers_simulator_heading(self):
         field = MagneticField(40.0, inclination_deg=-30.0)
         sample, _ = one_sample(heading=237.0, pitch=20.0, roll=-15.0, field=field)
-        got = tilt_compensated_heading(sample, CalibrationState.zero())
+        got = tilt_compensated_heading(sample, CalibrationState())
         assert circular_abs_diff(float(got), 237.0) < 1e-6
 
     def test_dynamic_sample_raises(self):
         sample = SensorSample(0.0, (0.0, 0.0, -3.0), (40.0, 0.0, 0.0))
         with pytest.raises(DynamicSample):
-            tilt_compensated_heading(sample, CalibrationState.zero())
+            tilt_compensated_heading(sample, CalibrationState())
 
     def test_round_trip_1000_random_attitudes(self):
         rng = np.random.default_rng(2024)
-        cal = CalibrationState.zero()
+        cal = CalibrationState()
         field = MagneticField(40.0, inclination_deg=-30.0, declination_deg=0.0)
         for _ in range(1000):
             yaw = float(rng.uniform(0.0, 360.0))
@@ -137,7 +138,7 @@ class TestTiltCompensatedHeading:
 
     def test_yaw_additivity(self):
         field = MagneticField(40.0, inclination_deg=-30.0)
-        cal = CalibrationState.zero()
+        cal = CalibrationState()
         base_sample, _ = one_sample(75.0, 25.0, -35.0, field=field)
         base = float(tilt_compensated_heading(base_sample, cal))
         for delta in (10.0, 93.5, 181.25, 270.0):
@@ -209,12 +210,10 @@ class TestCalibrate:
         assert cal.converged
 
     def test_converged_flag_requires_thresholds(self):
-        with pytest.raises(ValueError):
-            CalibrationState((0.0, 0.0, 0.0), samples_used=50, coverage_deg=360.0,
-                             converged=True)
-        with pytest.raises(ValueError):
-            CalibrationState((0.0, 0.0, 0.0), samples_used=400, coverage_deg=90.0,
-                             converged=True)
+        assert not CalibrationState().converged
+        assert not CalibrationState(samples_used=199, coverage_deg=360.0).converged
+        assert not CalibrationState(samples_used=400, coverage_deg=179.9).converged
+        assert CalibrationState(samples_used=200, coverage_deg=180.0).converged
 
     def test_hard_iron_cancellation_in_heading(self):
         offset_samples, _ = generate(tumbled_sweep(seed=0, hard_iron=(30.0, -12.0, 18.0)))
@@ -223,7 +222,7 @@ class TestCalibrate:
         field = FIELD
         clean, _ = one_sample(141.0, 18.0, -27.0, field=field)
         offset, _ = one_sample(141.0, 18.0, -27.0, field=field, hard_iron=(30.0, -12.0, 18.0))
-        clean_heading = float(tilt_compensated_heading(clean, CalibrationState.zero()))
+        clean_heading = float(tilt_compensated_heading(clean, CalibrationState()))
         corrected = float(tilt_compensated_heading(offset, cal))
         assert circular_abs_diff(corrected, clean_heading) < 1e-6
 
@@ -294,6 +293,12 @@ class TestFilterHeading:
         with pytest.raises(ValueError):
             FilterState(alpha=1.5)
 
+    def test_half_set_vector_refused(self):
+        for half in ({"c": 1.0}, {"s": 0.0}):
+            with pytest.raises(ValueError, match="together"):
+                FilterState(**half)
+        assert FilterState(c=1.0, s=0.0).c == 1.0
+
 
 class TestProcess:
     def make_aligned_sample(self, decl=0.0):
@@ -304,7 +309,7 @@ class TestProcess:
 
     def test_aligned_scenario(self):
         sample, _ = self.make_aligned_sample()
-        filt, state = process(sample, BANDUNG, CalibrationState.zero(), FilterState())
+        filt, state = process(sample, BANDUNG, CalibrationState(), FilterState())
         assert state.qibla == qibla_azimuth(BANDUNG)
         assert state.deviation_deg == pytest.approx(0.0, abs=1e-9)
         assert state.guidance is Guidance.ALIGNED
@@ -314,14 +319,14 @@ class TestProcess:
         field = MagneticField(40.0, inclination_deg=-30.0)
         qibla = float(qibla_azimuth(BANDUNG))
         sample, _ = one_sample(heading=(qibla - 15.0) % 360.0, field=field)
-        _, state = process(sample, BANDUNG, CalibrationState.zero(), FilterState())
+        _, state = process(sample, BANDUNG, CalibrationState(), FilterState())
         assert state.deviation_deg == pytest.approx(15.0, abs=1e-6)
         assert state.guidance is Guidance.TURN_RIGHT
 
     def test_declination_applied(self):
         decl = 5.5
         sample, qibla = self.make_aligned_sample(decl=decl)
-        _, state = process(sample, BANDUNG, CalibrationState.zero(), FilterState(),
+        _, state = process(sample, BANDUNG, CalibrationState(), FilterState(),
                            DeclinationDeg(decl))
         # magnetic heading is qibla - decl; true heading recovers the qibla
         assert circular_abs_diff(float(state.true_heading), qibla) < 1e-9
@@ -329,27 +334,26 @@ class TestProcess:
 
     def test_purity(self):
         sample, _ = self.make_aligned_sample()
-        args = (sample, BANDUNG, CalibrationState.zero(), FilterState())
+        args = (sample, BANDUNG, CalibrationState(), FilterState())
         assert process(*args) == process(*args)
 
     def test_first_sample_dynamic_propagates(self):
         bad = SensorSample(0.0, (0.0, 0.0, -30.0), (40.0, 0.0, 0.0))
         with pytest.raises(DynamicSample):
-            process(bad, BANDUNG, CalibrationState.zero(), FilterState())
+            process(bad, BANDUNG, CalibrationState(), FilterState())
 
     def test_dynamic_sample_freezes_filter(self):
         sample, _ = self.make_aligned_sample()
-        filt, first = process(sample, BANDUNG, CalibrationState.zero(), FilterState())
+        filt, first = process(sample, BANDUNG, CalibrationState(), FilterState())
         bad = SensorSample(20.0, (0.0, 0.0, -30.0), (999.0, 999.0, 999.0))
-        filt2, state = process(bad, BANDUNG, CalibrationState.zero(), filt)
+        filt2, state = process(bad, BANDUNG, CalibrationState(), filt)
         assert filt2 == filt
         assert state.dynamic
         assert float(state.true_heading) == float(first.true_heading)
 
     def test_calibrated_flag_reflects_convergence(self):
         sample, _ = self.make_aligned_sample()
-        cal = CalibrationState((0.0, 0.0, 0.0), samples_used=400, coverage_deg=359.0,
-                               converged=True)
+        cal = CalibrationState((0.0, 0.0, 0.0), samples_used=400, coverage_deg=359.0)
         _, state = process(sample, BANDUNG, cal, FilterState())
         assert state.calibrated
 
@@ -360,7 +364,7 @@ class TestProcess:
             heading_knots=((0.0, 100.0),), field=field,
         )
         samples, _ = generate(scenario)
-        entries = run_trace(list(samples), BANDUNG, CalibrationState.zero())
+        entries = run_trace(list(samples), BANDUNG, CalibrationState())
         assert len(entries) == len(samples)
         assert [t for t, _ in entries] == [s.t_ms for s in samples]
         for _, state in entries:
@@ -369,10 +373,10 @@ class TestProcess:
     def test_run_trace_refuses_kaaba_and_antipode(self):
         # the bearing is computed once up front, even for an empty trace
         with pytest.raises(DegeneratePoints):
-            run_trace([], KAABA, CalibrationState.zero())
+            run_trace([], KAABA, CalibrationState())
         with pytest.raises(AntipodalPoints):
             run_trace([], GeoCoordinate(-KAABA.latitude_deg, KAABA.longitude_deg - 180.0),
-                      CalibrationState.zero())
+                      CalibrationState())
 
     @settings(max_examples=25, deadline=None)
     @given(delta=st.floats(min_value=-720.0, max_value=720.0))
