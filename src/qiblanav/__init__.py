@@ -1,108 +1,71 @@
 """Qibla navigation toolkit: great-circle geodesy plus a tilt-compensated
-compass pipeline verified against a deterministic sensor simulator."""
+compass pipeline verified against a deterministic sensor simulator.
 
-from .dataio import (
-    CityRecord,
-    TraceFile,
-    load_cities,
-    read_report,
-    read_trace,
-    summarize,
-    truth_heading_at,
-    write_report,
-    write_trace,
-)
-from .declination import (
-    DeclinationDeg,
-    DeclinationGrid,
-    declination_at,
-    load_grid,
-    parse_grid,
-    to_true_heading,
-)
-from .geodesy import (
-    EARTH_RADIUS_KM,
-    KAABA,
-    AzimuthDeg,
-    DistanceKm,
-    GeoCoordinate,
-    angular_separation,
-    haversine_distance,
-    initial_bearing,
-    qibla_azimuth,
-    slc_distance,
-)
-from .pipeline import (
-    DEFAULT_ALPHA,
-    DEFAULT_GUIDANCE_THRESHOLD_DEG,
-    CalibrationState,
-    FilterState,
-    Guidance,
-    QiblaPointerState,
-    calibrate,
-    circular_diff,
-    filter_heading,
-    guidance,
-    process,
-    run_trace,
-    tilt_compensated_heading,
-)
-from .records import G, SensorSample, TruthRecord
-from .simulator import (
-    MagneticField,
-    Scenario,
-    generate,
-    load_scenario,
-    parse_scenario,
-)
+Every public name is looked up on first use (PEP 562), so `import qiblanav`
+loads no submodule and only `calibrate` and the simulator load numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AzimuthDeg",
-    "CalibrationState",
-    "CityRecord",
-    "DEFAULT_ALPHA",
-    "DEFAULT_GUIDANCE_THRESHOLD_DEG",
-    "DeclinationDeg",
-    "DeclinationGrid",
-    "DistanceKm",
-    "EARTH_RADIUS_KM",
-    "FilterState",
-    "G",
-    "GeoCoordinate",
-    "Guidance",
-    "KAABA",
-    "MagneticField",
-    "QiblaPointerState",
-    "Scenario",
-    "SensorSample",
-    "TraceFile",
-    "TruthRecord",
-    "angular_separation",
-    "calibrate",
-    "circular_diff",
-    "declination_at",
-    "filter_heading",
-    "generate",
-    "guidance",
-    "haversine_distance",
-    "initial_bearing",
-    "load_cities",
-    "load_grid",
-    "load_scenario",
-    "parse_grid",
-    "parse_scenario",
-    "process",
-    "qibla_azimuth",
-    "read_report",
-    "read_trace",
-    "run_trace",
-    "slc_distance",
-    "summarize",
-    "tilt_compensated_heading",
-    "to_true_heading",
-    "truth_heading_at",
-    "write_report",
-    "write_trace",
-]
+_MODULE_OF = {
+    "AzimuthDeg": "geodesy",
+    "CalibrationState": "pipeline",
+    "CityRecord": "dataio",
+    "DEFAULT_ALPHA": "pipeline",
+    "DEFAULT_GUIDANCE_THRESHOLD_DEG": "pipeline",
+    "DeclinationDeg": "declination",
+    "DeclinationGrid": "declination",
+    "DistanceKm": "geodesy",
+    "EARTH_RADIUS_KM": "geodesy",
+    "FilterState": "pipeline",
+    "G": "records",
+    "GeoCoordinate": "geodesy",
+    "Guidance": "pipeline",
+    "KAABA": "geodesy",
+    "MagneticField": "simulator",
+    "QiblaPointerState": "pipeline",
+    "Scenario": "simulator",
+    "SensorSample": "records",
+    "TraceFile": "dataio",
+    "TruthRecord": "records",
+    "angular_separation": "geodesy",
+    "calibrate": "pipeline",
+    "circular_diff": "pipeline",
+    "declination_at": "declination",
+    "filter_heading": "pipeline",
+    "generate": "simulator",
+    "guidance": "pipeline",
+    "haversine_distance": "geodesy",
+    "initial_bearing": "geodesy",
+    "load_cities": "dataio",
+    "load_grid": "declination",
+    "load_scenario": "simulator",
+    "parse_grid": "declination",
+    "parse_scenario": "simulator",
+    "process": "pipeline",
+    "qibla_azimuth": "geodesy",
+    "read_report": "dataio",
+    "read_trace": "dataio",
+    "run_trace": "pipeline",
+    "slc_distance": "geodesy",
+    "summarize": "dataio",
+    "tilt_compensated_heading": "pipeline",
+    "to_true_heading": "declination",
+    "truth_heading_at": "dataio",
+    "write_report": "dataio",
+    "write_trace": "dataio",
+}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_MODULE_OF})

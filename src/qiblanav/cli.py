@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -29,7 +30,6 @@ from .pipeline import (
     calibrate,
     run_trace,
 )
-from .simulator import generate, load_scenario
 
 USAGE_EXIT = 64
 
@@ -98,7 +98,7 @@ def _meta_timestamp(args: argparse.Namespace) -> dict:
 def _emit(args: argparse.Namespace, doc: dict, text_lines: list[str]) -> None:
     if args.format == "json":
         doc.update(_meta_timestamp(args))
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2, allow_nan=False))
     else:
         for line in text_lines:
             print(line)
@@ -156,6 +156,8 @@ def cmd_distance(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
 def cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     del parser
+    from .simulator import generate, load_scenario  # numpy loads only for this command
+
     scenario = load_scenario(args.scenario)
     samples, truth = generate(scenario)
     write_trace(TraceFile(samples=tuple(samples), truth=tuple(truth)), args.out)
@@ -167,6 +169,8 @@ def cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 def cmd_pipeline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     where = _resolve_location(parser, args)
     decl = _resolve_declination(args, where)
+    if args.sweep_ms is not None and not math.isfinite(args.sweep_ms):
+        raise ValueError(f"--sweep-ms must be finite, got {args.sweep_ms}")
     trace = read_trace(args.trace)
     cal_samples = trace.samples
     if args.sweep_ms is not None:

@@ -32,6 +32,7 @@ import bisect
 import csv
 import io
 import json
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter
@@ -225,7 +226,8 @@ def write_report(
     """Write the per-sample report plus summary; returns the summary block.
 
     fmt "json" writes the structured document, "text" a terminal table.
-    An empty stream raises EmptyReport.
+    An empty stream raises EmptyReport; a JSON document holding NaN or an
+    infinity raises ValueError and leaves no file at `path`.
     """
     summary = summarize(entries, truth)
     if fmt == "json":
@@ -235,9 +237,14 @@ def write_report(
             "samples": [_sample_entry(t, s) for t, s in entries],
             "summary": summary,
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        # Streamed: json.dumps would hold every chunk of the document at once.
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2, allow_nan=False)
+                fh.write("\n")
+        except ValueError:
+            os.remove(path)
+            raise
     elif fmt == "text":
         lines = [REPORT_TAG]
         for key, value in (meta or {}).items():
@@ -260,10 +267,15 @@ def write_report(
     return summary
 
 
+def _refuse_constant(name: str):
+    raise ParseError(f"{name} is not a number a report may hold")
+
+
 def read_report(path: str) -> dict:
-    """Parse a structured report back into its document dict."""
+    """Parse a structured report back into its document dict; NaN and
+    +-Infinity raise ParseError."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_constant=_refuse_constant)
     if not isinstance(doc, dict) or doc.get("report") != REPORT_TAG:
         raise ParseError(f"not a {REPORT_TAG} document")
     return doc

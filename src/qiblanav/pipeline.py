@@ -31,8 +31,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .declination import DeclinationDeg, to_true_heading
 from .errors import DegenerateSweep, DynamicSample, InsufficientData
 from .geodesy import AzimuthDeg, GeoCoordinate, qibla_azimuth
@@ -190,6 +188,8 @@ def calibrate(samples: Sequence[SensorSample]) -> CalibrationState:
     when the normal equations' condition number exceeds 1e12 (the cloud is
     flat or worse, so the center is unobservable).
     """
+    import numpy as np  # here, so commands that never calibrate start without numpy
+
     usable = [s for s in samples if s.usable_for_tilt]
     if len(usable) < 10:
         raise InsufficientData(f"{len(usable)} usable samples, need at least 10")

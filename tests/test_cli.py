@@ -236,6 +236,16 @@ class TestPipeline:
             assert out == ""
             assert not (acceptance_trace / "report.json").exists()
 
+    def test_non_finite_sweep_refused(self, acceptance_trace):
+        for sweep_ms in ("nan", "inf"):
+            code, out, err = run_cli([
+                "pipeline", "--trace", "trace.txt", "--lat", "3.1", "--lon", "101.7",
+                "--sweep-ms", sweep_ms, "--out", "report.json", "--format", "json"])
+            assert code == 2
+            assert f"--sweep-ms must be finite, got {sweep_ms}" in err
+            assert out == ""
+            assert not (acceptance_trace / "report.json").exists()
+
     def test_report_example_has_the_written_keys(self, acceptance_trace):
         code, _, _ = run_cli([
             "pipeline", "--trace", "trace.txt", "--city", "Bandung", "--cities", CITIES,

@@ -207,6 +207,20 @@ class TestReports:
         with pytest.raises(ValueError):
             write_report(entries, str(tmp_path / "r.bin"), fmt="binary")
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_read_report_refuses_non_finite(self, tmp_path, constant):
+        path = tmp_path / "report.json"
+        path.write_text(f'{{"report": "qibla-pipeline v1", "x": {constant}}}')
+        with pytest.raises(ParseError, match=constant):
+            read_report(str(path))
+
+    def test_write_report_refuses_nan_and_writes_nothing(self, tmp_path):
+        entries, _ = make_entries(3)
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            write_report(entries, str(path), meta={"alpha": float("nan")})
+        assert not path.exists()
+
     def test_read_report_rejects_other_documents(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text(json.dumps({"report": "something-else"}))
