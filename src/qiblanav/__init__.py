@@ -32,7 +32,7 @@ _MODULE_OF = {
     "TruthRecord": "records",
     "angular_separation": "geodesy",
     "calibrate": "pipeline",
-    "circular_diff": "pipeline",
+    "circular_diff": "geodesy",
     "declination_at": "declination",
     "filter_heading": "pipeline",
     "generate": "simulator",

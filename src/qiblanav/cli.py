@@ -89,15 +89,9 @@ def _resolve_declination(args: argparse.Namespace, where: GeoCoordinate) -> Decl
     return None
 
 
-def _meta_timestamp(args: argparse.Namespace) -> dict:
-    if args.timestamps:
-        return {"generated_at": datetime.now(timezone.utc).isoformat()}
-    return {}
-
-
 def _emit(args: argparse.Namespace, doc: dict, text_lines: list[str]) -> None:
     if args.format == "json":
-        doc.update(_meta_timestamp(args))
+        doc.update(args.stamp)
         print(json.dumps(doc, indent=2, allow_nan=False))
     else:
         for line in text_lines:
@@ -193,7 +187,7 @@ def cmd_pipeline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         "threshold_deg": args.threshold,
         "calibration": _calibration_doc(cal),
     }
-    meta.update(_meta_timestamp(args))
+    meta.update(args.stamp)
     summary = write_report(entries, args.out, fmt=args.format, truth=trace.truth, meta=meta)
     doc = {"report": REPORT_TAG, "meta": meta, "summary": summary}
     text = [f"processed {summary['samples']} samples, report written to {args.out}"]
@@ -270,6 +264,8 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # One clock reading per invocation, so every generated_at it writes agrees.
+    args.stamp = {"generated_at": datetime.now(timezone.utc).isoformat()} if args.timestamps else {}
     try:
         return args.func(parser, args)
     except (InsufficientData, DegenerateSweep) as exc:

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .errors import DuplicateCity, EmptyReport, InvalidCoordinate, OutOfSpan, ParseError
-from .geodesy import GeoCoordinate
-from .pipeline import QiblaPointerState, circular_diff
+from .geodesy import AzimuthDeg, GeoCoordinate, circular_diff
+from .pipeline import QiblaPointerState
 from .records import SensorSample, TruthRecord, finite_floats, read_lines, read_text
 
 TRACE_HEADER = "qtrace v1"
@@ -146,7 +146,7 @@ def read_trace(path: str) -> TraceFile:
     return TraceFile(samples=tuple(samples), truth=tuple(truth))
 
 
-def truth_heading_at(truth: Sequence[TruthRecord], t_ms: float) -> float:
+def truth_heading_at(truth: Sequence[TruthRecord], t_ms: float) -> AzimuthDeg:
     """True heading at an arbitrary time inside the trace span.
 
     `truth` must be in time order, as `read_trace` and `generate` produce
@@ -159,13 +159,13 @@ def truth_heading_at(truth: Sequence[TruthRecord], t_ms: float) -> float:
         raise OutOfSpan(f"t={t_ms} outside truth span {span}")
     j = bisect.bisect_right(truth, t_ms, key=_T_MS) - 1
     if j >= len(truth) - 1:
-        return truth[-1].true_heading_deg % 360.0
+        return AzimuthDeg(truth[-1].true_heading_deg)
     r0, r1 = truth[j], truth[j + 1]
     if t_ms == r0.t_ms:
-        return r0.true_heading_deg % 360.0
+        return AzimuthDeg(r0.true_heading_deg)
     frac = (t_ms - r0.t_ms) / (r1.t_ms - r0.t_ms)
     arc = circular_diff(r1.true_heading_deg, r0.true_heading_deg)
-    return (r0.true_heading_deg + frac * arc) % 360.0
+    return AzimuthDeg(r0.true_heading_deg + frac * arc)
 
 
 def _sample_entry(t_ms: float, state: QiblaPointerState) -> dict:
@@ -267,15 +267,19 @@ def write_report(
     return summary
 
 
-def _refuse_constant(name: str):
-    raise ParseError(f"{name} is not a number a report may hold")
+def _finite_number(token: str) -> float:
+    return finite_floats([token], None, "report number")[0]
 
 
 def read_report(path: str) -> dict:
-    """Parse a structured report back into its document dict; NaN and
-    +-Infinity raise ParseError."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh, parse_constant=_refuse_constant)
+    """Parse a structured report back into its document dict. Malformed JSON
+    (named by line), NaN and +-Infinity, even by overflow, raise ParseError."""
+    text = read_text(path)
+    try:
+        doc = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
+    except json.JSONDecodeError as exc:
+        # past a final newline JSON counts one more line; name the last one
+        raise ParseError(exc.msg, min(exc.lineno, text.count("\n", 0, len(text) - 1) + 1)) from None
     if not isinstance(doc, dict) or doc.get("report") != REPORT_TAG:
         raise ParseError(f"not a {REPORT_TAG} document")
     return doc

@@ -34,6 +34,17 @@ class AzimuthDeg(float):
         return super().__new__(cls, v)
 
 
+def circular_diff(target: float, current: float) -> float:
+    """Signed shortest rotation from `current` to `target`, in (-180, +180].
+
+    target == current + result (mod 360); an exact half-turn reports +180.
+    """
+    d = (float(target) - float(current)) % 360.0
+    if d > 180.0:
+        d -= 360.0
+    return d
+
+
 class DistanceKm(float):
     """Great-circle distance in kilometers, never negative."""
 
@@ -60,10 +71,7 @@ class GeoCoordinate:
             raise InvalidCoordinate(f"coordinates must be finite, got ({lat!r}, {lon!r})")
         if not -90.0 <= lat <= 90.0:
             raise InvalidCoordinate(f"latitude {lat!r} outside [-90, +90]")
-        lon = lon % 360.0
-        if lon > 180.0:
-            lon -= 360.0
-        object.__setattr__(self, "longitude_deg", lon)
+        object.__setattr__(self, "longitude_deg", circular_diff(lon, 0.0))
 
 
 # Fixed target for qibla bearings.

@@ -33,7 +33,7 @@ from enum import Enum
 
 from .declination import DeclinationDeg, to_true_heading
 from .errors import DegenerateSweep, DynamicSample, InsufficientData
-from .geodesy import AzimuthDeg, GeoCoordinate, qibla_azimuth
+from .geodesy import AzimuthDeg, GeoCoordinate, circular_diff, qibla_azimuth
 from .records import SensorSample
 
 # Convergence thresholds for a calibration sweep.
@@ -108,17 +108,6 @@ class QiblaPointerState:
     dynamic: bool = False
 
 
-def circular_diff(target: float, current: float) -> float:
-    """Signed shortest rotation from `current` to `target`, in (-180, +180].
-
-    target == current + result (mod 360); an exact half-turn reports +180.
-    """
-    d = (float(target) - float(current)) % 360.0
-    if d > 180.0:
-        d -= 360.0
-    return d
-
-
 def guidance(deviation_deg: float, threshold_deg: float = DEFAULT_GUIDANCE_THRESHOLD_DEG) -> Guidance:
     """Classify a signed deviation against an alignment threshold."""
     if not (math.isfinite(threshold_deg) and threshold_deg > 0.0):
@@ -163,11 +152,11 @@ def tilt_compensated_heading(sample: SensorSample, cal: CalibrationState) -> Azi
     return _heading_from(sample, cal.hard_iron)
 
 
-def _heading_coverage_deg(headings_deg: list[float]) -> float:
+def _heading_coverage_deg(headings: list[AzimuthDeg]) -> float:
     """Swept arc: 360 minus the largest gap between observed headings."""
-    if len(headings_deg) < 2:
+    if len(headings) < 2:
         return 0.0
-    hs = sorted(h % 360.0 for h in headings_deg)
+    hs = sorted(headings)
     max_gap = hs[0] + 360.0 - hs[-1]
     for a, b in zip(hs, hs[1:]):
         max_gap = max(max_gap, b - a)
@@ -207,7 +196,7 @@ def calibrate(samples: Sequence[SensorSample]) -> CalibrationState:
     center = x[:3] + mean
     hard_iron = (float(center[0]), float(center[1]), float(center[2]))
 
-    headings = [float(_heading_from(s, hard_iron)) for s in usable]
+    headings = [_heading_from(s, hard_iron) for s in usable]
     return CalibrationState(hard_iron, len(usable), _heading_coverage_deg(headings))
 
 

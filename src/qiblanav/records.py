@@ -67,7 +67,7 @@ class TruthRecord:
 
 
 def finite_floats(
-    tokens: Sequence[str], line: int, what: str, error: type[ParseError] = ParseError
+    tokens: Sequence[str], line: int | None, what: str, error: type[ParseError] = ParseError
 ) -> list[float]:
     """Convert every token to a finite float, or raise `error` naming `what`
     and the line."""
@@ -75,9 +75,7 @@ def finite_floats(
         values = list(map(float, tokens))
     except ValueError:
         values = [math.nan]
-    # A non-finite value makes the sum non-finite; finite values can
-    # overflow it, so only then check them one by one.
-    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+    if not all(map(math.isfinite, values)):
         raise error(f"{what}: expected finite numbers, got {' '.join(tokens)!r}", line)
     return values
 

@@ -327,3 +327,17 @@ class TestTimestamps:
         _, out, _ = run_cli(["qibla", "--lat", "0", "--lon", "10", "--format", "json",
                              "--timestamps"])
         assert "generated_at" in json.loads(out)
+
+    def test_pipeline_reads_the_clock_once(self, tmp_path):
+        samples, _ = generate(tumbled_sweep(seed=4, duration_ms=6000.0))
+        trace_path = tmp_path / "t.txt"
+        write_trace(TraceFile(tuple(samples)), str(trace_path))
+        report_path = tmp_path / "r.json"
+        code, out, _ = run_cli(["pipeline", "--trace", str(trace_path), "--lat", "-6.9147",
+                                "--lon", "107.6098", "--out", str(report_path),
+                                "--format", "json", "--timestamps"])
+        assert code == 0
+        doc = json.loads(out)
+        stamps = {doc["generated_at"], doc["meta"]["generated_at"],
+                  read_report(str(report_path))["meta"]["generated_at"]}
+        assert len(stamps) == 1

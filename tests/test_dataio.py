@@ -207,12 +207,28 @@ class TestReports:
         with pytest.raises(ValueError):
             write_report(entries, str(tmp_path / "r.bin"), fmt="binary")
 
-    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e999", "-1e400"])
     def test_read_report_refuses_non_finite(self, tmp_path, constant):
         path = tmp_path / "report.json"
         path.write_text(f'{{"report": "qibla-pipeline v1", "x": {constant}}}')
         with pytest.raises(ParseError, match=constant):
             read_report(str(path))
+
+    # the second fails at end of input, past the final newline
+    @pytest.mark.parametrize("text", ['{"report": "qibla-pipeline v1",]\n', "{\n"])
+    def test_read_report_names_the_line_of_malformed_json(self, tmp_path, text):
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            read_report(str(path))
+        assert exc.value.line == 1
+
+    def test_read_report_refuses_invalid_utf8(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_bytes(b'{"report": "qibla-pipeline v1",\n"x": "\xff"}\n')
+        with pytest.raises(ParseError) as exc:
+            read_report(str(path))
+        assert exc.value.line == 2
 
     def test_write_report_refuses_nan_and_writes_nothing(self, tmp_path):
         entries, _ = make_entries(3)

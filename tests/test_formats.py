@@ -4,7 +4,7 @@ their line, and loaders that fail with nothing but ParseError."""
 import pytest
 from hypothesis import given, strategies as st
 
-from qiblanav import load_cities, load_grid, load_scenario, read_trace
+from qiblanav import load_cities, load_grid, load_scenario, read_report, read_trace
 from qiblanav.errors import DuplicateCity, ParseError, ScenarioError
 from qiblanav.records import TruthRecord, finite_floats, read_lines
 
@@ -16,6 +16,7 @@ SCENARIO_HEAD = "scenario v1\nduration_ms 100\nsample_rate_hz 50\nheading_deg 0\
 LOADERS = {
     "cities.csv": load_cities,
     "declination_grid.txt": load_grid,
+    "report_example.json": read_report,
     "scenario_example.txt": load_scenario,
     "trace_example.txt": read_trace,
 }

@@ -75,7 +75,8 @@ class TestDomainTypes:
 
     @pytest.mark.parametrize(
         "lon,canonical",
-        [(190.0, -170.0), (-180.0, 180.0), (180.0, 180.0), (540.0, 180.0), (360.0, 0.0)],
+        [(190.0, -170.0), (-180.0, 180.0), (180.0, 180.0), (540.0, 180.0), (360.0, 0.0),
+         (-1e-300, 0.0)],
     )
     def test_longitude_canonicalized(self, lon, canonical):
         assert GeoCoordinate(0.0, lon).longitude_deg == canonical

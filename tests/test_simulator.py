@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qiblanav import (
     G,
@@ -160,6 +161,20 @@ class TestTruthHeadingAt:
 
     def test_plain_midpoint(self):
         assert truth_heading_at(self.TRUTH, 2500.0) == pytest.approx(70.0, abs=1e-12)
+
+    def test_heading_just_below_360_wraps_to_0(self):
+        truth = [TruthRecord(0.0, 0.0, 0.0, 0.0), TruthRecord(1.0, 359.9999999, 0.0, 0.0)]
+        assert truth_heading_at(truth, 1e-12) == 0.0
+
+    # Bounded so no difference of two values overflows to infinity.
+    @given(times=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=6),
+           headings=st.lists(st.floats(-1e300, 1e300), min_size=6, max_size=6),
+           where=st.floats(0.0, 1.0))
+    def test_heading_is_a_bearing(self, times, headings, where):
+        times.sort()
+        truth = [TruthRecord(t, h, 0.0, 0.0) for t, h in zip(times, headings)]
+        t = min(max(times[0] + where * (times[-1] - times[0]), times[0]), times[-1])
+        assert 0.0 <= truth_heading_at(truth, t) < 360.0
 
     def test_out_of_span(self):
         with pytest.raises(OutOfSpan):
