@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+from typing import NoReturn
 
 from .dataio import REPORT_TAG, TraceFile, load_cities, read_trace, write_report, write_trace
 from .declination import DeclinationDeg, declination_at, load_grid
@@ -37,7 +38,7 @@ USAGE_EXIT = 64
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; the contract reserves 2
     # for domain errors and uses 64 for usage.
-    def error(self, message: str):
+    def error(self, message: str) -> NoReturn:
         self.print_usage(sys.stderr)
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
@@ -78,7 +79,6 @@ def _resolve_location(parser: argparse.ArgumentParser, args: argparse.Namespace)
                 return record.location
         raise QiblaNavError(f"unknown city {args.city!r}")
     parser.error("a location is required: --lat/--lon or --city with --cities")
-    raise AssertionError("unreachable")
 
 
 def _resolve_declination(args: argparse.Namespace, where: GeoCoordinate) -> DeclinationDeg | None:

@@ -273,13 +273,16 @@ def _finite_number(token: str) -> float:
 
 def read_report(path: str) -> dict:
     """Parse a structured report back into its document dict. Malformed JSON
-    (named by line), NaN and +-Infinity, even by overflow, raise ParseError."""
+    (named by line), NaN and +-Infinity, even by overflow, nesting too deep
+    and integers too long to convert raise ParseError."""
     text = read_text(path)
     try:
         doc = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
     except json.JSONDecodeError as exc:
         # past a final newline JSON counts one more line; name the last one
         raise ParseError(exc.msg, min(exc.lineno, text.count("\n", 0, len(text) - 1) + 1)) from None
+    except (RecursionError, ValueError) as exc:  # nesting too deep, or an integer too long
+        raise ParseError(f"unreadable JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("report") != REPORT_TAG:
         raise ParseError(f"not a {REPORT_TAG} document")
     return doc

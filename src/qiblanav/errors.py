@@ -60,7 +60,12 @@ class ParseError(QiblaNavError):
 
 
 class ScenarioError(ParseError):
-    """Simulation scenario has a missing or invalid field."""
+    """Simulation scenario has a missing or invalid field; `key` names the
+    scenario file key of a value the Scenario refused."""
+
+    def __init__(self, message: str, line: int | None = None, key: str | None = None):
+        super().__init__(message, line)
+        self.key = key
 
 
 class DuplicateCity(ParseError):

@@ -38,8 +38,15 @@ def circular_diff(target: float, current: float) -> float:
     """Signed shortest rotation from `current` to `target`, in (-180, +180].
 
     target == current + result (mod 360); an exact half-turn reports +180.
+    A non-finite operand raises InvalidAngle.
     """
-    d = (float(target) - float(current)) % 360.0
+    target, current = float(target), float(current)
+    d = target - current
+    if not math.isfinite(d):  # a non-finite operand, or the difference overflowed
+        if not (math.isfinite(target) and math.isfinite(current)):
+            raise InvalidAngle(f"angles must be finite, got {target!r} and {current!r}")
+        d = target % 360.0 - current % 360.0
+    d %= 360.0
     if d > 180.0:
         d -= 360.0
     return d

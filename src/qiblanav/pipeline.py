@@ -153,9 +153,8 @@ def tilt_compensated_heading(sample: SensorSample, cal: CalibrationState) -> Azi
 
 
 def _heading_coverage_deg(headings: list[AzimuthDeg]) -> float:
-    """Swept arc: 360 minus the largest gap between observed headings."""
-    if len(headings) < 2:
-        return 0.0
+    """Swept arc of one or more observed headings: 360 minus the largest
+    gap between them."""
     hs = sorted(headings)
     max_gap = hs[0] + 360.0 - hs[-1]
     for a, b in zip(hs, hs[1:]):

@@ -4,10 +4,12 @@ every versioned text format goes through.
 
 This module imports only `errors`, so every other module may import it.
 
-Text formats are line oriented: a header line `<tag> <version> [args...]`,
-then a body of whitespace-separated tokens. '#' starts a comment that runs
-to the end of the line, and blank lines are skipped. Every number must be
-finite, and every error names the line it was found on.
+A line ends at \\n, \\r\\n or a lone \\r (Python's universal newlines) and
+nowhere else. Text formats are line oriented: a header line
+`<tag> <version> [args...]`, then a body of whitespace-separated tokens.
+'#' starts a comment that runs to the end of the line, and blank lines are
+skipped. Every number must be finite, and every error names the line it was
+found on.
 """
 
 from __future__ import annotations
@@ -80,15 +82,22 @@ def finite_floats(
     return values
 
 
+def _to_lf(text: str) -> str:
+    """`text` with each line end, \\r\\n or a lone \\r, written as \\n."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def read_text(path: str) -> str:
-    """The contents of a UTF-8 text file. A byte sequence that does not
+    """The contents of a UTF-8 text file, one leading byte order mark
+    dropped and line ends written as \\n. A byte sequence that does not
     decode raises ParseError naming its line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        return _to_lf(data.decode("utf-8").removeprefix("\ufeff"))
     except UnicodeDecodeError as exc:
-        raise ParseError(f"invalid UTF-8: {exc.reason}", data.count(b"\n", 0, exc.start) + 1) from None
+        line = _to_lf(data[: exc.start].decode()).count("\n") + 1
+        raise ParseError(f"invalid UTF-8: {exc.reason}", line) from None
 
 
 def read_lines(
@@ -102,9 +111,9 @@ def read_lines(
     tokens) over the non-blank body lines, comments removed. Errors are
     raised as `error`; a bad header names line 1.
     """
-    lines = text.splitlines()
+    lines = _to_lf(text).split("\n")
     tag, version, *names = header.split()
-    head = lines[0].partition("#")[0].split() if lines else []
+    head = lines[0].partition("#")[0].split()
     if head[:2] != [tag, version] or len(head) != 2 + len(names):
         raise error(f"expected header {header!r}", 1)
     args = finite_floats(head[2:], 1, "header", error)

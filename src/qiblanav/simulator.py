@@ -37,6 +37,9 @@ Scenario file format (flat key/value text read by `records.read_lines`)::
     noise_sigma_accel_ms2 0.05
     rng_seed 1
 
+Each key names the Scenario field it sets, and a `field_` key sets that
+MagneticField field of Scenario.field (field_horizontal_ut sets
+MagneticField.horizontal_ut). A key the file omits takes the default.
 heading_deg, pitch_deg and roll_deg take either a single constant or a list
 of t_ms:value knots. Heading interpolates along the shortest circular arc
 between knots; pitch and roll interpolate linearly. Before the first knot
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -72,15 +76,19 @@ class MagneticField:
     declination_deg: float = 0.0
 
 
+def _refuse(key: str, rule: str) -> NoReturn:
+    raise ScenarioError(f"{key} {rule}", key=key)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Full description of a synthetic trace; a pure value, reusable."""
 
     duration_ms: float
     sample_rate_hz: float
-    heading_knots: Knots
-    pitch_knots: Knots = ((0.0, 0.0),)
-    roll_knots: Knots = ((0.0, 0.0),)
+    heading_deg: Knots
+    pitch_deg: Knots = ((0.0, 0.0),)
+    roll_deg: Knots = ((0.0, 0.0),)
     field: MagneticField = MagneticField(40.0)
     hard_iron_ut: tuple[float, float, float] = (0.0, 0.0, 0.0)
     noise_sigma_mag_ut: float = 0.0
@@ -89,36 +97,35 @@ class Scenario:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.duration_ms) and self.duration_ms > 0.0):
-            raise ScenarioError("duration_ms must be positive")
+            _refuse("duration_ms", "must be positive")
         if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0.0):
-            raise ScenarioError("sample_rate_hz must be positive")
+            _refuse("sample_rate_hz", "must be positive")
         count = self.duration_ms * self.sample_rate_hz / 1000.0
         if not (math.isfinite(count) and round(count) <= MAX_SAMPLES):
-            raise ScenarioError(
-                f"duration_ms gives {count:.3g} samples at sample_rate_hz, more than {MAX_SAMPLES}")
-        for name in ("heading_knots", "pitch_knots", "roll_knots"):
+            _refuse("duration_ms", f"gives {count:.3g} samples at sample_rate_hz, more than {MAX_SAMPLES}")
+        for name in ("heading_deg", "pitch_deg", "roll_deg"):
             knots = getattr(self, name)
             if not knots:
-                raise ScenarioError(f"{name} must not be empty")
+                _refuse(name, "must not be empty")
             ts = [t for t, _ in knots]
             if any(b <= a for a, b in zip(ts, ts[1:])):
-                raise ScenarioError(f"{name} timestamps must be strictly increasing")
+                _refuse(name, "timestamps must be strictly increasing")
             if not all(math.isfinite(t) and math.isfinite(v) for t, v in knots):
-                raise ScenarioError(f"{name} values must be finite")
+                _refuse(name, "values must be finite")
         if not (math.isfinite(self.field.horizontal_ut) and self.field.horizontal_ut > 0.0):
-            raise ScenarioError("field_horizontal_ut must be positive")
+            _refuse("field_horizontal_ut", "must be positive")
         if not (abs(self.field.inclination_deg) < 90.0):
-            raise ScenarioError("field_inclination_deg must lie in (-90, 90)")
+            _refuse("field_inclination_deg", "must lie in (-90, 90)")
         if not math.isfinite(self.field.declination_deg):
-            raise ScenarioError("field_declination_deg must be finite")
+            _refuse("field_declination_deg", "must be finite")
         if len(self.hard_iron_ut) != 3 or not all(math.isfinite(c) for c in self.hard_iron_ut):
-            raise ScenarioError("hard_iron_ut must be three finite components")
+            _refuse("hard_iron_ut", "must be three finite components")
         for name in ("noise_sigma_mag_ut", "noise_sigma_accel_ms2"):
             sigma = getattr(self, name)
             if not (math.isfinite(sigma) and sigma >= 0.0):
-                raise ScenarioError(f"{name} must be finite and nonnegative")
+                _refuse(name, "must be finite and nonnegative")
         if not 0 <= int(self.rng_seed) < 2**64:
-            raise ScenarioError("rng_seed must fit in 64 bits")
+            _refuse("rng_seed", "must fit in 64 bits")
 
 
 def _sample_knots(knots: Knots, t: np.ndarray, circular: bool) -> np.ndarray:
@@ -141,9 +148,9 @@ def generate(scenario: Scenario) -> tuple[list[SensorSample], list[TruthRecord]]
     n = int(round(scenario.duration_ms * scenario.sample_rate_hz / 1000.0))
     t = np.arange(n) * (1000.0 / scenario.sample_rate_hz)
 
-    yaw = np.radians(_sample_knots(scenario.heading_knots, t, circular=True))
-    pitch = np.radians(_sample_knots(scenario.pitch_knots, t, circular=False))
-    roll = np.radians(_sample_knots(scenario.roll_knots, t, circular=False))
+    yaw = np.radians(_sample_knots(scenario.heading_deg, t, circular=True))
+    pitch = np.radians(_sample_knots(scenario.pitch_deg, t, circular=False))
+    roll = np.radians(_sample_knots(scenario.roll_deg, t, circular=False))
 
     field = scenario.field
     m_n = field.horizontal_ut * math.cos(math.radians(field.declination_deg))
@@ -178,10 +185,44 @@ def generate(scenario: Scenario) -> tuple[list[SensorSample], list[TruthRecord]]
     return samples, truth
 
 
-_KNOWN_FIELDS = {
-    "duration_ms", "sample_rate_hz", "heading_deg", "pitch_deg", "roll_deg",
-    "field_horizontal_ut", "field_inclination_deg", "field_declination_deg",
-    "hard_iron_ut", "noise_sigma_mag_ut", "noise_sigma_accel_ms2", "rng_seed",
+def _floats(key: str, line: int, tokens: list[str], count: int) -> list[float]:
+    if len(tokens) != count:
+        raise ScenarioError(f"{key}: expected {count} value(s), got {len(tokens)}", line)
+    return finite_floats(tokens, line, key, ScenarioError)
+
+
+def _number(key: str, line: int, tokens: list[str]) -> float:
+    return _floats(key, line, tokens, 1)[0]
+
+
+def _vector(key: str, line: int, tokens: list[str]) -> tuple[float, float, float]:
+    return tuple(_floats(key, line, tokens, 3))
+
+
+def _knots(key: str, line: int, tokens: list[str]) -> Knots:
+    if len(tokens) == 1 and ":" not in tokens[0]:
+        return ((0.0, _number(key, line, tokens)),)
+    pairs = [tok.partition(":") for tok in tokens]
+    if not pairs or not all(sep for _, sep, _ in pairs):
+        raise ScenarioError(f"{key}: expected a single constant or t_ms:value knots", line)
+    parts = [part for t, _, v in pairs for part in (t, v)]
+    values = finite_floats(parts, line, f"{key} knots", ScenarioError)
+    return tuple(zip(values[::2], values[1::2]))
+
+
+def _seed(key: str, line: int, tokens: list[str]) -> int:
+    if len(tokens) != 1 or not tokens[0].removeprefix("-").isdecimal():
+        raise ScenarioError(f"{key}: expected an integer", line)
+    return int(tokens[0])
+
+
+# Every scenario file key and the reader of its value.
+_READERS = {
+    "duration_ms": _number, "sample_rate_hz": _number,
+    "heading_deg": _knots, "pitch_deg": _knots, "roll_deg": _knots,
+    "field_horizontal_ut": _number, "field_inclination_deg": _number, "field_declination_deg": _number,
+    "hard_iron_ut": _vector, "noise_sigma_mag_ut": _number, "noise_sigma_accel_ms2": _number,
+    "rng_seed": _seed,
 }
 _REQUIRED_FIELDS = ("duration_ms", "sample_rate_hz", "heading_deg", "field_horizontal_ut")
 
@@ -189,13 +230,13 @@ _REQUIRED_FIELDS = ("duration_ms", "sample_rate_hz", "heading_deg", "field_horiz
 def parse_scenario(text: str) -> Scenario:
     """Parse the flat key/value scenario format into a Scenario.
 
-    Errors in a field's line name that line; a missing required field, or
-    a value the Scenario itself refuses, names the field only.
+    Errors in a field's line, and values the Scenario itself refuses, name
+    that line; a missing required field names the field only.
     """
     _, body = read_lines(text, SCENARIO_HEADER, ScenarioError)
     fields: dict[str, tuple[int, list[str]]] = {}
     for lineno, (key, *tokens) in body:
-        if key not in _KNOWN_FIELDS:
+        if key not in _READERS:
             raise ScenarioError(f"{key}: unknown field", lineno)
         if key in fields:
             raise ScenarioError(f"{key}: duplicate field", lineno)
@@ -203,52 +244,12 @@ def parse_scenario(text: str) -> Scenario:
     for required in _REQUIRED_FIELDS:
         if required not in fields:
             raise ScenarioError(f"{required}: required field missing")
-
-    def numbers(key: str, count: int) -> list[float]:
-        line, tokens = fields[key]
-        if len(tokens) != count:
-            raise ScenarioError(f"{key}: expected {count} value(s), got {len(tokens)}", line)
-        return finite_floats(tokens, line, key, ScenarioError)
-
-    def number(key: str) -> float:
-        return numbers(key, 1)[0] if key in fields else 0.0
-
-    def knots(key: str) -> Knots:
-        if key not in fields:
-            return ((0.0, 0.0),)
-        line, tokens = fields[key]
-        if len(tokens) == 1 and ":" not in tokens[0]:
-            return ((0.0, numbers(key, 1)[0]),)
-        pairs = [tok.partition(":") for tok in tokens]
-        if not pairs or not all(sep for _, sep, _ in pairs):
-            raise ScenarioError(f"{key}: expected a single constant or t_ms:value knots", line)
-        parts = [part for t, _, v in pairs for part in (t, v)]
-        values = finite_floats(parts, line, f"{key} knots", ScenarioError)
-        return tuple(zip(values[::2], values[1::2]))
-
-    seed = 0
-    if "rng_seed" in fields:
-        line, tokens = fields["rng_seed"]
-        if len(tokens) != 1 or not tokens[0].removeprefix("-").isdecimal():
-            raise ScenarioError("rng_seed: expected an integer", line)
-        seed = int(tokens[0])
-
-    return Scenario(
-        duration_ms=number("duration_ms"),
-        sample_rate_hz=number("sample_rate_hz"),
-        heading_knots=knots("heading_deg"),
-        pitch_knots=knots("pitch_deg"),
-        roll_knots=knots("roll_deg"),
-        field=MagneticField(
-            horizontal_ut=number("field_horizontal_ut"),
-            inclination_deg=number("field_inclination_deg"),
-            declination_deg=number("field_declination_deg"),
-        ),
-        hard_iron_ut=tuple(numbers("hard_iron_ut", 3)) if "hard_iron_ut" in fields else (0.0, 0.0, 0.0),
-        noise_sigma_mag_ut=number("noise_sigma_mag_ut"),
-        noise_sigma_accel_ms2=number("noise_sigma_accel_ms2"),
-        rng_seed=seed,
-    )
+    values = {key: _READERS[key](key, line, tokens) for key, (line, tokens) in fields.items()}
+    field = {key.removeprefix("field_"): values.pop(key) for key in list(values) if key.startswith("field_")}
+    try:
+        return Scenario(field=MagneticField(**field), **values)
+    except ScenarioError as exc:
+        raise ScenarioError(str(exc), fields[exc.key][0], exc.key) from None
 
 
 def load_scenario(path: str) -> Scenario:

@@ -53,9 +53,9 @@ def tumbled_sweep(
     return Scenario(
         duration_ms=duration_ms,
         sample_rate_hz=50.0,
-        heading_knots=heading,
-        pitch_knots=tri_knots(0.0, t, amp, 4, 0.0, 0.0),
-        roll_knots=tri_knots(0.0, t, amp, 7, -amp, -amp),
+        heading_deg=heading,
+        pitch_deg=tri_knots(0.0, t, amp, 4, 0.0, 0.0),
+        roll_deg=tri_knots(0.0, t, amp, 7, -amp, -amp),
         field=field,
         hard_iron_ut=hard_iron,
         noise_sigma_mag_ut=noise_mag,
@@ -69,7 +69,7 @@ def flat_sweep(seed: int = 0, *, hard_iron=(0.0, 0.0, 0.0)) -> Scenario:
     return Scenario(
         duration_ms=8000.0,
         sample_rate_hz=50.0,
-        heading_knots=((0.0, 0.0), (4000.0, 180.0), (8000.0, 360.0)),
+        heading_deg=((0.0, 0.0), (4000.0, 180.0), (8000.0, 360.0)),
         field=FIELD,
         hard_iron_ut=hard_iron,
         rng_seed=seed,
@@ -88,13 +88,13 @@ def acceptance_scenario(seed: int) -> Scenario:
     return Scenario(
         duration_ms=ACCEPTANCE_DURATION_MS,
         sample_rate_hz=50.0,
-        heading_knots=(
+        heading_deg=(
             (0.0, 0.0), (4000.0, 120.0), (8000.0, 240.0), (SWEEP_MS, 360.0),
             (13000.0, HOLD_HEADING_DEG), (ACCEPTANCE_DURATION_MS, HOLD_HEADING_DEG),
         ),
-        pitch_knots=sweep_pitch + ((13000.0, HOLD_PITCH_DEG),
+        pitch_deg=sweep_pitch + ((13000.0, HOLD_PITCH_DEG),
                                    (ACCEPTANCE_DURATION_MS, HOLD_PITCH_DEG)),
-        roll_knots=sweep_roll + ((13000.0, HOLD_ROLL_DEG),
+        roll_deg=sweep_roll + ((13000.0, HOLD_ROLL_DEG),
                                  (ACCEPTANCE_DURATION_MS, HOLD_ROLL_DEG)),
         field=FIELD,
         hard_iron_ut=HARD_IRON,

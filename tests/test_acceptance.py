@@ -118,8 +118,8 @@ def test_criterion_4_tilt_round_trip():
         roll = float(rng.uniform(-60.0, 60.0))
         scenario = Scenario(
             duration_ms=20.0, sample_rate_hz=50.0,
-            heading_knots=((0.0, yaw),), pitch_knots=((0.0, pitch),),
-            roll_knots=((0.0, roll),), field=field,
+            heading_deg=((0.0, yaw),), pitch_deg=((0.0, pitch),),
+            roll_deg=((0.0, roll),), field=field,
         )
         samples, truth = generate(scenario)
         got = float(tilt_compensated_heading(samples[0], cal))

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -229,6 +230,20 @@ class TestReports:
         with pytest.raises(ParseError) as exc:
             read_report(str(path))
         assert exc.value.line == 2
+
+    def test_read_report_refuses_deep_nesting(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("[" * 100000)
+        with pytest.raises(ParseError):
+            read_report(str(path))
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python converts integers of any length")
+    def test_read_report_refuses_too_long_integer(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text('{"report": "qibla-pipeline v1", "x": ' + "1" * 5000 + "}\n")
+        with pytest.raises(ParseError):
+            read_report(str(path))
 
     def test_write_report_refuses_nan_and_writes_nothing(self, tmp_path):
         entries, _ = make_entries(3)

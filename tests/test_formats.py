@@ -1,6 +1,8 @@
 """The text formats: one line reader, finite numbers only, errors that name
 their line, and loaders that fail with nothing but ParseError."""
 
+import io
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -61,6 +63,46 @@ class TestLineReader:
             TruthRecord(0.0, float("nan"), 0.0, 0.0)
 
 
+class TestLineRule:
+    """A line ends at \\n, \\r\\n or a lone \\r; one leading BOM is dropped."""
+
+    def test_only_universal_newlines_end_a_line(self):
+        _, body = read_lines("fmt v1\n# page\x0c break\na\x0bb\x85c\u2028d\r\ne\rf\n", "fmt v1")
+        # other Unicode line breaks separate tokens only
+        assert list(body) == [(3, ["a", "b", "c", "d"]), (4, ["e"]), (5, ["f"])]
+
+    def test_comment_tail_after_form_feed_is_comment(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("qtrace v1\n# page\x0c break\ns 0 0 0 -9.81 40 0 0\n", encoding="utf-8")
+        assert len(read_trace(str(path)).samples) == 1
+
+    def test_form_feed_does_not_shift_line_numbers(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("qtrace v1\n# page\x0c\ns 0 nan 0 -9.81 1 2 3\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            read_trace(str(path))
+        assert exc.value.line == 3
+
+    def test_carriage_returns_end_lines_in_every_count(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"qtrace v1\rs 0 0 0 -9.81 40 0 0\r\n\xff\r")
+        with pytest.raises(ParseError) as exc:
+            read_trace(str(path))
+        assert exc.value.line == 3
+        path.write_bytes(b'{"report": "qibla-pipeline v1",\r"x": ]}\r')
+        with pytest.raises(ParseError) as exc:
+            read_report(str(path))
+        assert exc.value.line == 2
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        cities = tmp_path / "c.csv"
+        cities.write_text("\ufeffname,latitude_deg,longitude_deg\nMecca,21.4225,39.8262\n", encoding="utf-8")
+        assert [r.name for r in load_cities(str(cities))] == ["Mecca"]
+        trace = tmp_path / "t.txt"
+        trace.write_text("\ufeffqtrace v1\ns 0 0 0 -9.81 40 0 0\n", encoding="utf-8")
+        assert len(read_trace(str(trace)).samples) == 1
+
+
 PIPELINE_ARGV = ["pipeline", "--trace", "{}", "--lat", "0", "--lon", "0", "--out", "{}.json"]
 GRID_ARGV = ["qibla", "--lat", "0", "--lon", "0", "--decl-grid", "{}"]
 SCENARIO_ARGV = ["simulate", "--scenario", "{}", "--out", "{}.out"]
@@ -91,6 +133,16 @@ BAD_INPUTS = {
                           ParseError, 6, SCENARIO_ARGV),
     "cities-bad-utf8": ("c.csv", b"name,latitude_deg,longitude_deg\nMecca,21.4,39.8\n\xffBad,1,2\n",
                         load_cities, ParseError, 3, CITIES_ARGV),
+    "scenario-negative-duration": ("s.txt", SCENARIO_HEAD.replace("duration_ms 100", "duration_ms -5"),
+                                   load_scenario, ScenarioError, 2, SCENARIO_ARGV),
+    "scenario-negative-sigma": ("s.txt", SCENARIO_HEAD + "noise_sigma_mag_ut -1\n", load_scenario,
+                                ScenarioError, 6, SCENARIO_ARGV),
+    "scenario-steep-inclination": ("s.txt", SCENARIO_HEAD + "field_inclination_deg 95\n", load_scenario,
+                                   ScenarioError, 6, SCENARIO_ARGV),
+    "scenario-huge-seed": ("s.txt", SCENARIO_HEAD + "rng_seed 99999999999999999999999\n", load_scenario,
+                           ScenarioError, 6, SCENARIO_ARGV),
+    "scenario-repeated-knot-time": ("s.txt", SCENARIO_HEAD + "pitch_deg 0:0 0:10\n", load_scenario,
+                                    ScenarioError, 6, SCENARIO_ARGV),
 }
 
 
@@ -149,7 +201,8 @@ def scratch(tmp_path_factory):
 def check_loader(scratch, name, data):
     path = scratch / name
     path.write_bytes(data)
-    n_lines = max(1, len(data.decode("utf-8", "replace").splitlines()))
+    # lines as Python's universal newlines count them
+    n_lines = max(1, len(io.StringIO(data.decode("utf-8", "replace"), newline=None).readlines()))
     try:
         LOADERS[name](str(path))
     except ParseError as exc:

@@ -31,6 +31,7 @@ from qiblanav.errors import (
     DegenerateSweep,
     DynamicSample,
     InsufficientData,
+    InvalidAngle,
 )
 
 from oracles import circular_abs_diff
@@ -43,9 +44,9 @@ def one_sample(heading=0.0, pitch=0.0, roll=0.0, *, field=FIELD, hard_iron=(0.0,
     scenario = Scenario(
         duration_ms=20.0,
         sample_rate_hz=50.0,
-        heading_knots=((0.0, heading),),
-        pitch_knots=((0.0, pitch),),
-        roll_knots=((0.0, roll),),
+        heading_deg=((0.0, heading),),
+        pitch_deg=((0.0, pitch),),
+        roll_deg=((0.0, roll),),
         field=field,
         hard_iron_ut=hard_iron,
     )
@@ -85,6 +86,25 @@ class TestCircularDiff:
             assert back == 180.0
         else:
             assert back == pytest.approx(-d, abs=1e-9)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_any_finite_pair_gives_a_deviation(self, a, b):
+        assert -180.0 < circular_diff(a, b) <= 180.0
+
+    @pytest.mark.parametrize("target,current", [(1e308, -1e308), (-1e308, 1e308),
+                                                (1.7976931348623157e308, -1.7976931348623157e308)])
+    def test_overflowing_difference(self, target, current):
+        d = circular_diff(target, current)
+        assert -180.0 < d <= 180.0
+        assert (current % 360.0 + d - target % 360.0) % 360.0 == 0.0
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, angle):
+        with pytest.raises(InvalidAngle):
+            circular_diff(angle, 0.0)
+        with pytest.raises(InvalidAngle):
+            circular_diff(0.0, angle)
 
 
 class TestGuidance:
@@ -361,7 +381,7 @@ class TestProcess:
         field = MagneticField(40.0, inclination_deg=-30.0)
         scenario = Scenario(
             duration_ms=400.0, sample_rate_hz=50.0,
-            heading_knots=((0.0, 100.0),), field=field,
+            heading_deg=((0.0, 100.0),), field=field,
         )
         samples, _ = generate(scenario)
         entries = run_trace(list(samples), BANDUNG, CalibrationState())
@@ -383,7 +403,7 @@ class TestProcess:
     def test_heading_knot_offset_shifts_true_headings(self, delta):
         base = tumbled_sweep(seed=0, hard_iron=(25.0, -18.0, 9.0))
         shifted = dataclasses.replace(
-            base, heading_knots=tuple((t, v + delta) for t, v in base.heading_knots))
+            base, heading_deg=tuple((t, v + delta) for t, v in base.heading_deg))
         runs = []
         for scenario in (base, shifted):
             samples, _ = generate(scenario)

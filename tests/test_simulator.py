@@ -25,9 +25,9 @@ def constant_scenario(heading=0.0, pitch=0.0, roll=0.0, *, field=MagneticField(4
     return Scenario(
         duration_ms=duration_ms,
         sample_rate_hz=rate,
-        heading_knots=((0.0, heading),),
-        pitch_knots=((0.0, pitch),),
-        roll_knots=((0.0, roll),),
+        heading_deg=((0.0, heading),),
+        pitch_deg=((0.0, pitch),),
+        roll_deg=((0.0, roll),),
         field=field,
         **kwargs,
     )
@@ -105,7 +105,7 @@ class TestGenerate:
         scenario = Scenario(
             duration_ms=1000.0,
             sample_rate_hz=10.0,
-            heading_knots=((0.0, 350.0), (1000.0, 10.0)),
+            heading_deg=((0.0, 350.0), (1000.0, 10.0)),
             field=MagneticField(40.0),
         )
         _, truth = generate(scenario)
@@ -116,32 +116,32 @@ class TestGenerate:
 class TestScenarioValidation:
     def test_rate_must_be_positive(self):
         with pytest.raises(ScenarioError, match="sample_rate_hz"):
-            Scenario(duration_ms=100.0, sample_rate_hz=0.0, heading_knots=((0.0, 0.0),))
+            Scenario(duration_ms=100.0, sample_rate_hz=0.0, heading_deg=((0.0, 0.0),))
 
     def test_duration_must_be_positive(self):
         with pytest.raises(ScenarioError, match="duration_ms"):
-            Scenario(duration_ms=0.0, sample_rate_hz=50.0, heading_knots=((0.0, 0.0),))
+            Scenario(duration_ms=0.0, sample_rate_hz=50.0, heading_deg=((0.0, 0.0),))
 
     def test_knots_strictly_increasing(self):
-        with pytest.raises(ScenarioError, match="heading_knots"):
+        with pytest.raises(ScenarioError, match="heading_deg"):
             Scenario(duration_ms=100.0, sample_rate_hz=50.0,
-                     heading_knots=((0.0, 0.0), (0.0, 10.0)))
+                     heading_deg=((0.0, 0.0), (0.0, 10.0)))
 
     def test_horizontal_intensity_positive(self):
         with pytest.raises(ScenarioError, match="field_horizontal_ut"):
             Scenario(duration_ms=100.0, sample_rate_hz=50.0,
-                     heading_knots=((0.0, 0.0),), field=MagneticField(0.0))
+                     heading_deg=((0.0, 0.0),), field=MagneticField(0.0))
 
     @pytest.mark.parametrize("name", ["noise_sigma_mag_ut", "noise_sigma_accel_ms2"])
     @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
     def test_noise_sigmas_finite_nonnegative(self, name, sigma):
         with pytest.raises(ScenarioError, match=name):
-            Scenario(duration_ms=100.0, sample_rate_hz=50.0, heading_knots=((0.0, 0.0),),
+            Scenario(duration_ms=100.0, sample_rate_hz=50.0, heading_deg=((0.0, 0.0),),
                      **{name: sigma})
 
     def test_inclination_open_interval(self):
         with pytest.raises(ScenarioError, match="field_inclination_deg"):
-            Scenario(duration_ms=100.0, sample_rate_hz=50.0, heading_knots=((0.0, 0.0),),
+            Scenario(duration_ms=100.0, sample_rate_hz=50.0, heading_deg=((0.0, 0.0),),
                      field=MagneticField(40.0, inclination_deg=90.0))
 
 
@@ -193,9 +193,9 @@ class TestScenarioFile:
             "scenario v1\nduration_ms 100\nsample_rate_hz 50\n"
             "heading_deg 0:0 50:90\npitch_deg 10\nfield_horizontal_ut 40\n"
         )
-        assert scenario.heading_knots == ((0.0, 0.0), (50.0, 90.0))
-        assert scenario.pitch_knots == ((0.0, 10.0),)
-        assert scenario.roll_knots == ((0.0, 0.0),)
+        assert scenario.heading_deg == ((0.0, 0.0), (50.0, 90.0))
+        assert scenario.pitch_deg == ((0.0, 10.0),)
+        assert scenario.roll_deg == ((0.0, 0.0),)
 
     def test_missing_required_field_named(self):
         with pytest.raises(ScenarioError, match="field_horizontal_ut"):
@@ -213,6 +213,17 @@ class TestScenarioFile:
             with pytest.raises(ScenarioError, match="duration_ms"):
                 parse_scenario(f"scenario v1\nduration_ms {duration}\nsample_rate_hz 50\n"
                                "heading_deg 0\nfield_horizontal_ut 40\n")
+
+    def test_refused_value_names_its_key_and_line(self):
+        with pytest.raises(ScenarioError, match="^line 6: pitch_deg timestamps") as exc:
+            parse_scenario("scenario v1\nduration_ms 100\nsample_rate_hz 50\nheading_deg 0\n"
+                           "field_horizontal_ut 40\npitch_deg 0:0 0:10\n")
+        assert exc.value.key == "pitch_deg"
+
+    def test_bad_values_are_reported_in_file_order(self):
+        with pytest.raises(ScenarioError, match="^line 2: noise_sigma_mag_ut"):
+            parse_scenario("scenario v1\nnoise_sigma_mag_ut x\nduration_ms y\nsample_rate_hz 50\n"
+                           "heading_deg 0\nfield_horizontal_ut 40\n")
 
     def test_bad_header(self):
         with pytest.raises(ScenarioError):
