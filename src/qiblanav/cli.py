@@ -1,10 +1,11 @@
 """Command-line front door.
 
-Subcommands: qibla, distance, simulate, pipeline, calibrate. Output is
-either human text (azimuths to 2 decimals) or structured JSON at full
-precision via --format json. Structured output carries no timestamps
-unless --timestamps is passed, so repeated invocations on the same inputs
-are byte-identical.
+Subcommands: qibla, distance, simulate, pipeline, calibrate. Each command
+maps its parsed arguments to a document and its text lines; `main` alone
+prints them, as human text (azimuths to 2 decimals) or, via --format json,
+as structured JSON at full precision, and maps failures to exit codes.
+Structured output carries no timestamps unless --timestamps is passed, so
+repeated invocations on the same inputs are byte-identical.
 
 Exit codes: 0 success, 2 domain error (bad coordinates, degenerate
 geometry, unreadable/invalid input files), 3 data insufficiency (too few
@@ -28,7 +29,9 @@ from .pipeline import (
     DEFAULT_ALPHA,
     DEFAULT_GUIDANCE_THRESHOLD_DEG,
     CalibrationState,
+    FilterState,
     calibrate,
+    guidance,
     run_trace,
 )
 
@@ -62,23 +65,23 @@ def _add_format_flags(p: argparse.ArgumentParser) -> None:
                    help="include a generation timestamp in structured output")
 
 
-def _resolve_location(parser: argparse.ArgumentParser, args: argparse.Namespace) -> GeoCoordinate:
+def _resolve_location(args: argparse.Namespace) -> GeoCoordinate:
     by_coords = args.lat is not None or args.lon is not None
     by_city = args.city is not None
     if by_coords and by_city:
-        parser.error("--lat/--lon and --city are mutually exclusive")
+        raise argparse.ArgumentError(None, "--lat/--lon and --city are mutually exclusive")
     if by_coords:
         if args.lat is None or args.lon is None:
-            parser.error("--lat and --lon must be given together")
+            raise argparse.ArgumentError(None, "--lat and --lon must be given together")
         return GeoCoordinate(args.lat, args.lon)
     if by_city:
         if not args.cities:
-            parser.error("--city requires --cities FILE")
+            raise argparse.ArgumentError(None, "--city requires --cities FILE")
         for record in load_cities(args.cities):
             if record.name.casefold() == args.city.casefold():
                 return record.location
         raise QiblaNavError(f"unknown city {args.city!r}")
-    parser.error("a location is required: --lat/--lon or --city with --cities")
+    raise argparse.ArgumentError(None, "a location is required: --lat/--lon or --city with --cities")
 
 
 def _resolve_declination(args: argparse.Namespace, where: GeoCoordinate) -> DeclinationDeg | None:
@@ -89,13 +92,9 @@ def _resolve_declination(args: argparse.Namespace, where: GeoCoordinate) -> Decl
     return None
 
 
-def _emit(args: argparse.Namespace, doc: dict, text_lines: list[str]) -> None:
-    if args.format == "json":
-        doc.update(args.stamp)
-        print(json.dumps(doc, indent=2, allow_nan=False))
-    else:
-        for line in text_lines:
-            print(line)
+def _declination_doc(decl: DeclinationDeg | None) -> dict:
+    return {"declination_deg": float(decl) if decl is not None else None,
+            "magnetic_assumed_true": decl is None}
 
 
 def _calibration_doc(cal: CalibrationState) -> dict:
@@ -107,8 +106,8 @@ def _calibration_doc(cal: CalibrationState) -> dict:
     }
 
 
-def cmd_qibla(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    where = _resolve_location(parser, args)
+def cmd_qibla(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    where = _resolve_location(args)
     decl = _resolve_declination(args, where)
     azimuth = qibla_azimuth(where)
     distance = haversine_distance(where, KAABA)
@@ -118,23 +117,20 @@ def cmd_qibla(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         "longitude_deg": where.longitude_deg,
         "qibla_deg": float(azimuth),
         "distance_km": float(distance),
-        "declination_deg": float(decl) if decl is not None else None,
-        "magnetic_assumed_true": decl is None,
+        **_declination_doc(decl),
     }
     if decl is None:
         decl_line = "declination: none (magnetic heading assumed true)"
     else:
         decl_line = f"declination: {float(decl):.2f} deg east"
-    _emit(args, doc, [
+    return doc, [
         f"qibla azimuth: {float(azimuth):.2f} deg",
         f"distance to kaaba: {float(distance):.3f} km (haversine)",
         decl_line,
-    ])
-    return 0
+    ]
 
 
-def cmd_distance(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    del parser
+def cmd_distance(args: argparse.Namespace) -> tuple[dict, list[str]]:
     a = GeoCoordinate(args.from_lat, args.from_lon)
     b = GeoCoordinate(args.to_lat, args.to_lon)
     fn = haversine_distance if args.method == "haversine" else slc_distance
@@ -144,27 +140,27 @@ def cmd_distance(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         "method": args.method,
         "distance_km": float(distance),
     }
-    _emit(args, doc, [f"distance: {float(distance):.3f} km ({args.method})"])
-    return 0
+    return doc, [f"distance: {float(distance):.3f} km ({args.method})"]
 
 
-def cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    del parser
+def cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[str]]:
     from .simulator import generate, load_scenario  # numpy loads only for this command
 
     scenario = load_scenario(args.scenario)
     samples, truth = generate(scenario)
     write_trace(TraceFile(samples=tuple(samples), truth=tuple(truth)), args.out)
     doc = {"report": "simulate v1", "samples": len(samples), "out": args.out}
-    _emit(args, doc, [f"wrote {len(samples)} samples to {args.out}"])
-    return 0
+    return doc, [f"wrote {len(samples)} samples to {args.out}"]
 
 
-def cmd_pipeline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    where = _resolve_location(parser, args)
+def cmd_pipeline(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    where = _resolve_location(args)
     decl = _resolve_declination(args, where)
     if args.sweep_ms is not None and not math.isfinite(args.sweep_ms):
         raise ValueError(f"--sweep-ms must be finite, got {args.sweep_ms}")
+    # The library's own rules, applied before the trace is read.
+    FilterState(alpha=args.alpha)
+    guidance(0.0, args.threshold)
     trace = read_trace(args.trace)
     cal_samples = trace.samples
     if args.sweep_ms is not None:
@@ -181,8 +177,7 @@ def cmd_pipeline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     meta = {
         "latitude_deg": where.latitude_deg,
         "longitude_deg": where.longitude_deg,
-        "declination_deg": float(decl) if decl is not None else None,
-        "magnetic_assumed_true": decl is None,
+        **_declination_doc(decl),
         "alpha": args.alpha,
         "threshold_deg": args.threshold,
         "calibration": _calibration_doc(cal),
@@ -195,23 +190,20 @@ def cmd_pipeline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         text.append(f"steady-state heading error: {summary['steady_state_error_deg']:.3f} deg")
     if decl is None:
         text.append("warning: no declination supplied, magnetic heading assumed true")
-    _emit(args, doc, text)
-    return 0
+    return doc, text
 
 
-def cmd_calibrate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    del parser
+def cmd_calibrate(args: argparse.Namespace) -> tuple[dict, list[str]]:
     trace = read_trace(args.trace)
     cal = calibrate(trace.samples)
     doc = {"report": "calibration v1", **_calibration_doc(cal)}
     hx, hy, hz = cal.hard_iron
-    _emit(args, doc, [
+    return doc, [
         f"hard iron (uT): {hx:.3f} {hy:.3f} {hz:.3f}",
         f"samples used: {cal.samples_used}",
         f"coverage: {cal.coverage_deg:.1f} deg",
         f"converged: {'yes' if cal.converged else 'no'}",
-    ])
-    return 0
+    ]
 
 
 def build_parser() -> _Parser:
@@ -267,7 +259,13 @@ def main(argv: list[str] | None = None) -> int:
     # One clock reading per invocation, so every generated_at it writes agrees.
     args.stamp = {"generated_at": datetime.now(timezone.utc).isoformat()} if args.timestamps else {}
     try:
-        return args.func(parser, args)
+        doc, text = args.func(args)
+        if args.format == "json":
+            text = [json.dumps(doc | args.stamp, indent=2, allow_nan=False)]
+        print("\n".join(text))
+        return 0
+    except argparse.ArgumentError as exc:  # a usage fault argparse itself cannot see
+        parser.error(exc.message)
     except (InsufficientData, DegenerateSweep) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -103,6 +103,12 @@ def _line(tag: str, *values: float) -> str:
     return " ".join((tag, *map(repr, map(float, values))))
 
 
+def _require_time_order(kind: str, records: Sequence[SensorSample | TruthRecord]) -> None:
+    ts = [r.t_ms for r in records]
+    if any(b < a for a, b in zip(ts, ts[1:])):
+        raise ValueError(f"{kind} timestamps must be monotone nondecreasing")
+
+
 def write_trace(trace: TraceFile, path: str) -> None:
     """Serialize a trace, interleaving truth lines by timestamp.
 
@@ -110,10 +116,8 @@ def write_trace(trace: TraceFile, path: str) -> None:
     sample or truth timestamps out of order.
     """
     truth = trace.truth
-    for kind, records in (("sample", trace.samples), ("truth record", truth)):
-        ts = [r.t_ms for r in records]
-        if any(b < a for a, b in zip(ts, ts[1:])):
-            raise ValueError(f"{kind} timestamps must be monotone nondecreasing")
+    _require_time_order("sample", trace.samples)
+    _require_time_order("truth record", truth)
     truth_lines = [_line("t", r.t_ms, r.true_heading_deg, r.pitch_deg, r.roll_deg) for r in truth]
     lines = [TRACE_HEADER]
     ti = 0
@@ -187,9 +191,10 @@ def summarize(
 ) -> dict:
     """Summary block for a pointer stream: deviation stats, plus heading
     and deviation error against truth over the final 10 s when truth is
-    non-empty. Truth must be in time order (see `truth_heading_at`)."""
+    non-empty. Truth out of time order raises ValueError."""
     if not entries:
         raise EmptyReport("cannot summarize an empty state stream")
+    _require_time_order("truth record", truth)
     deviations = [abs(state.deviation_deg) for _, state in entries]
     summary = {
         "samples": len(entries),
@@ -226,8 +231,9 @@ def write_report(
     """Write the per-sample report plus summary; returns the summary block.
 
     fmt "json" writes the structured document, "text" a terminal table.
-    An empty stream raises EmptyReport; a JSON document holding NaN or an
-    infinity raises ValueError and leaves no file at `path`.
+    An empty stream raises EmptyReport and truth out of time order
+    ValueError, both before `path` is opened; a JSON document holding NaN
+    or an infinity raises ValueError and leaves no file at `path`.
     """
     summary = summarize(entries, truth)
     if fmt == "json":

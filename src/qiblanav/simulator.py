@@ -43,8 +43,10 @@ MagneticField.horizontal_ut). A key the file omits takes the default.
 heading_deg, pitch_deg and roll_deg take either a single constant or a list
 of t_ms:value knots. Heading interpolates along the shortest circular arc
 between knots; pitch and roll interpolate linearly. Before the first knot
-and after the last one the end value holds. A scenario may ask for at most
-MAX_SAMPLES samples, duration_ms * sample_rate_hz / 1000.
+and after the last one the end value holds. A scenario gives
+duration_ms * sample_rate_hz / 1000 samples, rounded, and must give at
+least one and at most MAX_SAMPLES. generate refuses a scenario whose
+sensor readings overflow the float range.
 """
 
 from __future__ import annotations
@@ -100,8 +102,13 @@ class Scenario:
             _refuse("duration_ms", "must be positive")
         if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0.0):
             _refuse("sample_rate_hz", "must be positive")
-        count = self.duration_ms * self.sample_rate_hz / 1000.0
-        if not (math.isfinite(count) and round(count) <= MAX_SAMPLES):
+        try:
+            count = self.n_samples
+        except OverflowError:  # the product is infinite
+            count = math.inf
+        if count < 1:
+            _refuse("duration_ms", f"gives {count} samples at sample_rate_hz, need at least 1")
+        if count > MAX_SAMPLES:
             _refuse("duration_ms", f"gives {count:.3g} samples at sample_rate_hz, more than {MAX_SAMPLES}")
         for name in ("heading_deg", "pitch_deg", "roll_deg"):
             knots = getattr(self, name)
@@ -127,25 +134,38 @@ class Scenario:
         if not 0 <= int(self.rng_seed) < 2**64:
             _refuse("rng_seed", "must fit in 64 bits")
 
+    @property
+    def n_samples(self) -> int:
+        """Trace length: duration_ms * sample_rate_hz / 1000, rounded."""
+        return round(self.duration_ms * self.sample_rate_hz / 1000.0)
+
 
 def _sample_knots(knots: Knots, t: np.ndarray, circular: bool) -> np.ndarray:
     ts = np.array([k[0] for k in knots])
     vs = np.array([k[1] for k in knots])
     if circular:
         # Unwrap knot values along the shortest arc, interpolate, re-wrap.
-        steps = (np.diff(vs) + 180.0) % 360.0 - 180.0
+        with np.errstate(over="ignore"):
+            steps = np.diff(vs)
+        if not np.isfinite(steps).all():  # finite knots too far apart to subtract; their residues are not
+            vs = vs % 360.0
+            steps = np.diff(vs)
+        steps = (steps + 180.0) % 360.0 - 180.0
         vs = np.concatenate([[vs[0]], vs[0] + np.cumsum(steps)])
         return np.interp(t, ts, vs) % 360.0
     return np.interp(t, ts, vs)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed reading is refused below
 def generate(scenario: Scenario) -> tuple[list[SensorSample], list[TruthRecord]]:
     """Emit the scenario's sensor trace and its exact truth records.
 
     Noiseless output satisfies the same rotation algebra the pipeline's
     tilt compensation inverts, so together they round-trip exactly.
+    Raises ScenarioError, before any record is built, when a sensor reading
+    overflows (a huge field, hard iron, noise sigma or pitch/roll knot).
     """
-    n = int(round(scenario.duration_ms * scenario.sample_rate_hz / 1000.0))
+    n = scenario.n_samples
     t = np.arange(n) * (1000.0 / scenario.sample_rate_hz)
 
     yaw = np.radians(_sample_knots(scenario.heading_deg, t, circular=True))
@@ -177,6 +197,8 @@ def generate(scenario: Scenario) -> tuple[list[SensorSample], list[TruthRecord]]
     rng = np.random.Generator(np.random.PCG64(int(scenario.rng_seed)))
     accel += rng.standard_normal((n, 3)) * scenario.noise_sigma_accel_ms2
     mag += rng.standard_normal((n, 3)) * scenario.noise_sigma_mag_ut
+    if not (np.isfinite(accel).all() and np.isfinite(mag).all()):
+        raise ScenarioError("sensor readings overflow: the field, hard iron, noise or pitch/roll is too large")
 
     t_ms = t.tolist()
     samples = list(map(SensorSample, t_ms, map(tuple, accel.tolist()), map(tuple, mag.tolist())))

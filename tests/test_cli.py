@@ -165,6 +165,20 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out)["samples"] == 3000
 
+    @pytest.mark.parametrize("lines", [
+        "field_horizontal_ut 1e308\nfield_inclination_deg 89\n",
+        "field_horizontal_ut 40\nnoise_sigma_mag_ut 1e308\n",
+        "field_horizontal_ut 1e308\nhard_iron_ut 1e308 0 0\n",
+    ], ids=["steep-field", "mag-noise", "hard-iron"])
+    def test_overflowing_readings_exit_2(self, tmp_path, lines):
+        scenario = tmp_path / "s.txt"
+        scenario.write_text("scenario v1\nduration_ms 1000\nsample_rate_hz 50\nheading_deg 0\n" + lines)
+        code, out, err = run_cli(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "t.txt")])
+        assert code == 2
+        assert "readings overflow" in err
+        assert out == ""
+        assert not (tmp_path / "t.txt").exists()
+
     def test_golden_stdout(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code, out, _ = run_cli(["simulate", "--scenario", SCENARIO, "--out", "trace.txt",
@@ -235,6 +249,19 @@ class TestPipeline:
             assert "threshold_deg" in err
             assert out == ""
             assert not (acceptance_trace / "report.json").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--alpha", "5"), ("--alpha", "nan"), ("--threshold", "nan")])
+    def test_bad_filter_flag_refused_before_the_trace_is_read(self, tmp_path, flag, value):
+        # one usable sample: calibrating it would exit 3
+        trace_path = tmp_path / "one.txt"
+        trace_path.write_text("qtrace v1\ns 0 0 0 -9.81 40 0 0\n")
+        report_path = tmp_path / "r.json"
+        code, out, err = run_cli(["pipeline", "--trace", str(trace_path), "--lat", "-6.9147", "--lon", "107.6098",
+                                  flag, value, "--out", str(report_path)])
+        assert code == 2
+        assert f"got {float(value)!r}" in err
+        assert out == ""
+        assert not report_path.exists()
 
     def test_non_finite_sweep_refused(self, acceptance_trace):
         for sweep_ms in ("nan", "inf"):

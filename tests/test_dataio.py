@@ -182,6 +182,17 @@ class TestReports:
         with pytest.raises(EmptyReport):
             summarize([])
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_unordered_truth_refused_and_nothing_written(self, tmp_path, fmt):
+        entries, truth = make_entries(50, with_truth=True)
+        backwards = list(truth)[::-1]
+        with pytest.raises(ValueError, match="monotone"):
+            summarize(entries, backwards)
+        path = tmp_path / "report.out"
+        with pytest.raises(ValueError, match="monotone"):
+            write_report(entries, str(path), fmt, truth=backwards)
+        assert not path.exists()
+
     def test_numeric_round_trip_through_parser(self, tmp_path):
         entries, _ = make_entries(5)
         path = tmp_path / "report.json"

@@ -143,6 +143,8 @@ BAD_INPUTS = {
                            ScenarioError, 6, SCENARIO_ARGV),
     "scenario-repeated-knot-time": ("s.txt", SCENARIO_HEAD + "pitch_deg 0:0 0:10\n", load_scenario,
                                     ScenarioError, 6, SCENARIO_ARGV),
+    "scenario-zero-samples": ("s.txt", SCENARIO_HEAD.replace("duration_ms 100", "duration_ms 1"),
+                              load_scenario, ScenarioError, 2, SCENARIO_ARGV),
 }
 
 

@@ -112,6 +112,29 @@ class TestGenerate:
         # knots 350 -> 10 cross zero; midpoint of the span is 0
         assert truth[5].true_heading_deg == pytest.approx(0.0, abs=1e-9)
 
+    def test_heading_knots_too_far_apart_to_subtract(self):
+        # 1e308 - -1e308 overflows; the knots' residues mod 360 do not
+        huge = Scenario(duration_ms=1000.0, sample_rate_hz=50.0,
+                        heading_deg=((0.0, 1e308), (1000.0, -1e308)))
+        samples, truth = generate(huge)
+        assert len(samples) == 50
+        assert all(0.0 <= r.true_heading_deg < 360.0 for r in truth)
+        residues = Scenario(duration_ms=1000.0, sample_rate_hz=50.0,
+                            heading_deg=((0.0, 1e308 % 360.0), (1000.0, -1e308 % 360.0)))
+        assert (samples, truth) == generate(residues)
+
+    @pytest.mark.parametrize("changes", [
+        {"field": MagneticField(1e308, inclination_deg=89.0)},
+        {"noise_sigma_mag_ut": 1e308},
+        {"field": MagneticField(1e308), "hard_iron_ut": (1e308, 0.0, 0.0)},
+        {"noise_sigma_accel_ms2": 1e308},
+        {"pitch_deg": ((0.0, 1e308), (1000.0, -1e308))},
+    ], ids=["steep-field", "mag-noise", "hard-iron", "accel-noise", "pitch-knots"])
+    def test_overflowing_readings_refused(self, changes):
+        scenario = Scenario(duration_ms=1000.0, sample_rate_hz=50.0, heading_deg=((0.0, 0.0),), **changes)
+        with pytest.raises(ScenarioError, match="readings overflow"):
+            generate(scenario)
+
 
 class TestScenarioValidation:
     def test_rate_must_be_positive(self):
@@ -121,6 +144,12 @@ class TestScenarioValidation:
     def test_duration_must_be_positive(self):
         with pytest.raises(ScenarioError, match="duration_ms"):
             Scenario(duration_ms=0.0, sample_rate_hz=50.0, heading_deg=((0.0, 0.0),))
+
+    @pytest.mark.parametrize("duration_ms", [1.0, 10.0])
+    def test_duration_must_give_a_sample(self, duration_ms):
+        # 0.05 and 0.5 samples both round to none
+        with pytest.raises(ScenarioError, match="duration_ms gives 0 samples"):
+            Scenario(duration_ms=duration_ms, sample_rate_hz=50.0, heading_deg=((0.0, 0.0),))
 
     def test_knots_strictly_increasing(self):
         with pytest.raises(ScenarioError, match="heading_deg"):
