@@ -28,7 +28,7 @@ _MODULE_OF = {
     "QiblaPointerState": "pipeline",
     "Scenario": "simulator",
     "SensorSample": "records",
-    "TraceFile": "dataio",
+    "TraceFile": "records",
     "TruthRecord": "records",
     "angular_separation": "geodesy",
     "calibrate": "pipeline",
@@ -49,6 +49,7 @@ _MODULE_OF = {
     "read_report": "dataio",
     "read_trace": "dataio",
     "run_trace": "pipeline",
+    "simulate": "simulator",
     "slc_distance": "geodesy",
     "summarize": "dataio",
     "tilt_compensated_heading": "pipeline",

@@ -21,7 +21,7 @@ import sys
 from datetime import datetime, timezone
 from typing import NoReturn
 
-from .dataio import REPORT_TAG, TraceFile, load_cities, read_trace, write_report, write_trace
+from .dataio import REPORT_TAG, load_cities, read_trace, write_report, write_trace
 from .declination import DeclinationDeg, declination_at, load_grid
 from .errors import DegenerateSweep, InsufficientData, QiblaNavError
 from .geodesy import KAABA, GeoCoordinate, haversine_distance, qibla_azimuth, slc_distance
@@ -144,13 +144,12 @@ def cmd_distance(args: argparse.Namespace) -> tuple[dict, list[str]]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    from .simulator import generate, load_scenario  # numpy loads only for this command
+    from .simulator import load_scenario, simulate  # numpy loads only for this command
 
-    scenario = load_scenario(args.scenario)
-    samples, truth = generate(scenario)
-    write_trace(TraceFile(samples=tuple(samples), truth=tuple(truth)), args.out)
-    doc = {"report": "simulate v1", "samples": len(samples), "out": args.out}
-    return doc, [f"wrote {len(samples)} samples to {args.out}"]
+    trace = simulate(load_scenario(args.scenario))
+    write_trace(trace, args.out)
+    doc = {"report": "simulate v1", "samples": len(trace.samples), "out": args.out}
+    return doc, [f"wrote {len(trace.samples)} samples to {args.out}"]
 
 
 def cmd_pipeline(args: argparse.Namespace) -> tuple[dict, list[str]]:
@@ -164,7 +163,7 @@ def cmd_pipeline(args: argparse.Namespace) -> tuple[dict, list[str]]:
     trace = read_trace(args.trace)
     cal_samples = trace.samples
     if args.sweep_ms is not None:
-        cal_samples = [s for s in cal_samples if s.t_ms <= args.sweep_ms]
+        cal_samples = cal_samples[cal_samples.rows[:, 0] <= args.sweep_ms]
     cal = calibrate(cal_samples)
     entries = run_trace(
         trace.samples,

@@ -5,7 +5,11 @@ round-trip numbers exactly (floats are rendered with Python's shortest
 round-trip repr). Loaders never partially succeed: any error raises before
 a dataset is returned.
 
-Trace format (read by `records.read_lines`)::
+Traces and run_trace results are held as columns (see `records`): every
+trace and report stage reads and writes them in bulk, builds no record,
+and gives the bytes the record-by-record rules below define.
+
+Trace format (read by `records.read_body`)::
 
     qtrace v1
     s <t_ms> <ax> <ay> <az> <mx> <my> <mz>
@@ -13,8 +17,9 @@ Trace format (read by `records.read_lines`)::
 
 's' lines are sensor samples (m/s^2 and microtesla, body frame), 't' lines
 are optional interleaved truth records. The timestamps of each stream must
-be monotone nondecreasing. A trace without 't' lines reads back with
-`truth == ()`.
+be monotone nondecreasing. Each truth line follows the first sample line
+whose timestamp is not earlier, or ends the file. A trace without 't' lines
+reads back with `truth == ()`.
 
 City CSV: mandatory header ``name,latitude_deg,longitude_deg``; names are
 unique case-insensitively. It is read with the `csv` module, so quoted
@@ -23,24 +28,25 @@ names may contain commas.
 Report: a JSON document with "report", "meta", "samples" and "summary"
 sections (or a plain-text table via format="text"). When truth records are
 supplied the summary adds steady-state heading/deviation error over the
-final 10 seconds of the trace.
+final 10 seconds of the trace. The JSON bytes are those of
+`json.dumps(document, indent=2, allow_nan=False)` plus a newline.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
 import json
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import chain, compress, repeat
+from operator import itemgetter
+from typing import Any, NoReturn
 
 from .errors import DuplicateCity, EmptyReport, InvalidCoordinate, OutOfSpan, ParseError
-from .geodesy import AzimuthDeg, GeoCoordinate, circular_diff
-from .pipeline import QiblaPointerState
-from .records import SensorSample, TruthRecord, finite_floats, read_lines, read_text
+from .geodesy import AzimuthDeg, GeoCoordinate, circular_diff, wrap_azimuth
+from .pipeline import ENTRY, Guidance, QiblaPointerState
+from .records import SAMPLE, TRUTH, RecordView, TraceFile, TruthRecord, finite_floats, read_body, read_text
 
 TRACE_HEADER = "qtrace v1"
 REPORT_TAG = "qibla-pipeline v1"
@@ -48,7 +54,8 @@ CITY_HEADER = ("name", "latitude_deg", "longitude_deg")
 
 STEADY_STATE_WINDOW_MS = 10000.0
 
-_T_MS = attrgetter("t_ms")
+# Each trace line tag: the stream it belongs to and that stream's row layout.
+_STREAMS = {"s": ("sample record", SAMPLE), "t": ("truth record", TRUTH)}
 
 
 @dataclass(frozen=True)
@@ -57,15 +64,6 @@ class CityRecord:
 
     name: str
     location: GeoCoordinate
-
-
-@dataclass(frozen=True)
-class TraceFile:
-    """Ordered sensor samples with a paired truth stream, `()` when the
-    trace has none."""
-
-    samples: tuple[SensorSample, ...]
-    truth: tuple[TruthRecord, ...] = ()
 
 
 def load_cities(path: str) -> list[CityRecord]:
@@ -99,14 +97,19 @@ def load_cities(path: str) -> list[CityRecord]:
     return records
 
 
-def _line(tag: str, *values: float) -> str:
-    return " ".join((tag, *map(repr, map(float, values))))
-
-
-def _require_time_order(kind: str, records: Sequence[SensorSample | TruthRecord]) -> None:
-    ts = [r.t_ms for r in records]
-    if any(b < a for a, b in zip(ts, ts[1:])):
+def _require_time_order(kind: str, t_ms: Any) -> None:
+    """Refuse a timestamp column that ever decreases."""
+    if (t_ms[1:] < t_ms[:-1]).any():
         raise ValueError(f"{kind} timestamps must be monotone nondecreasing")
+
+
+def _lines(tag: str, rows: Any) -> Any:
+    """One trace line per row, as an object array: the tag, then each float
+    in its shortest round-trip repr."""
+    import numpy as np
+
+    template = tag + " %r" * rows.shape[1] + "\n"
+    return np.array(list(map(template.__mod__, map(tuple, rows.tolist()))), dtype=object)
 
 
 def write_trace(trace: TraceFile, path: str) -> None:
@@ -115,39 +118,110 @@ def write_trace(trace: TraceFile, path: str) -> None:
     Refuses, before opening `path`, a stream that `read_trace` would refuse:
     sample or truth timestamps out of order.
     """
-    truth = trace.truth
-    _require_time_order("sample", trace.samples)
-    _require_time_order("truth record", truth)
-    truth_lines = [_line("t", r.t_ms, r.true_heading_deg, r.pitch_deg, r.roll_deg) for r in truth]
-    lines = [TRACE_HEADER]
-    ti = 0
-    for s in trace.samples:
-        lines.append(_line("s", s.t_ms, *s.accel, *s.mag))
-        while ti < len(truth) and truth[ti].t_ms <= s.t_ms:
-            lines.append(truth_lines[ti])
-            ti += 1
-    lines += truth_lines[ti:]
+    import numpy as np
+
+    samples, truth = SAMPLE.rows_of(trace.samples), TRUTH.rows_of(trace.truth)
+    _require_time_order("sample", samples[:, 0])
+    _require_time_order("truth record", truth[:, 0])
+    # the place of each truth line: after the first sample not earlier than it
+    after = np.minimum(np.searchsorted(samples[:, 0], truth[:, 0], side="left") + 1, len(samples))
+    lines = np.insert(_lines("s", samples), after, _lines("t", truth))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(TRACE_HEADER + "\n")
+        fh.writelines(lines.tolist())
+
+
+def _float_or_nan(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        return float("nan")
+
+
+def _refuse_line(lineno: int, tokens: list[str]) -> NoReturn:
+    """Raise the ParseError of the first rule that trace line breaks: its
+    tag, its field count, a finite number per field, and else its order."""
+    tag, *fields = tokens
+    if tag not in _STREAMS:
+        raise ParseError(f"unknown record tag {tag!r}", line=lineno)
+    kind, layout = _STREAMS[tag]
+    if len(fields) != layout.width:
+        raise ParseError(f"{kind} needs {layout.width} fields, got {len(fields)}", line=lineno)
+    finite_floats(fields, lineno, kind)
+    raise ParseError(f"{kind} timestamps must be monotone nondecreasing", line=lineno)
+
+
+def _first_fault(lines: list[list[str]], last_t: dict[str, float], streams: dict[str, list]) -> int:
+    """Index of the first faulty line of a block of trace lines, or its length.
+    Appends each stream's rows to `streams` and sets `last_t` to each
+    stream's last timestamp, which the next block's first row may not
+    precede."""
+    import numpy as np
+
+    tags = list(map(itemgetter(0), lines))
+    first = len(lines)
+    if not _STREAMS.keys() >= set(tags):
+        first = next(i for i, tag in enumerate(tags) if tag not in _STREAMS)
+    for tag, (_, layout) in _STREAMS.items():
+        at = list(compress(range(len(tags)), map(tag.__eq__, tags)))
+        group = list(map(lines.__getitem__, at))
+        if set(map(len, group)) - {layout.width + 1}:
+            whole = [len(tokens) == layout.width + 1 for tokens in group]
+            first = min(first, at[whole.index(False)])
+            at, group = list(compress(at, whole)), list(compress(group, whole))
+        fields = list(chain.from_iterable(group))
+        del fields[:: layout.width + 1]  # the tags
+        try:
+            values = np.fromiter(map(float, fields), float, len(fields))
+        except ValueError:  # a faulty line; read the others so the first can be found
+            values = np.fromiter(map(_float_or_nan, fields), float, len(fields))
+        rows = values.reshape(-1, layout.width)
+        t = np.concatenate(([last_t[tag]], rows[:, 0]))
+        faulty = ~np.isfinite(rows).all(axis=1) | (t[1:] < t[:-1])
+        if faulty.any():
+            first = min(first, at[faulty.argmax()])
+        streams[tag].append(rows)
+        last_t[tag] = t[-1]
+    return first
 
 
 def read_trace(path: str) -> TraceFile:
-    """Parse a trace file; any malformed or out-of-order line aborts."""
-    _, body = read_lines(read_text(path), TRACE_HEADER)
-    samples: list[SensorSample] = []
-    truth: list[TruthRecord] = []
-    kinds = {"s": ("sample record", 7, samples), "t": ("truth record", 4, truth)}
-    for lineno, (tag, *fields) in body:
-        if tag not in kinds:
-            raise ParseError(f"unknown record tag {tag!r}", line=lineno)
-        kind, count, records = kinds[tag]
-        if len(fields) != count:
-            raise ParseError(f"{kind} needs {count} fields, got {len(fields)}", line=lineno)
-        v = finite_floats(fields, lineno, kind)
-        if records and v[0] < records[-1].t_ms:
-            raise ParseError(f"{kind} timestamps must be monotone nondecreasing", line=lineno)
-        records.append(SensorSample(v[0], tuple(v[1:4]), tuple(v[4:7])) if tag == "s" else TruthRecord(*v))
-    return TraceFile(samples=tuple(samples), truth=tuple(truth))
+    """Parse a trace file into column-backed record views; any malformed or
+    out-of-order line aborts, and the error names the first such line."""
+    import numpy as np
+
+    _, blocks = read_body(read_text(path), TRACE_HEADER)
+    streams = {tag: [np.empty((0, layout.width))] for tag, (_, layout) in _STREAMS.items()}
+    last_t = dict.fromkeys(_STREAMS, -np.inf)
+    for linenos, lines in blocks:
+        first = _first_fault(lines, last_t, streams)
+        if first < len(lines):
+            _refuse_line(linenos[first], lines[first])
+    return TraceFile(*(RecordView(layout, np.concatenate(streams[tag])) for tag, (_, layout) in _STREAMS.items()))
+
+
+def _headings_at(truth: Any, t_ms: Any) -> Any:
+    """The true heading at each time of the column `t_ms`, from truth rows
+    in time order; see `truth_heading_at`."""
+    import numpy as np
+
+    tt, hh = truth[:, 0], truth[:, 1]
+    outside = ~((tt[0] <= t_ms) & (t_ms <= tt[-1])) if len(tt) else np.ones(len(t_ms), dtype=bool)
+    if outside.any():
+        span = f"[{tt[0]}, {tt[-1]}]" if len(tt) else "(empty)"
+        raise OutOfSpan(f"t={t_ms[outside.argmax()]} outside truth span {span}")
+    j = np.searchsorted(tt, t_ms, side="right") - 1
+    heading = hh[j]  # at a record's time, or at or past the last record
+    between = (j < len(tt) - 1) & (t_ms != tt[j])
+    j = j[between]
+    with np.errstate(over="ignore", invalid="ignore"):  # huge times give a non-finite heading, refused below
+        frac = (t_ms[between] - tt[j]) / (tt[j + 1] - tt[j])
+        arc = np.array(list(map(circular_diff, hh[j + 1].tolist(), hh[j].tolist())), dtype=float)
+        heading[between] = hh[j] + frac * arc
+    finite = np.isfinite(heading)
+    if not finite.all():
+        AzimuthDeg(float(heading[~finite][0]))  # raises InvalidAngle
+    return wrap_azimuth(heading)
 
 
 def truth_heading_at(truth: Sequence[TruthRecord], t_ms: float) -> AzimuthDeg:
@@ -158,31 +232,39 @@ def truth_heading_at(truth: Sequence[TruthRecord], t_ms: float) -> AzimuthDeg:
     between the two surrounding records; exact record timestamps return the
     stored heading. Outside the span raises OutOfSpan.
     """
-    if not truth or not truth[0].t_ms <= t_ms <= truth[-1].t_ms:
-        span = f"[{truth[0].t_ms}, {truth[-1].t_ms}]" if truth else "(empty)"
-        raise OutOfSpan(f"t={t_ms} outside truth span {span}")
-    j = bisect.bisect_right(truth, t_ms, key=_T_MS) - 1
-    if j >= len(truth) - 1:
-        return AzimuthDeg(truth[-1].true_heading_deg)
-    r0, r1 = truth[j], truth[j + 1]
-    if t_ms == r0.t_ms:
-        return AzimuthDeg(r0.true_heading_deg)
-    frac = (t_ms - r0.t_ms) / (r1.t_ms - r0.t_ms)
-    arc = circular_diff(r1.true_heading_deg, r0.true_heading_deg)
-    return AzimuthDeg(r0.true_heading_deg + frac * arc)
+    import numpy as np
+
+    return AzimuthDeg(_headings_at(TRUTH.rows_of(truth), np.array([float(t_ms)]))[0])
 
 
-def _sample_entry(t_ms: float, state: QiblaPointerState) -> dict:
-    return {
-        "t_ms": t_ms,
-        "magnetic_heading_deg": float(state.magnetic_heading),
-        "true_heading_deg": float(state.true_heading),
-        "qibla_deg": float(state.qibla),
-        "deviation_deg": state.deviation_deg,
-        "guidance": state.guidance.value,
-        "calibrated": state.calibrated,
-        "dynamic": state.dynamic,
+def _summary(entries: Any, truth: Any) -> dict:
+    """summarize on ENTRY rows and TRUTH rows."""
+    import numpy as np
+
+    if not len(entries):
+        raise EmptyReport("cannot summarize an empty state stream")
+    if not np.isfinite(entries).all():
+        raise ValueError("run_trace entries must be finite")
+    _require_time_order("truth record", truth[:, 0])
+    deviations = np.abs(entries[:, 4]).tolist()
+    summary = {
+        "samples": len(deviations),
+        "mean_abs_deviation_deg": sum(deviations) / len(deviations),
+        "max_abs_deviation_deg": max(deviations),
     }
+    if len(truth):
+        t = entries[:, 0]
+        window = entries[t >= t[-1] - STEADY_STATE_WINDOW_MS]
+        true_h = _headings_at(truth, window[:, 0]).tolist()
+        head_errs = list(map(abs, map(circular_diff, window[:, 2].tolist(), true_h)))
+        true_dev = map(circular_diff, window[:, 3].tolist(), true_h)
+        dev_errs = list(map(abs, map(circular_diff, window[:, 4].tolist(), true_dev)))
+        summary["steady_state_window_ms"] = STEADY_STATE_WINDOW_MS
+        summary["steady_state_error_deg"] = sum(head_errs) / len(head_errs)
+        summary["steady_state_max_error_deg"] = max(head_errs)
+        summary["steady_state_deviation_error_deg"] = sum(dev_errs) / len(dev_errs)
+        summary["steady_state_max_deviation_error_deg"] = max(dev_errs)
+    return summary
 
 
 def summarize(
@@ -191,33 +273,29 @@ def summarize(
 ) -> dict:
     """Summary block for a pointer stream: deviation stats, plus heading
     and deviation error against truth over the final 10 s when truth is
-    non-empty. Truth out of time order raises ValueError."""
-    if not entries:
-        raise EmptyReport("cannot summarize an empty state stream")
-    _require_time_order("truth record", truth)
-    deviations = [abs(state.deviation_deg) for _, state in entries]
-    summary = {
-        "samples": len(entries),
-        "mean_abs_deviation_deg": sum(deviations) / len(deviations),
-        "max_abs_deviation_deg": max(deviations),
-    }
-    if truth:
-        t_end = entries[-1][0]
-        window = [(t, s) for t, s in entries if t >= t_end - STEADY_STATE_WINDOW_MS]
-        head_errs = []
-        dev_errs = []
-        for t, s in window:
-            true_h = truth_heading_at(truth, t)
-            err = circular_diff(s.true_heading, true_h)
-            head_errs.append(abs(err))
-            true_dev = circular_diff(s.qibla, true_h)
-            dev_errs.append(abs(circular_diff(s.deviation_deg, true_dev)))
-        summary["steady_state_window_ms"] = STEADY_STATE_WINDOW_MS
-        summary["steady_state_error_deg"] = sum(head_errs) / len(head_errs)
-        summary["steady_state_max_error_deg"] = max(head_errs)
-        summary["steady_state_deviation_error_deg"] = sum(dev_errs) / len(dev_errs)
-        summary["steady_state_max_deviation_error_deg"] = max(dev_errs)
-    return summary
+    non-empty. Truth out of time order and a non-finite entry raise
+    ValueError."""
+    return _summary(ENTRY.rows_of(entries), TRUTH.rows_of(truth))
+
+
+def _nested_json(value: Any) -> str:
+    """`value` as json.dump writes it one level into an indent-2 document."""
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
+
+
+# One entry of a JSON report's "samples", after the separator from the one before.
+_JSON_ENTRY = """%s    {
+      "t_ms": %r,
+      "magnetic_heading_deg": %r,
+      "true_heading_deg": %r,
+      "qibla_deg": %r,
+      "deviation_deg": %r,
+      "guidance": "%s",
+      "calibrated": %s,
+      "dynamic": %s
+    }"""
+_TEXT_ENTRY = "{:>12.1f} {:>10.2f} {:>10.2f} {:>10.2f} {:>+10.2f} {}{}\n"
+_GUIDANCE_VALUES = [g.value for g in Guidance]  # ENTRY's guidance column indexes this
 
 
 def write_report(
@@ -231,45 +309,36 @@ def write_report(
     """Write the per-sample report plus summary; returns the summary block.
 
     fmt "json" writes the structured document, "text" a terminal table.
-    An empty stream raises EmptyReport and truth out of time order
-    ValueError, both before `path` is opened; a JSON document holding NaN
-    or an infinity raises ValueError and leaves no file at `path`.
+    An empty stream raises EmptyReport, and truth out of time order or a
+    JSON document holding NaN or an infinity ValueError, all before `path`
+    is opened. Entries are written as they are formatted.
     """
-    summary = summarize(entries, truth)
-    if fmt == "json":
-        doc = {
-            "report": REPORT_TAG,
-            "meta": meta or {},
-            "samples": [_sample_entry(t, s) for t, s in entries],
-            "summary": summary,
-        }
-        # Streamed: json.dumps would hold every chunk of the document at once.
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, allow_nan=False)
-                fh.write("\n")
-        except ValueError:
-            os.remove(path)
-            raise
-    elif fmt == "text":
-        lines = [REPORT_TAG]
-        for key, value in (meta or {}).items():
-            lines.append(f"# {key}: {value}")
-        lines.append(f"{'t_ms':>12} {'magnetic':>10} {'true':>10} {'qibla':>10} "
-                     f"{'deviation':>10} guidance")
-        for t, s in entries:
-            lines.append(
-                f"{t:>12.1f} {float(s.magnetic_heading):>10.2f} {float(s.true_heading):>10.2f} "
-                f"{float(s.qibla):>10.2f} {s.deviation_deg:>+10.2f} {s.guidance.value}"
-                + (" (dynamic)" if s.dynamic else "")
-            )
-        lines.append("")
-        for key, value in summary.items():
-            lines.append(f"{key}: {value:.4f}" if isinstance(value, float) else f"{key}: {value}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    else:
+    rows = ENTRY.rows_of(entries)
+    summary = _summary(rows, TRUTH.rows_of(truth))
+    if fmt not in ("json", "text"):
         raise ValueError(f"unknown report format {fmt!r}")
+    meta = meta or {}
+    t, magnetic, true_heading, qibla, deviation = rows[:, :5].T.tolist()
+    guidances = list(map(_GUIDANCE_VALUES.__getitem__, rows[:, 5].astype(int).tolist()))
+    if fmt == "json":
+        head = (f'{{\n  "report": {json.dumps(REPORT_TAG)},\n  "meta": {_nested_json(meta)},\n'
+                '  "samples": [\n')
+        tail = f'\n  ],\n  "summary": {_nested_json(summary)}\n}}\n'
+        flags = list(map(("false", "true").__getitem__, (rows[:, 6:8] == 1.0).ravel().tolist()))
+        entry_text = map(_JSON_ENTRY.__mod__, zip(chain([""], repeat(",\n")), t, magnetic, true_heading,
+                                                   qibla, deviation, guidances, flags[::2], flags[1::2]))
+    else:
+        head = "\n".join([REPORT_TAG, *(f"# {key}: {value}" for key, value in meta.items()),
+                          f"{'t_ms':>12} {'magnetic':>10} {'true':>10} {'qibla':>10} "
+                          f"{'deviation':>10} guidance\n"])
+        tail = "\n" + "".join(f"{key}: {value:.4f}\n" if isinstance(value, float) else f"{key}: {value}\n"
+                              for key, value in summary.items())
+        suffixes = list(map(("", " (dynamic)").__getitem__, (rows[:, 7] == 1.0).tolist()))
+        entry_text = map(_TEXT_ENTRY.format, t, magnetic, true_heading, qibla, deviation, guidances, suffixes)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head)
+        fh.writelines(entry_text)
+        fh.write(tail)
     return summary
 
 

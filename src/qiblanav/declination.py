@@ -118,7 +118,7 @@ def declination_at(grid: DeclinationGrid, where: GeoCoordinate) -> DeclinationDe
 
 def to_true_heading(magnetic: AzimuthDeg, decl: DeclinationDeg) -> AzimuthDeg:
     """Apply east-positive declination: true = magnetic + declination."""
-    return AzimuthDeg(float(magnetic) + float(decl))
+    return AzimuthDeg(magnetic + decl)
 
 
 def parse_grid(text: str) -> DeclinationGrid:

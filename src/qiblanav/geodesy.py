@@ -28,10 +28,19 @@ class AzimuthDeg(float):
     def __new__(cls, value_deg: float) -> "AzimuthDeg":
         if not math.isfinite(value_deg):
             raise InvalidAngle(f"azimuth must be finite, got {value_deg!r}")
-        v = value_deg % 360.0
-        if v >= 360.0:  # fp edge: a tiny negative input rounds up to 360.0
-            v = 0.0
-        return super().__new__(cls, v)
+        return super().__new__(cls, wrap_azimuth(value_deg))
+
+
+def wrap_azimuth(value_deg):
+    """A finite angle, or an array of them, wrapped into [0, 360)."""
+    v = value_deg % 360.0
+    return v * (v < 360.0)  # fp edge: a tiny negative input rounds up to 360.0, which is 0
+
+
+def wrap_signed(diff_deg):
+    """A finite angle difference, or an array of them, wrapped into (-180, +180]."""
+    d = diff_deg % 360.0
+    return d - 360.0 * (d > 180.0)
 
 
 def circular_diff(target: float, current: float) -> float:
@@ -46,10 +55,7 @@ def circular_diff(target: float, current: float) -> float:
         if not (math.isfinite(target) and math.isfinite(current)):
             raise InvalidAngle(f"angles must be finite, got {target!r} and {current!r}")
         d = target % 360.0 - current % 360.0
-    d %= 360.0
-    if d > 180.0:
-        d -= 360.0
-    return d
+    return wrap_signed(d)
 
 
 class DistanceKm(float):

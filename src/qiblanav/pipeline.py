@@ -22,6 +22,23 @@ Frame and sign conventions (pinned by the simulator's oracle tests):
 Calibration and filter states are plain immutable values threaded through
 calls; there are no hidden globals, so distinct pipelines can run on
 distinct threads freely.
+
+One sample and a whole trace share the levelling and EMA arithmetic,
+written once in functions that take floats or float64 columns: `process`
+runs it on one sample's floats, while `calibrate` and `run_trace` run it on
+a trace's columns (see `records`). `run_trace` returns a read-only sequence
+over its result rows (the `ENTRY` layout) that builds each
+(t_ms, QiblaPointerState) on demand. Only the circular EMA is a
+recurrence, so `run_trace` keeps one scalar loop, for it alone.
+
+Which library does what, so that a column gets exactly the bits one sample
+gets: every transcendental function (atan2, hypot, sin, cos, and the
+degree/radian scalings) is `math`'s, the C library's, applied element by
+element to a column. Apart from the sphere fit in `calibrate`, numpy does
+only + - * / %, comparisons and selection, which IEEE 754 rounds the same
+everywhere. numpy's own `arctan2` and `hypot` run SIMD kernels that differ
+from libm in the last bit on some inputs and CPUs, and the goldens pin
+those bits.
 """
 
 from __future__ import annotations
@@ -30,11 +47,12 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 
 from .declination import DeclinationDeg, to_true_heading
 from .errors import DegenerateSweep, DynamicSample, InsufficientData
-from .geodesy import AzimuthDeg, GeoCoordinate, circular_diff, qibla_azimuth
-from .records import SensorSample
+from .geodesy import AzimuthDeg, GeoCoordinate, circular_diff, qibla_azimuth, wrap_azimuth, wrap_signed
+from .records import SAMPLE, Layout, RecordView, SensorSample, in_static_band
 
 # Convergence thresholds for a calibration sweep.
 MIN_CALIBRATION_SAMPLES = 200
@@ -108,29 +126,67 @@ class QiblaPointerState:
     dynamic: bool = False
 
 
+_GUIDANCES = tuple(Guidance)  # definition order: aligned, turn_left, turn_right
+
+
+def _guidance_code(deviation_deg, threshold_deg):
+    """Index into Guidance's members of a deviation, a float or an array of them."""
+    return (deviation_deg > threshold_deg) * 2 + (deviation_deg < -threshold_deg)
+
+
 def guidance(deviation_deg: float, threshold_deg: float = DEFAULT_GUIDANCE_THRESHOLD_DEG) -> Guidance:
     """Classify a signed deviation against an alignment threshold."""
     if not (math.isfinite(threshold_deg) and threshold_deg > 0.0):
         raise ValueError(f"threshold_deg must be finite and positive, got {threshold_deg!r}")
-    if deviation_deg > threshold_deg:
-        return Guidance.TURN_RIGHT
-    if deviation_deg < -threshold_deg:
-        return Guidance.TURN_LEFT
-    return Guidance.ALIGNED
+    return _GUIDANCES[_guidance_code(deviation_deg, threshold_deg)]
 
 
-def _heading_from(sample: SensorSample, hard_iron: tuple[float, float, float]) -> AzimuthDeg:
-    ax, ay, az = sample.accel
-    pitch = math.atan2(ax, math.hypot(ay, az))
-    roll = math.atan2(-ay, -az)
-    mx = sample.mag[0] - hard_iron[0]
-    my = sample.mag[1] - hard_iron[1]
-    mz = sample.mag[2] - hard_iron[2]
-    cp, sp = math.cos(pitch), math.sin(pitch)
-    cr, sr = math.cos(roll), math.sin(roll)
+def _columns_math():
+    """`math`'s functions applied element by element to float64 columns."""
+    import numpy as np
+
+    def each(f):
+        return lambda *cols: np.fromiter(map(f, *(c.tolist() for c in cols)), float, len(cols[0]))
+
+    return SimpleNamespace(**{name: each(getattr(math, name))
+                              for name in ("atan2", "hypot", "cos", "sin", "degrees", "radians")})
+
+
+def _level_heading(accel, mag, hard_iron, m=math):
+    """Magnetic heading in degrees, not yet wrapped, from accel = (ax, ay, az)
+    and mag = (mx, my, mz), floats or columns; `m` supplies the functions."""
+    ax, ay, az = accel
+    pitch = m.atan2(ax, m.hypot(ay, az))
+    roll = m.atan2(-ay, -az)
+    mx = mag[0] - hard_iron[0]
+    my = mag[1] - hard_iron[1]
+    mz = mag[2] - hard_iron[2]
+    cp, sp = m.cos(pitch), m.sin(pitch)
+    cr, sr = m.cos(roll), m.sin(roll)
     xh = mx * cp + my * sr * sp + mz * cr * sp
     yh = my * cr - mz * sr
-    return AzimuthDeg(math.degrees(math.atan2(-yh, xh)))
+    return m.degrees(m.atan2(-yh, xh))
+
+
+def _unit(heading, m=math):
+    """The filter's embedding (cos h, sin h) of a heading or a column of them."""
+    hr = m.radians(heading)
+    return m.cos(hr), m.sin(hr)
+
+
+def _angle(c, s, m=math):
+    """The heading, not yet wrapped, of a filter vector or columns of them."""
+    return m.degrees(m.atan2(s, c))
+
+
+def _ema(c: float, s: float, uc: float, us: float, alpha: float) -> tuple[float, float]:
+    """One EMA update of the filter vector (c, s) toward the unit (uc, us)."""
+    c = (1.0 - alpha) * c + alpha * uc
+    s = (1.0 - alpha) * s + alpha * us
+    norm = math.hypot(c, s)
+    if norm == 0.0:  # exactly antipodal update at alpha = 0.5; restart at input
+        return uc, us
+    return c / norm, s / norm
 
 
 def _require_static(sample: SensorSample) -> None:
@@ -149,17 +205,7 @@ def tilt_compensated_heading(sample: SensorSample, cal: CalibrationState) -> Azi
     Raises DynamicSample when the accelerometer magnitude is out of band.
     """
     _require_static(sample)
-    return _heading_from(sample, cal.hard_iron)
-
-
-def _heading_coverage_deg(headings: list[AzimuthDeg]) -> float:
-    """Swept arc of one or more observed headings: 360 minus the largest
-    gap between them."""
-    hs = sorted(headings)
-    max_gap = hs[0] + 360.0 - hs[-1]
-    for a, b in zip(hs, hs[1:]):
-        max_gap = max(max_gap, b - a)
-    return 360.0 - max_gap
+    return AzimuthDeg(_level_heading(sample.accel, sample.mag, cal.hard_iron))
 
 
 def calibrate(samples: Sequence[SensorSample]) -> CalibrationState:
@@ -170,7 +216,8 @@ def calibrate(samples: Sequence[SensorSample]) -> CalibrationState:
     [2q | 1] x ~= |q|^2 via its normal equations; the center is x[:3] plus
     the mean. Samples whose accelerometer is out of the static band are
     skipped. The state converges once at least 200 usable samples span at
-    least 180 degrees of heading.
+    least 180 degrees of heading: 360 minus the largest gap between the
+    usable samples' headings.
 
     Raises InsufficientData below 10 usable samples, and DegenerateSweep
     when the normal equations' condition number exceeds 1e12 (the cloud is
@@ -178,11 +225,13 @@ def calibrate(samples: Sequence[SensorSample]) -> CalibrationState:
     """
     import numpy as np  # here, so commands that never calibrate start without numpy
 
-    usable = [s for s in samples if s.usable_for_tilt]
+    m = _columns_math()
+    rows = SAMPLE.rows_of(samples)
+    usable = rows[in_static_band(m.hypot(*rows[:, 1:4].T))]
     if len(usable) < 10:
         raise InsufficientData(f"{len(usable)} usable samples, need at least 10")
 
-    pts = np.array([s.mag for s in usable], dtype=float)
+    pts = np.ascontiguousarray(usable[:, 4:7])
     mean = pts.mean(axis=0)
     q = pts - mean
     a = np.hstack([2.0 * q, np.ones((len(q), 1))])
@@ -195,12 +244,13 @@ def calibrate(samples: Sequence[SensorSample]) -> CalibrationState:
     center = x[:3] + mean
     hard_iron = (float(center[0]), float(center[1]), float(center[2]))
 
-    headings = [_heading_from(s, hard_iron) for s in usable]
-    return CalibrationState(hard_iron, len(usable), _heading_coverage_deg(headings))
+    headings = np.sort(wrap_azimuth(_level_heading(usable[:, 1:4].T, pts.T, hard_iron, m)))
+    max_gap = max(headings[0] + 360.0 - headings[-1], np.diff(headings).max(initial=0.0))
+    return CalibrationState(hard_iron, len(usable), float(360.0 - max_gap))
 
 
 def _filtered_heading(state: FilterState) -> AzimuthDeg:
-    return AzimuthDeg(math.degrees(math.atan2(state.s, state.c)))
+    return AzimuthDeg(_angle(state.c, state.s))
 
 
 def filter_heading(state: FilterState, new_heading: AzimuthDeg) -> tuple[FilterState, AzimuthDeg]:
@@ -211,18 +261,15 @@ def filter_heading(state: FilterState, new_heading: AzimuthDeg) -> tuple[FilterS
     the state and passes through unchanged, as does every heading when
     alpha == 1.
     """
-    h = AzimuthDeg(new_heading)
-    hr = math.radians(h)
+    return _filter(state, AzimuthDeg(new_heading))
+
+
+def _filter(state: FilterState, h: AzimuthDeg) -> tuple[FilterState, AzimuthDeg]:
+    """filter_heading of a heading that already is an AzimuthDeg."""
+    uc, us = _unit(h)
     if state.c is None or state.alpha == 1.0:
-        return FilterState(state.alpha, math.cos(hr), math.sin(hr)), h
-    c = (1.0 - state.alpha) * state.c + state.alpha * math.cos(hr)
-    s = (1.0 - state.alpha) * state.s + state.alpha * math.sin(hr)
-    norm = math.hypot(c, s)
-    if norm == 0.0:  # exactly antipodal update at alpha = 0.5; restart at input
-        c, s = math.cos(hr), math.sin(hr)
-    else:
-        c, s = c / norm, s / norm
-    state = FilterState(state.alpha, c, s)
+        return FilterState(state.alpha, uc, us), h
+    state = FilterState(state.alpha, *_ema(state.c, state.s, uc, us, state.alpha))
     return state, _filtered_heading(state)
 
 
@@ -241,19 +288,12 @@ def _step(
     if dynamic:
         magnetic = filtered = _filtered_heading(filt)
     else:
-        magnetic = _heading_from(sample, cal.hard_iron)
-        filt, filtered = filter_heading(filt, magnetic)
+        magnetic = AzimuthDeg(_level_heading(sample.accel, sample.mag, cal.hard_iron))
+        filt, filtered = _filter(filt, magnetic)
     true_heading = to_true_heading(filtered, decl)
     deviation = circular_diff(qibla, true_heading)
-    return filt, QiblaPointerState(
-        magnetic_heading=magnetic,
-        true_heading=true_heading,
-        qibla=qibla,
-        deviation_deg=deviation,
-        guidance=guidance(deviation, threshold_deg),
-        calibrated=cal.converged,
-        dynamic=dynamic,
-    )
+    return filt, QiblaPointerState(magnetic, true_heading, qibla, deviation, guidance(deviation, threshold_deg),
+                                   cal.converged, dynamic)
 
 
 def process(
@@ -279,6 +319,22 @@ def process(
     return _step(sample, qibla, cal, filt, decl, threshold_deg)
 
 
+def _entry_row(entry: tuple[float, QiblaPointerState]) -> tuple:
+    t_ms, s = entry
+    return (t_ms, s.magnetic_heading, s.true_heading, s.qibla, s.deviation_deg,
+            _GUIDANCES.index(s.guidance), s.calibrated, s.dynamic)
+
+
+def _entry(r: list[float]) -> tuple[float, QiblaPointerState]:
+    return r[0], QiblaPointerState(AzimuthDeg(r[1]), AzimuthDeg(r[2]), AzimuthDeg(r[3]), r[4],
+                                   _GUIDANCES[int(r[5])], r[6] == 1.0, r[7] == 1.0)
+
+
+# A run_trace entry as a row: t_ms, magnetic, true and qibla headings,
+# deviation, the index of its Guidance member, calibrated and dynamic (1.0 or 0.0).
+ENTRY = Layout(8, _entry_row, _entry)
+
+
 def run_trace(
     samples: Sequence[SensorSample],
     user: GeoCoordinate,
@@ -287,21 +343,45 @@ def run_trace(
     *,
     alpha: float = DEFAULT_ALPHA,
     threshold_deg: float = DEFAULT_GUIDANCE_THRESHOLD_DEG,
-) -> list[tuple[float, QiblaPointerState]]:
+) -> RecordView:
     """Process every sample in order, threading the filter state through.
 
-    Returns (t_ms, state) pairs, the same ones `process` gives sample by
-    sample. The qibla bearing is computed once, so a user at the Kaaba or
-    its antipode raises even for an empty trace. Dynamic samples before the
-    first usable one produce no output (there is no heading to carry
+    Returns a read-only sequence of (t_ms, state) pairs, the same ones
+    `process` gives sample by sample. The qibla bearing is computed once,
+    so a user at the Kaaba or its antipode raises even for an empty trace;
+    alpha and threshold_deg are checked once too. Dynamic samples before
+    the first usable one produce no output (there is no heading to carry
     forward yet).
     """
-    filt = FilterState(alpha=alpha)
+    import numpy as np
+
+    FilterState(alpha=alpha)
+    guidance(0.0, threshold_deg)
     qibla = qibla_azimuth(user)
-    out: list[tuple[float, QiblaPointerState]] = []
-    for sample in samples:
-        if filt.c is None and not sample.usable_for_tilt:
-            continue
-        filt, state = _step(sample, qibla, cal, filt, decl, threshold_deg)
-        out.append((sample.t_ms, state))
-    return out
+    m = _columns_math()
+    rows = SAMPLE.rows_of(samples)
+    usable = in_static_band(m.hypot(*rows[:, 1:4].T))
+    first = usable.argmax() if usable.any() else len(usable)  # output starts at the first usable sample
+    rows, usable = rows[first:], usable[first:]
+    static = rows[usable]
+
+    magnetic = wrap_azimuth(_level_heading(static[:, 1:4].T, static[:, 4:7].T, cal.hard_iron, m))
+    cs, ss = (u.tolist() for u in _unit(magnetic, m))  # the filter vector after each static sample
+    if alpha < 1.0:  # else every static sample sets the vector to its own unit
+        for i in range(1, len(cs)):  # the one scalar loop: the EMA is a recurrence
+            cs[i], ss[i] = _ema(cs[i - 1], ss[i - 1], cs[i], ss[i], alpha)
+    vector = wrap_azimuth(_angle(np.array(cs), np.array(ss), m))  # the heading each vector holds
+    # the first heading, and at alpha 1 every one, passes through the filter
+    filtered = magnetic if alpha == 1.0 else np.concatenate((magnetic[:1], vector[1:]))
+
+    # Row i's static sample is the last one at or before it; a dynamic row
+    # re-emits the heading that sample's filter vector holds.
+    last = np.cumsum(usable) - 1
+    magnetic = np.where(usable, magnetic[last], vector[last])
+    filtered = np.where(usable, filtered[last], vector[last])
+    true_heading = wrap_azimuth(filtered + float(decl))
+    deviation = wrap_signed(float(qibla) - true_heading)
+    out = np.column_stack((rows[:, 0], magnetic, true_heading, np.full(len(rows), float(qibla)), deviation,
+                           _guidance_code(deviation, threshold_deg), np.full(len(rows), cal.converged),
+                           ~usable))
+    return RecordView(ENTRY, out)

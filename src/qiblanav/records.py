@@ -1,8 +1,17 @@
 """Record types shared by the pipeline, the simulator and the file formats,
-plus the one file reader every loader goes through and the one line reader
-every versioned text format goes through.
+the column-backed sequences that hold them in bulk, plus the one file reader
+every loader goes through and the one line reader (`read_body`, paired up
+line by line by `read_lines`) every versioned text format goes through.
 
-This module imports only `errors`, so every other module may import it.
+This module imports only `errors`, so every other module may import it, and
+it does not import numpy: a `RecordView` holds a numpy array made elsewhere.
+
+A batch stage holds a stream of records as one float64 array with a row per
+record, laid out by a `Layout`: a sample row is t_ms, accel and mag (7
+columns), a truth row is t_ms, true heading, pitch and roll (4 columns). A
+stage reaches those rows only through `Layout.rows_of`, which takes any
+sequence of records; a `RecordView` is such a sequence, a read-only one
+that builds each record on demand from its row.
 
 A line ends at \\n, \\r\\n or a lone \\r (Python's universal newlines) and
 nowhere else. Text formats are line oriented: a header line
@@ -16,8 +25,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator, Sequence
+import operator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from typing import Any
 
 from .errors import ParseError
 
@@ -25,6 +36,10 @@ G = 9.81  # m/s^2
 
 # Accelerometer magnitude band for a sample to be usable for tilt.
 STATIC_ACCEL_BAND = (0.5 * G, 1.5 * G)
+
+# Text that read_body tokenizes at a time. Its tokens take about 9 times
+# as many bytes: 64 Ki characters, about 800 trace lines, make 0.6 MB.
+BLOCK_CHARS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -50,8 +65,14 @@ class SensorSample:
     @property
     def usable_for_tilt(self) -> bool:
         """True when the accelerometer magnitude is inside the static band."""
-        lo, hi = STATIC_ACCEL_BAND
-        return lo < math.hypot(*self.accel) < hi
+        return in_static_band(math.hypot(*self.accel))
+
+
+def in_static_band(norm):
+    """Whether an accelerometer magnitude, a float or an array of them, lies
+    inside the static band."""
+    lo, hi = STATIC_ACCEL_BAND
+    return (lo < norm) & (norm < hi)
 
 
 @dataclass(frozen=True)
@@ -66,6 +87,77 @@ class TruthRecord:
     def __post_init__(self) -> None:
         if not all(map(math.isfinite, (self.t_ms, self.true_heading_deg, self.pitch_deg, self.roll_deg))):
             raise ValueError(f"truth record fields must be finite, got {self!r}")
+
+
+class Layout:
+    """How one kind of record lies in a row of `width` floats: `row` gives a
+    record's floats, `record` builds the record back from them."""
+
+    __slots__ = ("width", "row", "record")
+
+    def __init__(self, width: int, row: Callable[[Any], Sequence[float]], record: Callable[[list[float]], Any]):
+        self.width, self.row, self.record = width, row, record
+
+    def rows_of(self, records: Sequence) -> Any:
+        """The records as an (n, width) float64 array. A `RecordView` of this
+        layout already is one and gives its own rows, as `np.asarray` gives
+        back an array; any other sequence is read record by record."""
+        if isinstance(records, RecordView) and records.layout is self:
+            return records.rows
+        import numpy as np
+
+        return np.array(list(map(self.row, records)), dtype=float).reshape(-1, self.width)
+
+
+class RecordView(Sequence):
+    """A read-only sequence of records over the rows of a float64 array.
+
+    An integer index builds that row's record; a slice or a boolean mask
+    gives the view of the rows it selects. Equal to any sequence of equal
+    records, a tuple or a list included.
+    """
+
+    __slots__ = ("layout", "rows")
+
+    def __init__(self, layout: Layout, rows: Any):
+        rows.flags.writeable = False
+        self.layout = layout
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        rows = self.rows[index]
+        return self.layout.record(rows.tolist()) if rows.ndim == 1 else RecordView(self.layout, rows)
+
+    def __iter__(self) -> Iterator:
+        return map(self.layout.record, self.rows.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"RecordView({list(self)!r})"
+
+
+SAMPLE = Layout(7, lambda s: (s.t_ms, *s.accel, *s.mag),
+                lambda r: SensorSample(r[0], (r[1], r[2], r[3]), (r[4], r[5], r[6])))
+TRUTH = Layout(4, operator.attrgetter("t_ms", "true_heading_deg", "pitch_deg", "roll_deg"),
+               lambda r: TruthRecord(*r))
+
+
+@dataclass(frozen=True)
+class TraceFile:
+    """Ordered sensor samples with a paired truth stream, empty when the
+    trace has none. `read_trace` and `simulate` give `RecordView`s."""
+
+    samples: Sequence[SensorSample]
+    truth: Sequence[TruthRecord] = ()
 
 
 def finite_floats(
@@ -84,7 +176,7 @@ def finite_floats(
 
 def _to_lf(text: str) -> str:
     """`text` with each line end, \\r\\n or a lone \\r, written as \\n."""
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def read_text(path: str) -> str:
@@ -100,26 +192,50 @@ def read_text(path: str) -> str:
         raise ParseError(f"invalid UTF-8: {exc.reason}", line) from None
 
 
-def read_lines(
+def read_body(
     text: str, header: str, error: type[ParseError] = ParseError
-) -> tuple[list[float], Iterator[tuple[int, list[str]]]]:
+) -> tuple[list[float], Iterator[tuple[list[int], list[list[str]]]]]:
     """Check the first line of `text` against `header` and tokenize the rest.
 
     `header` is the format's first line with its arguments written as
     placeholders, e.g. "declgrid v1 <lat_min> <lat_max> ...". Returns the
-    header arguments as finite floats, and an iterator of (line number,
-    tokens) over the non-blank body lines, comments removed. Errors are
-    raised as `error`; a bad header names line 1.
+    header arguments as finite floats, then the non-blank body lines,
+    comments removed, as an iterator of blocks: the line numbers and the
+    tokens of the lines in about BLOCK_CHARS characters of text, so that a
+    long text's tokens are never all held at once. Errors are raised as `error`;
+    a bad header names line 1.
     """
-    lines = _to_lf(text).split("\n")
+    text = _to_lf(text)
+    end = text.find("\n")
+    if end < 0:  # no line end: the header is all of it
+        end = len(text)
     tag, version, *names = header.split()
-    head = lines[0].partition("#")[0].split()
+    head = text[:end].partition("#")[0].split()
     if head[:2] != [tag, version] or len(head) != 2 + len(names):
         raise error(f"expected header {header!r}", 1)
-    args = finite_floats(head[2:], 1, "header", error)
-    body = (
-        (lineno, tokens)
-        for lineno, raw in enumerate(itertools.islice(lines, 1, None), start=2)
-        if (tokens := raw.partition("#")[0].split())
-    )
-    return args, body
+    return finite_floats(head[2:], 1, "header", error), _blocks(text, end + 1)
+
+
+def _blocks(text: str, start: int) -> Iterator[tuple[list[int], list[list[str]]]]:
+    lineno = 2
+    while start <= len(text):
+        end = text.find("\n", start + BLOCK_CHARS)
+        if end < 0:
+            end = len(text)
+        chunk = text[start:end]
+        lines = chunk.split("\n")
+        if "#" in chunk:  # without one, dropping comments changes nothing
+            lines = list(map(operator.itemgetter(0), map(operator.methodcaller("partition", "#"), lines)))
+        tokens = list(map(str.split, lines))
+        filled = list(map(bool, tokens))
+        yield list(itertools.compress(itertools.count(lineno), filled)), list(itertools.compress(tokens, filled))
+        lineno += len(lines)
+        start = end + 1
+
+
+def read_lines(
+    text: str, header: str, error: type[ParseError] = ParseError
+) -> tuple[list[float], Iterator[tuple[int, list[str]]]]:
+    """`read_body`, its body as an iterator of (line number, tokens)."""
+    args, blocks = read_body(text, header, error)
+    return args, itertools.chain.from_iterable(itertools.starmap(zip, blocks))

@@ -42,11 +42,12 @@ MagneticField field of Scenario.field (field_horizontal_ut sets
 MagneticField.horizontal_ut). A key the file omits takes the default.
 heading_deg, pitch_deg and roll_deg take either a single constant or a list
 of t_ms:value knots. Heading interpolates along the shortest circular arc
-between knots; pitch and roll interpolate linearly. Before the first knot
-and after the last one the end value holds. A scenario gives
+between knots, so at a knot's time it is the knot's value mod 360; pitch
+and roll interpolate linearly. Before the first knot and after the last
+one the end value holds. A scenario gives
 duration_ms * sample_rate_hz / 1000 samples, rounded, and must give at
-least one and at most MAX_SAMPLES. generate refuses a scenario whose
-sensor readings overflow the float range.
+least one and at most MAX_SAMPLES. simulate and generate refuse a
+scenario whose sensor readings overflow the float range.
 """
 
 from __future__ import annotations
@@ -58,13 +59,19 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import ScenarioError
-from .records import G, SensorSample, TruthRecord, finite_floats, read_lines, read_text
+from .records import SAMPLE, TRUTH, G, RecordView, SensorSample, TraceFile, TruthRecord
+from .records import finite_floats, read_lines, read_text
 
 SCENARIO_HEADER = "scenario v1"
 
 # Largest trace a scenario may ask for: about 55 h at 50 Hz. generate
 # holds the whole trace in memory.
 MAX_SAMPLES = 10**7
+
+# From this magnitude on a float's spacing exceeds 2**-33 deg (about 1e-10),
+# so heading knots are unwrapped from their values mod 360, which fmod
+# gives exactly, rather than from the first knot's value.
+_UNWRAP_LIMIT_DEG = 2.0**19
 
 Knots = tuple[tuple[float, float], ...]
 
@@ -145,25 +152,23 @@ def _sample_knots(knots: Knots, t: np.ndarray, circular: bool) -> np.ndarray:
     vs = np.array([k[1] for k in knots])
     if circular:
         # Unwrap knot values along the shortest arc, interpolate, re-wrap.
-        with np.errstate(over="ignore"):
-            steps = np.diff(vs)
-        if not np.isfinite(steps).all():  # finite knots too far apart to subtract; their residues are not
+        if np.abs(vs).max() >= _UNWRAP_LIMIT_DEG:  # a cumulative sum this large would lose the steps
             vs = vs % 360.0
-            steps = np.diff(vs)
-        steps = (steps + 180.0) % 360.0 - 180.0
+        steps = (np.diff(vs) + 180.0) % 360.0 - 180.0
         vs = np.concatenate([[vs[0]], vs[0] + np.cumsum(steps)])
         return np.interp(t, ts, vs) % 360.0
     return np.interp(t, ts, vs)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowed reading is refused below
-def generate(scenario: Scenario) -> tuple[list[SensorSample], list[TruthRecord]]:
-    """Emit the scenario's sensor trace and its exact truth records.
+def simulate(scenario: Scenario) -> TraceFile:
+    """The scenario's sensor trace and its exact truth records, one per
+    sample, as a TraceFile of column-backed record views.
 
     Noiseless output satisfies the same rotation algebra the pipeline's
     tilt compensation inverts, so together they round-trip exactly.
-    Raises ScenarioError, before any record is built, when a sensor reading
-    overflows (a huge field, hard iron, noise sigma or pitch/roll knot).
+    Raises ScenarioError when a sensor reading overflows (a huge field,
+    hard iron, noise sigma or pitch/roll knot).
     """
     n = scenario.n_samples
     t = np.arange(n) * (1000.0 / scenario.sample_rate_hz)
@@ -200,11 +205,15 @@ def generate(scenario: Scenario) -> tuple[list[SensorSample], list[TruthRecord]]
     if not (np.isfinite(accel).all() and np.isfinite(mag).all()):
         raise ScenarioError("sensor readings overflow: the field, hard iron, noise or pitch/roll is too large")
 
-    t_ms = t.tolist()
-    samples = list(map(SensorSample, t_ms, map(tuple, accel.tolist()), map(tuple, mag.tolist())))
-    truth = list(map(TruthRecord, t_ms, (np.degrees(yaw) % 360.0).tolist(),
-                     map(math.degrees, pitch.tolist()), map(math.degrees, roll.tolist())))
-    return samples, truth
+    truth = np.column_stack((t, np.degrees(yaw) % 360.0, np.fromiter(map(math.degrees, pitch.tolist()), float, n),
+                             np.fromiter(map(math.degrees, roll.tolist()), float, n)))
+    return TraceFile(RecordView(SAMPLE, np.column_stack((t, accel, mag))), RecordView(TRUTH, truth))
+
+
+def generate(scenario: Scenario) -> tuple[list[SensorSample], list[TruthRecord]]:
+    """The records of `simulate(scenario)`, as two lists."""
+    trace = simulate(scenario)
+    return list(trace.samples), list(trace.truth)
 
 
 def _floats(key: str, line: int, tokens: list[str], count: int) -> list[float]:

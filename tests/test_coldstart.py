@@ -42,7 +42,7 @@ def test_qibla_and_distance_never_load_numpy():
 
 
 def test_every_public_name_is_its_module_attribute():
-    assert len(qiblanav.__all__) == 46
+    assert len(qiblanav.__all__) == 47
     assert qiblanav.__all__ == sorted(set(qiblanav.__all__))
     for name in qiblanav.__all__:
         module = importlib.import_module(f"qiblanav.{qiblanav._MODULE_OF[name]}")

@@ -15,6 +15,7 @@ from qiblanav import (
     MagneticField,
     Scenario,
     SensorSample,
+    TraceFile,
     calibrate,
     circular_diff,
     filter_heading,
@@ -22,8 +23,10 @@ from qiblanav import (
     guidance,
     process,
     qibla_azimuth,
+    read_trace,
     run_trace,
     tilt_compensated_heading,
+    write_trace,
 )
 from qiblanav.errors import (
     AntipodalPoints,
@@ -422,7 +425,7 @@ def as_samples(readings):
     return [SensorSample(20.0 * i, accel, mag) for i, (accel, mag) in enumerate(readings)]
 
 
-@given(
+FOLD_CASES = dict(
     lead=st.lists(st.tuples(DYNAMIC_ACCEL, MAG), max_size=4),
     rest=st.lists(st.tuples(st.one_of(STATIC_ACCEL, DYNAMIC_ACCEL), MAG), max_size=30),
     hard_iron=st.tuples(OFFSETS, OFFSETS, OFFSETS),
@@ -430,10 +433,26 @@ def as_samples(readings):
     alpha=st.floats(0.01, 1.0),
     threshold=st.floats(0.1, 20.0),
 )
+
+
+@given(**FOLD_CASES)
 def test_run_trace_equals_process_fold(lead, rest, hard_iron, decl, alpha, threshold):
     """run_trace gives exactly what process gives sample by sample, skipping
     the samples that raise DynamicSample."""
-    samples = as_samples(lead + rest)
+    check_fold(as_samples(lead + rest), hard_iron, decl, alpha, threshold)
+
+
+@given(**FOLD_CASES)
+def test_run_trace_on_read_trace_columns_equals_process_fold(tmp_path_factory, lead, rest, hard_iron, decl,
+                                                             alpha, threshold):
+    """The same fold, run_trace given the column-backed samples of a trace
+    file read back."""
+    path = tmp_path_factory.mktemp("fold") / "trace.txt"
+    write_trace(TraceFile(as_samples(lead + rest)), str(path))
+    check_fold(read_trace(str(path)).samples, hard_iron, decl, alpha, threshold)
+
+
+def check_fold(samples, hard_iron, decl, alpha, threshold):
     cal = CalibrationState(hard_iron)
     filt = FilterState(alpha=alpha)
     expected = []

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qiblanav import (
     G,
@@ -16,7 +16,7 @@ from qiblanav import (
 )
 from qiblanav.errors import OutOfSpan, ScenarioError
 
-from oracles import rotation_matrix
+from oracles import circular_abs_diff, rotation_matrix
 from scenarios import acceptance_scenario, tumbled_sweep
 
 
@@ -122,6 +122,30 @@ class TestGenerate:
         residues = Scenario(duration_ms=1000.0, sample_rate_hz=50.0,
                             heading_deg=((0.0, 1e308 % 360.0), (1000.0, -1e308 % 360.0)))
         assert (samples, truth) == generate(residues)
+
+    @pytest.mark.parametrize("knots,expected", [
+        # residues 344 and 5: a 21 degree turn through north
+        (((0.0, 100000000000000064.0), (1000.0, 5.0)), [344.0, 348.2, 352.4, 356.6, 0.8]),
+        # residues 240 and 40: a 160 degree turn through north
+        (((0.0, 3.3e20), (1000.0, -7.7e19)), [240.0, 272.0, 304.0, 336.0, 8.0]),
+    ])
+    def test_heading_knots_beyond_float_precision_turn_by_their_residues(self, knots, expected):
+        scenario = Scenario(duration_ms=1000.0, sample_rate_hz=5.0, heading_deg=knots)
+        _, truth = generate(scenario)
+        assert [r.true_heading_deg for r in truth] == pytest.approx(expected, abs=1e-9)
+
+    @settings(deadline=None)
+    @given(steps=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+           values=st.lists(st.floats(-1e300, 1e300), min_size=7, max_size=7))
+    def test_heading_at_each_knot_time_is_its_value_mod_360(self, steps, values):
+        # knots on the 20 ms sample grid, so every knot time is a sample time
+        times = [20.0 * sum(steps[:i]) for i in range(len(steps) + 1)]
+        knots = tuple(zip(times, values))
+        scenario = Scenario(duration_ms=times[-1] + 20.0, sample_rate_hz=50.0, heading_deg=knots)
+        _, truth = generate(scenario)
+        heading_at = {r.t_ms: r.true_heading_deg for r in truth}
+        for t, value in knots:
+            assert circular_abs_diff(heading_at[t], value % 360.0) < 1e-9, (t, value)
 
     @pytest.mark.parametrize("changes", [
         {"field": MagneticField(1e308, inclination_deg=89.0)},
