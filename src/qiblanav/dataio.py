@@ -44,9 +44,9 @@ from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, compress, repeat
-from operator import add, itemgetter
-from typing import Any, NoReturn
+from itertools import chain, repeat
+from operator import add
+from typing import Any
 
 from .errors import DuplicateCity, EmptyReport, InvalidCoordinate, OutOfSpan, ParseError
 from .geodesy import AzimuthDeg, GeoCoordinate, circular_diff, wrap_azimuth
@@ -118,10 +118,13 @@ def load_cities(path: str) -> list[CityRecord]:
     return records
 
 
-def _require_time_order(kind: str, t_ms: Any) -> None:
-    """Refuse a timestamp column that ever decreases."""
-    if (t_ms[1:] < t_ms[:-1]).any():
-        raise ValueError(f"{kind} timestamps must be monotone nondecreasing")
+def _in_order(rows: Any, after: float = -float("inf")) -> bool:
+    """Whether every value of `rows` is finite and their time column never
+    decreases, from `after` on: the rule of each stream of a trace."""
+    import numpy as np
+
+    t = np.concatenate(([after], rows[:, 0]))
+    return bool(np.isfinite(rows).all() and (t[1:] >= t[:-1]).all())
 
 
 def _lines(tag: str, rows: Any) -> Any:
@@ -137,14 +140,15 @@ def write_trace(trace: TraceFile, path: str) -> None:
     """Serialize a trace, interleaving truth lines by timestamp.
 
     Refuses, before opening `path`, a stream that `read_trace` would refuse:
-    sample or truth timestamps out of order. Formats and writes about
-    BLOCK_CHARS characters of lines at a time.
+    a value that is not finite, or timestamps out of order. Formats and
+    writes about BLOCK_CHARS characters of lines at a time.
     """
     import numpy as np
 
     samples, truth = SAMPLE.rows_of(trace.samples), TRUTH.rows_of(trace.truth)
-    _require_time_order("sample", samples[:, 0])
-    _require_time_order("truth record", truth[:, 0])
+    for (kind, _), rows in zip(_STREAMS.values(), (samples, truth)):
+        if not _in_order(rows):
+            raise ValueError(f"{kind}s must be finite, with timestamps monotone nondecreasing")
     # how many samples precede each truth line: those up to the first one not earlier than it
     after = np.minimum(np.searchsorted(samples[:, 0], truth[:, 0], side="left") + 1, len(samples))
     step = max(1, records.BLOCK_CHARS // _LINE_CHARS)
@@ -158,57 +162,46 @@ def write_trace(trace: TraceFile, path: str) -> None:
             j = k
 
 
-def _float_or_nan(token: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        return float("nan")
-
-
-def _refuse_line(lineno: int, tokens: list[str]) -> NoReturn:
+def _check_line(lineno: int, tokens: list[str], last_t: dict[str, float]) -> None:
     """Raise the ParseError of the first rule that trace line breaks: its
-    tag, its field count, a finite number per field, and else its order."""
+    tag, its field count, a finite number per field, and its time not
+    before the last one of its stream in `last_t`, which it then becomes."""
     tag, *fields = tokens
     if tag not in _STREAMS:
         raise ParseError(f"unknown record tag {tag!r}", line=lineno)
     kind, layout = _STREAMS[tag]
     if len(fields) != layout.width:
         raise ParseError(f"{kind} needs {layout.width} fields, got {len(fields)}", line=lineno)
-    finite_floats(fields, lineno, kind)
-    raise ParseError(f"{kind} timestamps must be monotone nondecreasing", line=lineno)
+    t = finite_floats(fields, lineno, kind)[0]
+    if t < last_t[tag]:
+        raise ParseError(f"{kind} timestamps must be monotone nondecreasing", line=lineno)
+    last_t[tag] = t
 
 
-def _first_fault(lines: list[list[str]], last_t: dict[str, float]) -> tuple[int, dict[str, Any]]:
-    """Index of the first faulty line of a block of trace lines, or its
-    length, and each stream's rows. Sets `last_t` to each stream's last
-    timestamp, which the next block's first row may not precede."""
+def _block_rows(lines: list[list[str]], last_t: dict[str, float]) -> dict[str, Any] | None:
+    """Each stream's rows of a block of trace lines, checked in bulk by the
+    rule `_check_line` states line by line, or None when a line breaks it.
+    Sets `last_t` as `_check_line` does, once the whole block keeps the rule."""
     import numpy as np
 
-    tags = list(map(itemgetter(0), lines))
-    first = len(lines)
-    if not _STREAMS.keys() >= set(tags):
-        first = next(i for i, tag in enumerate(tags) if tag not in _STREAMS)
+    if not _STREAMS.keys() >= {tokens[0] for tokens in lines}:
+        return None
     streams = {}
     for tag, (_, layout) in _STREAMS.items():
-        at = list(compress(range(len(tags)), map(tag.__eq__, tags)))
-        group = list(map(lines.__getitem__, at))
+        group = [tokens for tokens in lines if tokens[0] == tag]
         if set(map(len, group)) - {layout.width + 1}:
-            whole = [len(tokens) == layout.width + 1 for tokens in group]
-            first = min(first, at[whole.index(False)])
-            at, group = list(compress(at, whole)), list(compress(group, whole))
+            return None
         fields = list(chain.from_iterable(group))
         del fields[:: layout.width + 1]  # the tags
         try:
-            values = np.fromiter(map(float, fields), float, len(fields))
-        except ValueError:  # a faulty line; read the others so the first can be found
-            values = np.fromiter(map(_float_or_nan, fields), float, len(fields))
-        rows = streams[tag] = values.reshape(-1, layout.width)
-        t = np.concatenate(([last_t[tag]], rows[:, 0]))
-        faulty = ~np.isfinite(rows).all(axis=1) | (t[1:] < t[:-1])
-        if faulty.any():
-            first = min(first, at[faulty.argmax()])
-        last_t[tag] = t[-1]
-    return first, streams
+            rows = np.fromiter(map(float, fields), float, len(fields)).reshape(-1, layout.width)
+        except ValueError:
+            return None
+        if not _in_order(rows, last_t[tag]):
+            return None
+        streams[tag] = rows
+    last_t.update((tag, rows[-1, 0]) for tag, rows in streams.items() if len(rows))
+    return streams
 
 
 def read_trace_blocks(path: str) -> Iterator[TraceFile]:
@@ -216,14 +209,13 @@ def read_trace_blocks(path: str) -> Iterator[TraceFile]:
     (about BLOCK_CHARS characters), each block given as the trace of its
     lines. Any malformed or out-of-order line raises ParseError naming the
     first such line, once the blocks before it are given."""
-    import numpy as np
-
     _, blocks = read_body(read_pieces(path), TRACE_HEADER)
-    last_t = dict.fromkeys(_STREAMS, -np.inf)
+    last_t = dict.fromkeys(_STREAMS, -float("inf"))
     for linenos, lines in blocks:
-        first, streams = _first_fault(lines, last_t)
-        if first < len(lines):
-            _refuse_line(linenos[first], lines[first])
+        streams = _block_rows(lines, last_t)
+        if streams is None:  # a line breaks the rule: re-read line by line to raise at the first
+            for lineno, tokens in zip(linenos, lines):
+                _check_line(lineno, tokens, last_t)
         yield TraceFile(*(RecordView(layout, streams[tag]) for tag, (_, layout) in _STREAMS.items()))
 
 
@@ -314,7 +306,8 @@ class _Summary:
 
         if not np.isfinite(entries).all():
             raise ValueError("run_trace entries must be finite")
-        _require_time_order("truth record", np.concatenate((self.truth[-1:, 0], truth[:, 0])))
+        if not _in_order(np.concatenate((self.truth[-1:], truth))):
+            raise ValueError("truth records must be finite, with timestamps monotone nondecreasing")
         if self.start is None and len(truth):
             self.start = truth[0, 0]
         if len(entries):
@@ -341,12 +334,10 @@ class _Summary:
             "max_abs_deviation_deg": self.peak,
         }
         if self.start is not None:
-            t = self.tail[:, 0]
-            window = self.tail[t >= t[-1] - STEADY_STATE_WINDOW_MS]
-            true_h = _headings_at(self.truth, window[:, 0], self.start).tolist()
-            head_errs = list(map(abs, map(circular_diff, window[:, 2].tolist(), true_h)))
-            true_dev = map(circular_diff, window[:, 3].tolist(), true_h)
-            dev_errs = list(map(abs, map(circular_diff, window[:, 4].tolist(), true_dev)))
+            true_h = _headings_at(self.truth, self.tail[:, 0], self.start).tolist()
+            head_errs = list(map(abs, map(circular_diff, self.tail[:, 2].tolist(), true_h)))
+            true_dev = map(circular_diff, self.tail[:, 3].tolist(), true_h)
+            dev_errs = list(map(abs, map(circular_diff, self.tail[:, 4].tolist(), true_dev)))
             summary["steady_state_window_ms"] = STEADY_STATE_WINDOW_MS
             summary["steady_state_error_deg"] = reduce(add, head_errs, 0.0) / len(head_errs)
             summary["steady_state_max_error_deg"] = max(head_errs)
@@ -362,8 +353,8 @@ def summarize(
     """Summary block for a pointer stream: deviation stats, plus heading
     and deviation error against truth over the final 10 s when truth is
     non-empty. Means are sums taken left to right, so they are the same on
-    every Python version. Truth out of time order and a non-finite entry
-    raise ValueError."""
+    every Python version. Truth that is not finite or out of time order,
+    and a non-finite entry, raise ValueError."""
     fold = _Summary()
     fold.add(ENTRY.rows_of(entries), TRUTH.rows_of(truth))
     return fold.result()
@@ -407,10 +398,14 @@ def _replacing(path: str) -> Iterator[Any]:
     """A text file whose content reaches `path` only if the block ends
     without raising; if it raises, `path` is left as it was. A regular file,
     or a new one, is replaced through a temporary file beside the file
-    `path` leads to. Anything else, such as a pipe or a device, and a path
-    whose temporary file cannot be made, gets the content copied from an
-    anonymous temporary file when the block ends, so that opening `path`
-    fails, naming it, only after the block's own errors."""
+    `path` leads to, which takes the replaced file's mode; a file the caller
+    may not write is refused with PermissionError naming `path`. Anything
+    else, such as a pipe or a device, and a path whose temporary file cannot
+    be made, gets the content copied from an anonymous temporary file when
+    the block ends. Either way, a fault of `path` is raised only after the
+    block's own errors."""
+    import errno
+    import shutil
     import stat
     import threading
 
@@ -428,7 +423,6 @@ def _replacing(path: str) -> Iterator[Any]:
         except OSError:
             replace = False
     if not replace:
-        import shutil
         import tempfile
 
         with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
@@ -440,6 +434,10 @@ def _replacing(path: str) -> Iterator[Any]:
     try:
         with fh:
             yield fh
+        if os.path.exists(target):
+            if not os.access(target, os.W_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            shutil.copymode(target, temp)
         os.replace(temp, target)
     except BaseException:
         with suppress(FileNotFoundError):
@@ -495,10 +493,11 @@ def write_report(
     """Write the per-sample report plus summary; returns the summary block.
 
     fmt "json" writes the structured document, "text" a terminal table.
-    An empty stream raises EmptyReport, and truth out of time order or a
-    JSON document holding NaN or an infinity ValueError. Entries are
-    written as they are formatted, to a file beside `path` that replaces
-    it once the report is complete, so a failure leaves `path` as it was.
+    An empty stream raises EmptyReport, and truth that is not finite or out
+    of time order, or a JSON document holding NaN or an infinity,
+    ValueError. Entries are written as they are formatted, to a file beside
+    `path` that replaces it once the report is complete, so a failure
+    leaves `path` as it was.
     """
     return write_report_blocks([(entries, truth)], path, fmt, meta=meta)
 

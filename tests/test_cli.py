@@ -62,6 +62,11 @@ class TestQibla:
         code, _, _ = run_cli(["qibla"])
         assert code == 64
 
+    def test_city_without_cities_usage_error(self):
+        code, _, err = run_cli(["qibla", "--city", "Bandung"])
+        assert code == 64
+        assert "--city requires --cities FILE" in err
+
     def test_bad_latitude_domain_error(self):
         code, _, _ = run_cli(["qibla", "--lat", "95", "--lon", "0"])
         assert code == 2

@@ -228,6 +228,21 @@ def test_order_is_checked_across_the_reader_blocks(tmp_path, tag):
         assert exc.value.line == lineno
 
 
+def test_a_repeated_time_is_in_order_and_a_later_fault_is_named(tmp_path):
+    lines = ["qtrace v1", "s 0.0 0.0 0.0 -9.81 40.0 0.0 0.0", "t 0.0 10.0 0.0 0.0",
+             "s 0.0 0.0 0.0 -9.81 40.0 0.0 0.0", "t 0.0 10.0 0.0 0.0"]
+    path = tmp_path / "trace.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    trace = read_trace(str(path))
+    assert len(trace.samples) == len(trace.truth) == 2
+    write_trace(trace, str(path))
+    assert read_trace(str(path)) == trace
+    path.write_text("\n".join([*lines, "x 1.0"]) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="unknown record tag") as exc:
+        read_trace(str(path))
+    assert exc.value.line == 6
+
+
 def test_header_only_trace_reads_as_empty(tmp_path):
     for text in ("qtrace v1", "qtrace v1\n", "qtrace v1\n\n# nothing\n"):
         path = tmp_path / "trace.txt"

@@ -25,7 +25,8 @@ from qiblanav import (
     write_report,
     write_trace,
 )
-from qiblanav.errors import DuplicateCity, EmptyReport, ParseError
+from qiblanav.errors import DuplicateCity, EmptyReport, InvalidAngle, ParseError
+from qiblanav.records import SAMPLE, TRUTH, RecordView
 
 from scenarios import tumbled_sweep
 
@@ -41,7 +42,7 @@ def write(tmp_path, name, text):
 class TestLoadCities:
     def test_happy_path(self, tmp_path):
         path = write(tmp_path, "c.csv",
-                     "name,latitude_deg,longitude_deg\nBandung,-6.9147,107.6098\n")
+                     "name,latitude_deg,longitude_deg\n\nBandung,-6.9147,107.6098\n\n")
         records = load_cities(path)
         assert len(records) == 1
         assert records[0].name == "Bandung"
@@ -130,6 +131,20 @@ class TestTraceRoundTrip:
                 write_trace(trace, str(path))
             assert not path.exists()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("stream", ["samples", "truth"])
+    def test_write_refuses_non_finite_values(self, tmp_path, stream, value):
+        """What read_trace would refuse at its line is refused before the
+        file is made."""
+        samples, truth = generate(tumbled_sweep(seed=0, duration_ms=200.0))
+        rows = {"samples": SAMPLE.rows_of(samples), "truth": TRUTH.rows_of(truth)}
+        rows[stream][4, 2] = value
+        trace = TraceFile(RecordView(SAMPLE, rows["samples"]), RecordView(TRUTH, rows["truth"]))
+        path = tmp_path / "t.txt"
+        with pytest.raises(ValueError, match="must be finite"):
+            write_trace(trace, str(path))
+        assert not path.exists()
+
     def test_trace_without_truth(self, tmp_path):
         samples, _ = generate(tumbled_sweep(seed=0, duration_ms=200.0))
         path = tmp_path / "t.txt"
@@ -168,7 +183,7 @@ class TestReports:
         # 12 s of entries, so the 10 s window leaves some out; truth at half
         # the sample rate, so every other entry falls between two records
         entries, truth = make_entries(601, with_truth=True)
-        half = list(truth)[::2]
+        half = RecordView(TRUTH, TRUTH.rows_of(truth[::2]))  # one conversion for the many calls below
         window = [(t, s) for t, s in entries if t >= entries[-1][0] - 10000.0]
         assert len(window) < len(entries)
         assert any(t not in {r.t_ms for r in half} for t, _ in window)
@@ -195,6 +210,23 @@ class TestReports:
         summary = summarize(entries, truth)
         assert summary["mean_abs_deviation_deg"] == ((1e16 + 1.0) + 1.0) / 3 != math.fsum([1e16, 1.0, 1.0]) / 3
         assert summary["steady_state_error_deg"] == ((0.1 + 0.2) + 0.3) / 3 != math.fsum([0.1, 0.2, 0.3]) / 3
+
+    @pytest.mark.parametrize("stream", ["entries", "truth"])
+    def test_non_finite_values_refused(self, stream):
+        entries, truth = make_entries(50, with_truth=True)
+        entries, rows = list(entries), TRUTH.rows_of(truth)
+        if stream == "entries":
+            entries[7] = (math.nan, entries[7][1])
+        else:
+            rows[7, 2] = math.inf  # a pitch, which the summary does not read
+        with pytest.raises(ValueError, match="must be finite"):
+            summarize(entries, RecordView(TRUTH, rows))
+
+    def test_heading_that_overflows_between_records_refused(self):
+        # between times 2e308 apart the interpolation overflows to NaN
+        truth = [TruthRecord(-1e308, 0.0, 0.0, 0.0), TruthRecord(1e308, 10.0, 0.0, 0.0)]
+        with pytest.raises(InvalidAngle):
+            truth_heading_at(truth, 9e307)
 
     def test_empty_stream_rejected(self, tmp_path):
         with pytest.raises(EmptyReport):

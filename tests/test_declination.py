@@ -154,6 +154,9 @@ class TestGridParsing:
             DeclinationGrid(0, 2, 0.0, 10, 12, 1, GRID.values)
         with pytest.raises(ValueError):
             DeclinationGrid(0, 2, 1, 10, 12, 1, GRID.values[:2])
+        for row in ((1.0, 2.0), (1.0, float("nan"), 3.0), (1.0, 91.0, 3.0)):
+            with pytest.raises(ValueError, match="row 2"):
+                DeclinationGrid(0, 2, 1, 10, 12, 1, (*GRID.values[:2], row))
 
     def test_load_checked_in_grid(self, data_dir):
         grid = load_grid(str(data_dir / "declination_grid.txt"))

@@ -1,6 +1,7 @@
 """The text formats: one line reader, finite numbers only, errors that name
 their line, and loaders that fail with nothing but ParseError."""
 
+import csv
 import io
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from qiblanav import load_cities, load_grid, load_scenario, read_report, read_trace
 from qiblanav.errors import DuplicateCity, ParseError, ScenarioError
-from qiblanav.records import TruthRecord, finite_floats, read_lines
+from qiblanav.records import SensorSample, TruthRecord, finite_floats, read_lines
 
 from cli_checks import run_cli
 from conftest import DATA_DIR
@@ -61,6 +62,8 @@ class TestLineReader:
     def test_truth_record_refuses_non_finite(self):
         with pytest.raises(ValueError):
             TruthRecord(0.0, float("nan"), 0.0, 0.0)
+        with pytest.raises(ValueError, match="t_ms"):
+            SensorSample(float("inf"), (0.0, 0.0, -9.81), (40.0, 0.0, 0.0))
 
 
 class TestLineRule:
@@ -143,6 +146,8 @@ BAD_INPUTS = {
                            ScenarioError, 6, SCENARIO_ARGV),
     "scenario-repeated-knot-time": ("s.txt", SCENARIO_HEAD + "pitch_deg 0:0 0:10\n", load_scenario,
                                     ScenarioError, 6, SCENARIO_ARGV),
+    "cities-field-too-long": ("c.csv", "name,latitude_deg,longitude_deg\nMecca,21.4,39.8\n"
+                              + "x" * (csv.field_size_limit() + 1) + ",1,2\n", load_cities, ParseError, 3, CITIES_ARGV),
     "scenario-zero-samples": ("s.txt", SCENARIO_HEAD.replace("duration_ms 100", "duration_ms 1"),
                               load_scenario, ScenarioError, 2, SCENARIO_ARGV),
 }

@@ -312,6 +312,13 @@ class TestFilterHeading:
             assert circular_abs_diff(float(out), 10.0) <= 20.0
         assert circular_abs_diff(float(out), 10.0) < 1e-6
 
+    @pytest.mark.parametrize("h", [0.0, 30.0, 123.456])
+    def test_exactly_antipodal_update_restarts_at_the_input(self, h):
+        uc, us = math.cos(math.radians(h)), math.sin(math.radians(h))
+        state, out = filter_heading(FilterState(0.5, -uc, -us), h)
+        assert (state.c, state.s) == (uc, us)
+        assert float(out) == pytest.approx(h, abs=1e-12)
+
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             FilterState(alpha=0.0)

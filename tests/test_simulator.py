@@ -192,6 +192,29 @@ class TestScenarioValidation:
             Scenario(duration_ms=100.0, sample_rate_hz=50.0, heading_deg=((0.0, 0.0),),
                      **{name: sigma})
 
+    @settings(deadline=None)
+    @given(data=st.data(), value=st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    def test_a_bad_value_in_any_field_is_named_by_its_key(self, data, value):
+        """A non-finite or misshapen value raises ScenarioError naming the
+        scenario file key it came from."""
+        key, changes = data.draw(st.sampled_from([
+            ("duration_ms", {"duration_ms": value}),
+            ("duration_ms", {"duration_ms": 1e300, "sample_rate_hz": 1e300}),  # too many samples to count
+            ("sample_rate_hz", {"sample_rate_hz": value}),
+            *((name, {name: knots}) for name in ("heading_deg", "pitch_deg", "roll_deg")
+              for knots in ((), ((0.0, value),), ((value, 0.0),))),
+            *((f"field_{name}", {"field": MagneticField(**{"horizontal_ut": 40.0, name: value})})
+              for name in ("horizontal_ut", "inclination_deg", "declination_deg")),
+            ("hard_iron_ut", {"hard_iron_ut": (1.0, 2.0)}),
+            ("hard_iron_ut", {"hard_iron_ut": (0.0, value, 0.0)}),
+            *((name, {name: value}) for name in ("noise_sigma_mag_ut", "noise_sigma_accel_ms2")),
+            ("rng_seed", {"rng_seed": -1}),
+            ("rng_seed", {"rng_seed": 2**64}),
+        ]))
+        with pytest.raises(ScenarioError) as exc:
+            Scenario(**{"duration_ms": 100.0, "sample_rate_hz": 50.0, "heading_deg": ((0.0, 0.0),), **changes})
+        assert exc.value.key == key and str(exc.value).startswith(key)
+
     def test_inclination_open_interval(self):
         with pytest.raises(ScenarioError, match="field_inclination_deg"):
             Scenario(duration_ms=100.0, sample_rate_hz=50.0, heading_deg=((0.0, 0.0),),

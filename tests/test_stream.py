@@ -3,6 +3,7 @@ report and stdout do not depend on where the blocks end, and a failed run
 leaves `--out` as it was."""
 
 import dataclasses
+import errno
 import os
 import stat
 import threading
@@ -184,12 +185,39 @@ def test_a_failed_run_writes_nothing_into_a_pipe(workdir):
 
 
 def test_an_unwritable_out_is_named_after_the_runs_own_errors(workdir, tmp_path):
-    """`--out` in a missing directory fails naming `--out`, and only when the
-    run itself succeeded, as when the report was written whole."""
-    out = tmp_path / "missing" / "report.json"
+    """`--out` in a missing directory, or under a regular file, fails naming
+    `--out`, and only when the run itself succeeded, as when the report was
+    written whole."""
+    (tmp_path / "file.txt").write_bytes(b"")
+    for out, err in ((tmp_path / "missing" / "report.json", errno.ENOENT),
+                     (tmp_path / "file.txt" / "report.json", errno.ENOTDIR)):
+        argv = ["--lat", "-6.9147", "--lon", "107.6098", "--out", str(out)]
+        assert run_cli(["pipeline", "--trace", str(workdir / "trace.txt"), *argv]) == (
+            2, "", f"error: [Errno {err}] {os.strerror(err)}: {str(out)!r}\n")
+        code, _, stderr = run_cli(["pipeline", "--trace", str(workdir / "short-truth.txt"), *argv])
+        assert code == 2 and "outside truth span [0.0, 9800.0]" in stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
+
+
+def test_a_replaced_out_keeps_its_mode(workdir, tmp_path):
+    out = tmp_path / "report.json"
+    out.write_bytes(b"an earlier report\n")
+    out.chmod(0o640)
+    code, _, _ = run_cli(["pipeline", "--trace", str(workdir / "trace.txt"), "--lat", "-6.9147", "--lon", "107.6098",
+                          "--out", str(out)])
+    assert code == 0 and out.read_bytes().startswith(b"qibla-pipeline v1\n")
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write any file")
+def test_a_read_only_out_is_refused_after_the_runs_own_errors(workdir, tmp_path):
+    out = tmp_path / "report.json"
+    out.write_bytes(b"an earlier report\n")
+    out.chmod(0o444)
     argv = ["--lat", "-6.9147", "--lon", "107.6098", "--out", str(out)]
     assert run_cli(["pipeline", "--trace", str(workdir / "trace.txt"), *argv]) == (
-        2, "", f"error: [Errno 2] No such file or directory: {str(out)!r}\n")
+        2, "", f"error: [Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: {str(out)!r}\n")
     code, _, stderr = run_cli(["pipeline", "--trace", str(workdir / "short-truth.txt"), *argv])
     assert code == 2 and "outside truth span [0.0, 9800.0]" in stderr
-    assert list(tmp_path.iterdir()) == []
+    assert out.read_bytes() == b"an earlier report\n" and stat.S_IMODE(out.stat().st_mode) == 0o444
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
