@@ -19,31 +19,17 @@ import json
 import math
 import sys
 from collections.abc import Iterator
-from datetime import datetime, timezone
 from itertools import chain
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
-from .dataio import (
-    REPORT_TAG,
-    join_blocks,
-    load_cities,
-    read_trace,
-    read_trace_blocks,
-    write_report_blocks,
-    write_trace,
-)
+# qibla and distance by coordinates use only these modules; each other
+# command imports the trace modules (and numpy with them) itself.
 from .declination import DeclinationDeg, declination_at, load_grid
 from .errors import DegenerateSweep, InsufficientData, QiblaNavError
 from .geodesy import KAABA, GeoCoordinate, haversine_distance, qibla_azimuth, slc_distance
-from .pipeline import (
-    DEFAULT_ALPHA,
-    DEFAULT_GUIDANCE_THRESHOLD_DEG,
-    CalibrationState,
-    FilterState,
-    calibrate,
-    guidance,
-    run_block,
-)
+
+if TYPE_CHECKING:
+    from .pipeline import CalibrationState
 
 USAGE_EXIT = 64
 
@@ -87,6 +73,8 @@ def _resolve_location(args: argparse.Namespace) -> GeoCoordinate:
     if by_city:
         if not args.cities:
             raise argparse.ArgumentError(None, "--city requires --cities FILE")
+        from .dataio import load_cities
+
         for record in load_cities(args.cities):
             if record.name.casefold() == args.city.casefold():
                 return record.location
@@ -154,7 +142,8 @@ def cmd_distance(args: argparse.Namespace) -> tuple[dict, list[str]]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    from .simulator import load_scenario, simulate  # numpy loads only for this command
+    from .dataio import write_trace
+    from .simulator import load_scenario, simulate
 
     trace = simulate(load_scenario(args.scenario))
     write_trace(trace, args.out)
@@ -163,13 +152,18 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[str]]:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    from .dataio import REPORT_TAG, join_blocks, read_trace_blocks, write_report_blocks
+    from .pipeline import DEFAULT_ALPHA, DEFAULT_GUIDANCE_THRESHOLD_DEG, FilterState, calibrate, guidance, run_block
+
     where = _resolve_location(args)
     decl = _resolve_declination(args, where)
+    alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
+    threshold = DEFAULT_GUIDANCE_THRESHOLD_DEG if args.threshold is None else args.threshold
     if args.sweep_ms is not None and not math.isfinite(args.sweep_ms):
         raise ValueError(f"--sweep-ms must be finite, got {args.sweep_ms}")
     # The library's own rules, applied before the trace is read.
-    filt = FilterState(alpha=args.alpha)
-    guidance(0.0, args.threshold)
+    filt = FilterState(alpha=alpha)
+    guidance(0.0, threshold)
     run_decl = decl if decl is not None else DeclinationDeg(0.0)
     blocks = read_trace_blocks(args.trace)
     try:
@@ -188,8 +182,8 @@ def cmd_pipeline(args: argparse.Namespace) -> tuple[dict, list[str]]:
             "latitude_deg": where.latitude_deg,
             "longitude_deg": where.longitude_deg,
             **_declination_doc(decl),
-            "alpha": args.alpha,
-            "threshold_deg": args.threshold,
+            "alpha": alpha,
+            "threshold_deg": threshold,
             "calibration": _calibration_doc(cal),
         }
         meta.update(args.stamp)
@@ -197,7 +191,7 @@ def cmd_pipeline(args: argparse.Namespace) -> tuple[dict, list[str]]:
         def entry_blocks() -> Iterator:
             state = filt
             for block in chain(held, blocks):
-                state, entries = run_block(block.samples, where, cal, state, run_decl, threshold_deg=args.threshold)
+                state, entries = run_block(block.samples, where, cal, state, run_decl, threshold_deg=threshold)
                 yield entries, block.truth
 
         summary = write_report_blocks(entry_blocks(), args.out, args.format, meta=meta)
@@ -215,6 +209,9 @@ def cmd_pipeline(args: argparse.Namespace) -> tuple[dict, list[str]]:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    from .dataio import read_trace
+    from .pipeline import calibrate
+
     trace = read_trace(args.trace)
     cal = calibrate(trace.samples)
     doc = {"report": "calibration v1", **_calibration_doc(cal)}
@@ -256,10 +253,9 @@ def build_parser() -> _Parser:
     p.add_argument("--trace", required=True)
     _add_location_flags(p)
     _add_declination_flags(p)
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
-                   help="heading filter smoothing factor in (0, 1]")
-    p.add_argument("--threshold", type=float, default=DEFAULT_GUIDANCE_THRESHOLD_DEG,
-                   help="alignment threshold in degrees")
+    # cmd_pipeline supplies the defaults of these two, so the parser needs no pipeline.
+    p.add_argument("--alpha", type=float, help="heading filter smoothing factor in (0, 1]")
+    p.add_argument("--threshold", type=float, help="alignment threshold in degrees")
     p.add_argument("--sweep-ms", type=float, default=None,
                    help="calibrate only on samples up to this time (default: full trace)")
     p.add_argument("--out", required=True, help="report output path")
@@ -278,7 +274,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # One clock reading per invocation, so every generated_at it writes agrees.
-    args.stamp = {"generated_at": datetime.now(timezone.utc).isoformat()} if args.timestamps else {}
+    args.stamp = {}
+    if args.timestamps:
+        from datetime import datetime, timezone
+
+        args.stamp = {"generated_at": datetime.now(timezone.utc).isoformat()}
     try:
         doc, text = args.func(args)
         if args.format == "json":

@@ -252,13 +252,13 @@ def _headings_at(truth: Any, t_ms: Any, start: Any = None) -> Any:
     heading = hh[j]  # at a record's time, or at or past the last record
     between = (j < len(tt) - 1) & (t_ms != tt[j])
     j = j[between]
-    with np.errstate(over="ignore", invalid="ignore"):  # huge times give a non-finite heading, refused below
-        frac = (t_ms[between] - tt[j]) / (tt[j + 1] - tt[j])
-        arc = np.array(list(map(circular_diff, hh[j + 1].tolist(), hh[j].tolist())), dtype=float)
-        heading[between] = hh[j] + frac * arc
-    finite = np.isfinite(heading)
-    if not finite.all():
-        AzimuthDeg(float(heading[~finite][0]))  # raises InvalidAngle
+    lo, hi, t = tt[j], tt[j + 1], t_ms[between]
+    with np.errstate(over="ignore"):
+        # Halve the times of a span too wide for a float: exact for times that large.
+        scale = np.where(np.isinf(hi - lo), 0.5, 1.0)
+    frac = (t * scale - lo * scale) / (hi * scale - lo * scale)
+    arc = np.array(list(map(circular_diff, hh[j + 1].tolist(), hh[j].tolist())), dtype=float)
+    heading[between] = hh[j] + frac * arc
     return wrap_azimuth(heading)
 
 
@@ -403,7 +403,9 @@ def _replacing(path: str) -> Iterator[Any]:
     else, such as a pipe or a device, and a path whose temporary file cannot
     be made, gets the content copied from an anonymous temporary file when
     the block ends. Either way, a fault of `path` is raised only after the
-    block's own errors."""
+    block's own errors. The replacing file keeps the replaced one's owner and
+    group where the OS lets the caller give them, else its group where it
+    may, else it has the caller's."""
     import errno
     import shutil
     import stat
@@ -437,6 +439,12 @@ def _replacing(path: str) -> Iterator[Any]:
         if os.path.exists(target):
             if not os.access(target, os.W_OK):
                 raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            old = os.stat(target)
+            try:  # before copymode: a chown may clear the set-id bits
+                os.chown(temp, old.st_uid, old.st_gid)
+            except OSError:  # only a privileged caller may give a file away
+                with suppress(OSError):
+                    os.chown(temp, -1, old.st_gid)
             shutil.copymode(target, temp)
         os.replace(temp, target)
     except BaseException:

@@ -15,11 +15,9 @@ Grid file format (read by `records.read_lines`)::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidAngle, OutOfCoverage, ParseError
-from .geodesy import AzimuthDeg, GeoCoordinate
-from .records import finite_floats, read_lines, read_text
+from .geodesy import AzimuthDeg, GeoCoordinate, _Frozen
 
 GRID_HEADER = "declgrid v1 <lat_min> <lat_max> <lat_step> <lon_min> <lon_max> <lon_step>"
 
@@ -33,27 +31,23 @@ class DeclinationDeg(float):
         return super().__new__(cls, value_deg)
 
 
-@dataclass(frozen=True)
-class DeclinationGrid:
+class DeclinationGrid(_Frozen):
     """Regular lat/lon grid of declination values, row-major by latitude."""
 
-    lat_min: float
-    lat_max: float
-    lat_step: float
-    lon_min: float
-    lon_max: float
-    lon_step: float
-    values: tuple[tuple[float, ...], ...]
+    __slots__ = ("lat_min", "lat_max", "lat_step", "lon_min", "lon_max", "lon_step", "values")
 
-    def __post_init__(self) -> None:
-        n_lat = _axis_count(self.lat_min, self.lat_max, self.lat_step)
-        n_lon = _axis_count(self.lon_min, self.lon_max, self.lon_step)
-        if len(self.values) != n_lat:
-            raise ValueError(f"expected {n_lat} latitude rows, got {len(self.values)}")
-        for i, row in enumerate(self.values):
+    def __init__(self, lat_min: float, lat_max: float, lat_step: float,
+                 lon_min: float, lon_max: float, lon_step: float,
+                 values: tuple[tuple[float, ...], ...]) -> None:
+        n_lat = _axis_count(lat_min, lat_max, lat_step)
+        n_lon = _axis_count(lon_min, lon_max, lon_step)
+        if len(values) != n_lat:
+            raise ValueError(f"expected {n_lat} latitude rows, got {len(values)}")
+        for i, row in enumerate(values):
             problem = _row_problem(row, n_lon)
             if problem:
                 raise ValueError(f"row {i}: {problem}")
+        self._set(lat_min, lat_max, lat_step, lon_min, lon_max, lon_step, values)
 
     @property
     def n_lat(self) -> int:
@@ -123,6 +117,8 @@ def to_true_heading(magnetic: AzimuthDeg, decl: DeclinationDeg) -> AzimuthDeg:
 
 def parse_grid(text: str) -> DeclinationGrid:
     """Parse the declgrid v1 text format; malformed lines raise ParseError."""
+    from .records import finite_floats, read_lines  # only a grid file needs the line reader
+
     bounds, body = read_lines(text, GRID_HEADER)
     try:
         n_lat, n_lon = _axis_count(*bounds[:3]), _axis_count(*bounds[3:])
@@ -142,4 +138,6 @@ def parse_grid(text: str) -> DeclinationGrid:
 
 def load_grid(path: str) -> DeclinationGrid:
     """Read and parse a declgrid file from disk."""
+    from .records import read_text
+
     return parse_grid(read_text(path))

@@ -11,7 +11,7 @@ number of threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 
 from .errors import AntipodalPoints, DegeneratePoints, InvalidAngle, InvalidCoordinate
 
@@ -67,24 +67,61 @@ class DistanceKm(float):
         return super().__new__(cls, value_km)
 
 
-@dataclass(frozen=True)
-class GeoCoordinate:
+class _Frozen:
+    """A value whose fields are its `__slots__`, each set once through
+    `_set` in `__init__`: assignment and deletion raise AttributeError, it
+    equals only an instance of its own class with equal fields, and it hashes
+    and prints by value, as a frozen dataclass does."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # self._values(self) is the tuple of field values, read in C: `process` hashes its place per call.
+        cls._values = staticmethod(operator.attrgetter(*cls.__slots__))
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, which a valid value passes unchanged
+        return self.__class__, self._values(self)
+
+
+class GeoCoordinate(_Frozen):
     """A latitude/longitude pair in degrees on the sphere.
 
     Latitude outside [-90, +90] is rejected. Longitude is canonicalized into
     (-180, +180] at construction, so e.g. 190 becomes -170.
     """
 
-    latitude_deg: float
-    longitude_deg: float
+    __slots__ = ("latitude_deg", "longitude_deg")
 
-    def __post_init__(self) -> None:
-        lat, lon = self.latitude_deg, self.longitude_deg
+    def __init__(self, latitude_deg: float, longitude_deg: float) -> None:
+        lat, lon = latitude_deg, longitude_deg
         if not (math.isfinite(lat) and math.isfinite(lon)):
             raise InvalidCoordinate(f"coordinates must be finite, got ({lat!r}, {lon!r})")
         if not -90.0 <= lat <= 90.0:
             raise InvalidCoordinate(f"latitude {lat!r} outside [-90, +90]")
-        object.__setattr__(self, "longitude_deg", circular_diff(lon, 0.0))
+        self._set(lat, circular_diff(lon, 0.0))
 
 
 # Fixed target for qibla bearings.

@@ -20,8 +20,10 @@ Frame and sign conventions (pinned by the simulator's oracle tests):
   and the magnetic heading is atan2(-yh, xh), normalized to [0, 360).
 
 Calibration and filter states are plain immutable values threaded through
-calls; there are no hidden globals, so distinct pipelines can run on
-distinct threads freely.
+calls. The one module-level state is a bounded cache of qibla bearings,
+keyed on the user's location, which gives the bits `qibla_azimuth` gives
+and is safe to share, so distinct pipelines can run on distinct threads
+freely.
 
 One sample and a whole trace share the levelling and EMA arithmetic,
 written once in functions that take floats or float64 columns: `process`
@@ -47,6 +49,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from types import SimpleNamespace
 
 from .declination import DeclinationDeg, to_true_heading
@@ -65,6 +68,9 @@ MAX_FIT_CONDITION = 1e12
 
 DEFAULT_ALPHA = 0.15
 DEFAULT_GUIDANCE_THRESHOLD_DEG = 2.0
+
+# A stream computes the bearing once per place it is at, not per sample.
+_qibla = lru_cache(maxsize=64)(qibla_azimuth)
 
 
 @dataclass(frozen=True)
@@ -313,7 +319,7 @@ def process(
     the dynamic flag set; if no heading has been filtered yet there is
     nothing to emit and DynamicSample propagates.
     """
-    qibla = qibla_azimuth(user)
+    qibla = _qibla(user)
     if filt.c is None:
         _require_static(sample)
     return _step(sample, qibla, cal, filt, decl, threshold_deg)
@@ -358,7 +364,7 @@ def run_block(
     import numpy as np
 
     guidance(0.0, threshold_deg)
-    qibla = qibla_azimuth(user)
+    qibla = _qibla(user)
     alpha = filt.alpha
     m = _columns_math()
     rows = SAMPLE.rows_of(samples)

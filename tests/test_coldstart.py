@@ -1,9 +1,12 @@
 """The package root loads lazily, and the commands that never calibrate or
-simulate start without numpy."""
+simulate start without numpy, and `qibla` and `distance` by coordinates
+load only the modules they run."""
 
+import copy
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -11,34 +14,82 @@ from pathlib import Path
 import pytest
 
 import qiblanav
+from qiblanav import DeclinationGrid, GeoCoordinate
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Runs in a fresh interpreter; prints, after each step, whether numpy is loaded.
+# Runs in a fresh interpreter; prints, after each step, whether numpy is
+# loaded, and then every module loaded since the start, which does not count
+# what the host's `site` preloads.
 COLD_START = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 loaded = {}
 import qiblanav
 loaded["import qiblanav"] = "numpy" in sys.modules
 import qiblanav.cli
 loaded["import qiblanav.cli"] = "numpy" in sys.modules
-for argv in (["qibla", "--lat", "51.5", "--lon", "-0.12", "--format", "json"],
+for argv in (["qibla", "--lat", "51.5", "--lon", "-0.12", "--decl", "1.5", "--format", "json"],
              ["distance", "--from-lat", "51.5", "--from-lon", "-0.12",
-              "--to-lat", "21.4225", "--to-lon", "39.8262", "--format", "json"]):
+              "--to-lat", "21.4225", "--to-lon", "39.8262", "--format", "json"],
+             ["distance", "--from-lat", "51.5", "--from-lon", "-0.12",
+              "--to-lat", "21.4225", "--to-lon", "39.8262", "--method", "slc"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert qiblanav.cli.main(argv) == 0
-    loaded[argv[0]] = "numpy" in sys.modules
+    loaded[" ".join(argv[:1] + argv[-2:])] = "numpy" in sys.modules
 print(json.dumps(loaded))
+print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
-def test_qibla_and_distance_never_load_numpy():
+@pytest.fixture(scope="module")
+def cold_start():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", COLD_START], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    loaded = json.loads(done.stdout)
-    assert list(loaded) == ["import qiblanav", "import qiblanav.cli", "qibla", "distance"]
+    numpy_after, new_modules = map(json.loads, done.stdout.splitlines())
+    return numpy_after, new_modules
+
+
+def test_qibla_and_distance_never_load_numpy(cold_start):
+    loaded = cold_start[0]
+    assert list(loaded) == ["import qiblanav", "import qiblanav.cli", "qibla --format json",
+                            "distance --format json", "distance --method slc"]
     assert [step for step, numpy_loaded in loaded.items() if numpy_loaded] == []
+
+
+def test_qibla_and_distance_load_only_the_modules_they_run(cold_start):
+    new_modules = set(cold_start[1])
+    assert {m for m in new_modules if m.startswith("qiblanav")} == {
+        "qiblanav", "qiblanav.cli", "qiblanav.errors", "qiblanav.geodesy", "qiblanav.declination"}
+    assert new_modules & {"dataclasses", "inspect", "numpy", "csv", "datetime"} == set()
+
+
+# GeoCoordinate and DeclinationGrid keep the contract of a frozen dataclass.
+VALUES = [
+    (GeoCoordinate, {"latitude_deg": -0.0, "longitude_deg": 190.0},
+     "GeoCoordinate(latitude_deg=-0.0, longitude_deg=-170.0)"),
+    (DeclinationGrid, {"lat_min": 0.0, "lat_max": 1.0, "lat_step": 1.0, "lon_min": 10.0, "lon_max": 11.0,
+                       "lon_step": 1.0, "values": ((1.5, 2.0), (-3.0, 4.0))},
+     "DeclinationGrid(lat_min=0.0, lat_max=1.0, lat_step=1.0, lon_min=10.0, lon_max=11.0, lon_step=1.0, "
+     "values=((1.5, 2.0), (-3.0, 4.0)))"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", VALUES)
+def test_value_types_are_frozen_values(cls, fields, text):
+    value = cls(*fields.values())
+    assert repr(value) == text
+    assert cls(**fields) == value and hash(cls(**fields)) == hash(value)
+    assert value != tuple(getattr(value, name) for name in fields)
+    assert value != type("Other", (cls,), {})(*fields.values())
+    assert copy.copy(value) == value and pickle.loads(pickle.dumps(value)) == value
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == text
 
 
 def test_every_public_name_is_its_module_attribute():

@@ -25,7 +25,7 @@ from qiblanav import (
     write_report,
     write_trace,
 )
-from qiblanav.errors import DuplicateCity, EmptyReport, InvalidAngle, ParseError
+from qiblanav.errors import DuplicateCity, EmptyReport, ParseError
 from qiblanav.records import SAMPLE, TRUTH, RecordView
 
 from scenarios import tumbled_sweep
@@ -222,11 +222,11 @@ class TestReports:
         with pytest.raises(ValueError, match="must be finite"):
             summarize(entries, RecordView(TRUTH, rows))
 
-    def test_heading_that_overflows_between_records_refused(self):
-        # between times 2e308 apart the interpolation overflows to NaN
+    def test_heading_between_records_whose_span_overflows(self):
+        # times 2e308 apart: their difference is past the float range
         truth = [TruthRecord(-1e308, 0.0, 0.0, 0.0), TruthRecord(1e308, 10.0, 0.0, 0.0)]
-        with pytest.raises(InvalidAngle):
-            truth_heading_at(truth, 9e307)
+        assert truth_heading_at(truth, 0.0) == 5.0
+        assert truth_heading_at(truth, 9e307) == pytest.approx(9.5)
 
     def test_empty_stream_rejected(self, tmp_path):
         with pytest.raises(EmptyReport):

@@ -483,3 +483,21 @@ def check_fold(samples, hard_iron, decl, alpha, threshold, cuts):
     assert len(whole) == len(chunked) == len(expected)
     for entry, piece, reference in zip(whole, chunked, expected):
         assert entry == piece == reference
+
+
+@given(lat=st.sampled_from([0.0, -0.0]) | st.floats(-90.0, 90.0),
+       lon=st.sampled_from([0.0, -0.0]) | st.floats(-360.0, 360.0))
+def test_cached_bearing_has_the_bits_of_a_direct_call(lat, lon):
+    """process and run_block compute the bearing once per place; a place
+    equal to one seen before, if only by the sign of a zero, gets the bits
+    qibla_azimuth gives it."""
+    user = GeoCoordinate(lat, lon)
+    twin = GeoCoordinate(-lat if lat == 0.0 else lat, -lon if lon == 0.0 else lon)
+    try:
+        direct = qibla_azimuth(user).hex()
+    except (DegeneratePoints, AntipodalPoints):  # no bearing to cache
+        return
+    sample = SensorSample(0.0, (0.0, 0.0, -9.81), (20.0, 0.0, 40.0))
+    process(sample, twin, CalibrationState(), FilterState())
+    assert process(sample, user, CalibrationState(), FilterState())[1].qibla.hex() == direct
+    assert run_block([sample], user, CalibrationState(), FilterState())[1][0][1].qibla.hex() == direct

@@ -209,6 +209,19 @@ def test_a_replaced_out_keeps_its_mode(workdir, tmp_path):
     assert stat.S_IMODE(out.stat().st_mode) == 0o640
 
 
+@pytest.mark.skipif(os.geteuid() != 0, reason="only root may give a file to another owner")
+def test_a_replaced_out_keeps_its_owner_and_group(workdir, tmp_path):
+    out = tmp_path / "report.json"
+    out.write_bytes(b"an earlier report\n")
+    out.chmod(0o640)
+    os.chown(out, 65534, 65534)
+    code, _, _ = run_cli(["pipeline", "--trace", str(workdir / "trace.txt"), "--lat", "-6.9147", "--lon", "107.6098",
+                          "--out", str(out)])
+    assert code == 0 and out.read_bytes().startswith(b"qibla-pipeline v1\n")
+    info = out.stat()
+    assert (info.st_uid, info.st_gid, stat.S_IMODE(info.st_mode)) == (65534, 65534, 0o640)
+
+
 @pytest.mark.skipif(os.geteuid() == 0, reason="root may write any file")
 def test_a_read_only_out_is_refused_after_the_runs_own_errors(workdir, tmp_path):
     out = tmp_path / "report.json"
