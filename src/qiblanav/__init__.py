@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 _MODULE_OF = {
     "AzimuthDeg": "geodesy",
     "CalibrationState": "pipeline",
-    "CityRecord": "dataio",
+    "CityRecord": "records",
     "DEFAULT_ALPHA": "pipeline",
     "DEFAULT_GUIDANCE_THRESHOLD_DEG": "pipeline",
     "DeclinationDeg": "declination",
@@ -39,7 +39,7 @@ _MODULE_OF = {
     "guidance": "pipeline",
     "haversine_distance": "geodesy",
     "initial_bearing": "geodesy",
-    "load_cities": "dataio",
+    "load_cities": "records",
     "load_grid": "declination",
     "load_scenario": "simulator",
     "parse_grid": "declination",

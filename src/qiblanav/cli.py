@@ -22,8 +22,9 @@ from collections.abc import Iterator
 from itertools import chain
 from typing import TYPE_CHECKING, NoReturn
 
-# qibla and distance by coordinates use only these modules; each other
-# command imports the trace modules (and numpy with them) itself.
+# qibla and distance use only these modules, and `records` to read a city or
+# grid file; each other command imports the trace modules (and numpy with
+# them) itself.
 from .declination import DeclinationDeg, declination_at, load_grid
 from .errors import DegenerateSweep, InsufficientData, QiblaNavError
 from .geodesy import KAABA, GeoCoordinate, haversine_distance, qibla_azimuth, slc_distance
@@ -73,7 +74,7 @@ def _resolve_location(args: argparse.Namespace) -> GeoCoordinate:
     if by_city:
         if not args.cities:
             raise argparse.ArgumentError(None, "--city requires --cities FILE")
-        from .dataio import load_cities
+        from .records import load_cities
 
         for record in load_cities(args.cities):
             if record.name.casefold() == args.city.casefold():

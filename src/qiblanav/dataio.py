@@ -1,4 +1,4 @@
-"""File formats: city CSV, sensor traces, and machine-readable reports.
+"""File formats: sensor traces and machine-readable reports.
 
 Each format carries a fixed header or tag, and traces and reports
 round-trip numbers exactly (floats are rendered with Python's shortest
@@ -22,10 +22,6 @@ be monotone nondecreasing. Each truth line follows the first sample line
 whose timestamp is not earlier, or ends the file. A trace without 't' lines
 reads back with `truth == ()`.
 
-City CSV: mandatory header ``name,latitude_deg,longitude_deg``; names are
-unique case-insensitively. It is read with the `csv` module, so quoted
-names may contain commas.
-
 Report: a JSON document with "report", "meta", "samples" and "summary"
 sections (or a plain-text table via format="text"). When truth records are
 supplied the summary adds steady-state heading/deviation error over the
@@ -36,22 +32,22 @@ replaces its path only once it is complete.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, repeat
 from operator import add
 from typing import Any
 
-from .errors import DuplicateCity, EmptyReport, InvalidCoordinate, OutOfSpan, ParseError
-from .geodesy import AzimuthDeg, GeoCoordinate, circular_diff, wrap_azimuth
+from .errors import EmptyReport, OutOfSpan, ParseError
+from .geodesy import AzimuthDeg, circular_diff, wrap_azimuth
 from .pipeline import ENTRY, Guidance, QiblaPointerState
 from . import records
+# perfbench/cliquery.py times `dataio.load_cities`; this re-import keeps that
+# name until the benchmark reads it from `records`.
+from .records import load_cities  # noqa: F401
 from .records import (
     SAMPLE,
     TRUTH,
@@ -67,7 +63,6 @@ from .records import (
 
 TRACE_HEADER = "qtrace v1"
 REPORT_TAG = "qibla-pipeline v1"
-CITY_HEADER = ("name", "latitude_deg", "longitude_deg")
 
 STEADY_STATE_WINDOW_MS = 10000.0
 
@@ -77,45 +72,6 @@ _STREAMS = {"s": ("sample record", SAMPLE), "t": ("truth record", TRUTH)}
 # About the characters of a sample line, so that write_trace formats about
 # BLOCK_CHARS characters of lines at a time.
 _LINE_CHARS = 128
-
-
-@dataclass(frozen=True)
-class CityRecord:
-    """A named location; the name is a unique case-insensitive key."""
-
-    name: str
-    location: GeoCoordinate
-
-
-def load_cities(path: str) -> list[CityRecord]:
-    """Load the city CSV; rejects bad rows and duplicate names outright."""
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    try:
-        rows = [(reader.line_num, row) for row in reader]
-    except csv.Error as exc:
-        raise ParseError(str(exc), line=reader.line_num) from None
-    if not rows or tuple(h.strip().lower() for h in rows[0][1]) != CITY_HEADER:
-        raise ParseError(f"expected header {','.join(CITY_HEADER)}", line=1)
-    records: list[CityRecord] = []
-    seen: set[str] = set()
-    for lineno, row in rows[1:]:
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ParseError(f"expected 3 fields, got {len(row)}", line=lineno)
-        name = row[0].strip()
-        if not name:
-            raise ParseError("empty city name", line=lineno)
-        key = name.casefold()
-        if key in seen:
-            raise DuplicateCity(f"duplicate city name {name!r}", line=lineno)
-        try:
-            location = GeoCoordinate(*finite_floats(row[1:], lineno, f"coordinates for {name!r}"))
-        except InvalidCoordinate as exc:
-            raise ParseError(f"bad coordinates for {name!r}: {exc}", line=lineno) from None
-        seen.add(key)
-        records.append(CityRecord(name=name, location=location))
-    return records
 
 
 def _in_order(rows: Any, after: float = -float("inf")) -> bool:

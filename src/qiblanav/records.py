@@ -3,8 +3,9 @@ the column-backed sequences that hold them in bulk, plus the one file reader
 every loader goes through and the one line reader (`read_body`, paired up
 line by line by `read_lines`) every versioned text format goes through.
 
-This module imports only `errors`, so every other module may import it, and
-it does not import numpy: a `RecordView` holds a numpy array made elsewhere.
+This module imports only `errors` and `geodesy`, so every module above them
+may import it, and it does not import numpy: a `RecordView` holds a numpy
+array made elsewhere. Its records are `geodesy._Frozen` values.
 
 A batch stage holds a stream of records as one float64 array with a row per
 record, laid out by a `Layout`: a sample row is t_ms, accel and mag (7
@@ -19,19 +20,24 @@ nowhere else. Text formats are line oriented: a header line
 '#' starts a comment that runs to the end of the line, and blank lines are
 skipped. Every number must be finite, and every error names the line it was
 found on.
+
+City CSV: mandatory header ``name,latitude_deg,longitude_deg``; names are
+unique case-insensitively. It is read with the `csv` module, so quoted
+names may contain commas.
 """
 
 from __future__ import annotations
 
 import codecs
+import io
 import itertools
 import math
 import operator
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from typing import Any
 
-from .errors import ParseError
+from .errors import DuplicateCity, InvalidCoordinate, ParseError
+from .geodesy import GeoCoordinate, _Frozen
 
 G = 9.81  # m/s^2
 
@@ -43,9 +49,12 @@ STATIC_ACCEL_BAND = (0.5 * G, 1.5 * G)
 # trace lines, make 0.6 MB.
 BLOCK_CHARS = 1 << 16
 
+# A view builds a SensorSample or a TruthRecord per row, so these two set
+# their fields with a call each rather than through the loop in `_set`.
+_setattr = object.__setattr__
 
-@dataclass(frozen=True)
-class SensorSample:
+
+class SensorSample(_Frozen):
     """One timestamped accelerometer + magnetometer reading, body frame.
 
     accel is specific force in m/s^2, mag is microtesla. All components
@@ -53,16 +62,17 @@ class SensorSample:
     (enforced by the trace reader/writer, not here).
     """
 
-    t_ms: float
-    accel: tuple[float, float, float]
-    mag: tuple[float, float, float]
+    __slots__ = ("t_ms", "accel", "mag")
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.t_ms):
-            raise ValueError(f"t_ms must be finite, got {self.t_ms!r}")
-        for name, vec in (("accel", self.accel), ("mag", self.mag)):
+    def __init__(self, t_ms: float, accel: tuple[float, float, float], mag: tuple[float, float, float]) -> None:
+        if not math.isfinite(t_ms):
+            raise ValueError(f"t_ms must be finite, got {t_ms!r}")
+        for name, vec in (("accel", accel), ("mag", mag)):
             if len(vec) != 3 or not all(map(math.isfinite, vec)):
                 raise ValueError(f"{name} must be three finite components, got {vec!r}")
+        _setattr(self, "t_ms", t_ms)
+        _setattr(self, "accel", accel)
+        _setattr(self, "mag", mag)
 
     @property
     def usable_for_tilt(self) -> bool:
@@ -77,17 +87,18 @@ def in_static_band(norm):
     return (lo < norm) & (norm < hi)
 
 
-@dataclass(frozen=True)
-class TruthRecord:
+class TruthRecord(_Frozen):
     """Exact per-sample attitude truth, all fields finite."""
 
-    t_ms: float
-    true_heading_deg: float
-    pitch_deg: float
-    roll_deg: float
+    __slots__ = ("t_ms", "true_heading_deg", "pitch_deg", "roll_deg")
 
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.t_ms, self.true_heading_deg, self.pitch_deg, self.roll_deg))):
+    def __init__(self, t_ms: float, true_heading_deg: float, pitch_deg: float, roll_deg: float) -> None:
+        # Set before the check, which reads only the arguments: a refusal prints the record.
+        _setattr(self, "t_ms", t_ms)
+        _setattr(self, "true_heading_deg", true_heading_deg)
+        _setattr(self, "pitch_deg", pitch_deg)
+        _setattr(self, "roll_deg", roll_deg)
+        if not all(map(math.isfinite, (t_ms, true_heading_deg, pitch_deg, roll_deg))):
             raise ValueError(f"truth record fields must be finite, got {self!r}")
 
 
@@ -153,13 +164,14 @@ TRUTH = Layout(4, operator.attrgetter("t_ms", "true_heading_deg", "pitch_deg", "
                lambda r: TruthRecord(*r))
 
 
-@dataclass(frozen=True)
-class TraceFile:
+class TraceFile(_Frozen):
     """Ordered sensor samples with a paired truth stream, empty when the
     trace has none. `read_trace` and `simulate` give `RecordView`s."""
 
-    samples: Sequence[SensorSample]
-    truth: Sequence[TruthRecord] = ()
+    __slots__ = ("samples", "truth")
+
+    def __init__(self, samples: Sequence[SensorSample], truth: Sequence[TruthRecord] = ()) -> None:
+        self._set(samples, truth)
 
 
 def finite_floats(
@@ -291,3 +303,48 @@ def read_lines(
     """`read_body`, its body as an iterator of (line number, tokens)."""
     args, blocks = read_body(text, header, error)
     return args, itertools.chain.from_iterable(itertools.starmap(zip, blocks))
+
+
+CITY_HEADER = ("name", "latitude_deg", "longitude_deg")
+
+
+class CityRecord(_Frozen):
+    """A named location; the name is a unique case-insensitive key."""
+
+    __slots__ = ("name", "location")
+
+    def __init__(self, name: str, location: GeoCoordinate) -> None:
+        self._set(name, location)
+
+
+def load_cities(path: str) -> list[CityRecord]:
+    """Load the city CSV; rejects bad rows and duplicate names outright."""
+    import csv  # here, so that only a city file loads it
+
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
+    if not rows or tuple(h.strip().lower() for h in rows[0][1]) != CITY_HEADER:
+        raise ParseError(f"expected header {','.join(CITY_HEADER)}", line=1)
+    cities: list[CityRecord] = []
+    seen: set[str] = set()
+    for lineno, row in rows[1:]:
+        if not row:
+            continue
+        if len(row) != 3:
+            raise ParseError(f"expected 3 fields, got {len(row)}", line=lineno)
+        name = row[0].strip()
+        if not name:
+            raise ParseError("empty city name", line=lineno)
+        key = name.casefold()
+        if key in seen:
+            raise DuplicateCity(f"duplicate city name {name!r}", line=lineno)
+        try:
+            location = GeoCoordinate(*finite_floats(row[1:], lineno, f"coordinates for {name!r}"))
+        except InvalidCoordinate as exc:
+            raise ParseError(f"bad coordinates for {name!r}: {exc}", line=lineno) from None
+        seen.add(key)
+        cities.append(CityRecord(name=name, location=location))
+    return cities

@@ -96,6 +96,12 @@ class TestQibla:
         assert code == 0
         assert out == golden("qibla.json")
 
+    def test_city_golden(self):
+        code, out, _ = run_cli(["qibla", "--city", "Bandung", "--cities", CITIES, "--decl-grid", GRID,
+                                "--format", "json"])
+        assert code == 0
+        assert out.encode("utf-8") == (GOLDEN_DIR / "qibla_city.json").read_bytes()
+
 
 class TestDistance:
     def test_identical_endpoints(self):

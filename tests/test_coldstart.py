@@ -1,10 +1,11 @@
 """The package root loads lazily, and the commands that never calibrate or
-simulate start without numpy, and `qibla` and `distance` by coordinates
-load only the modules they run."""
+simulate start without numpy, and `qibla` and `distance`, by coordinates or
+by a named city, load only the modules they run."""
 
 import copy
 import importlib
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -14,9 +15,12 @@ from pathlib import Path
 import pytest
 
 import qiblanav
-from qiblanav import DeclinationGrid, GeoCoordinate
+from conftest import DATA_DIR
+from qiblanav import CityRecord, DeclinationGrid, GeoCoordinate, SensorSample, TraceFile, TruthRecord
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+CITIES = str(DATA_DIR / "cities.csv")
+GRID = str(DATA_DIR / "declination_grid.txt")
 
 # Runs in a fresh interpreter; prints, after each step, whether numpy is
 # loaded, and then every module loaded since the start, which does not count
@@ -65,7 +69,45 @@ def test_qibla_and_distance_load_only_the_modules_they_run(cold_start):
     assert new_modules & {"dataclasses", "inspect", "numpy", "csv", "datetime"} == set()
 
 
-# GeoCoordinate and DeclinationGrid keep the contract of a frozen dataclass.
+# Runs `qiblanav` with the arguments after -c in a fresh interpreter; prints
+# its exit code, then every module loaded since the start.
+ONE_COMMAND = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import qiblanav.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = qiblanav.cli.main(sys.argv[1:])
+print(code)
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def loaded_by(argv: list[str]) -> tuple[int, set[str]]:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", ONE_COMMAND, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    code, new_modules = map(json.loads, done.stdout.splitlines())
+    return code, set(new_modules)
+
+
+@pytest.mark.parametrize("city, code", [("Bandung", 0), ("Istanbul", 2)])  # Istanbul is off the grid
+def test_city_query_loads_only_the_modules_it_runs(city, code):
+    exit_code, new_modules = loaded_by(["qibla", "--city", city, "--cities", CITIES, "--decl-grid", GRID])
+    assert exit_code == code
+    assert {m for m in new_modules if m.startswith("qiblanav")} == {
+        "qiblanav", "qiblanav.cli", "qiblanav.errors", "qiblanav.geodesy", "qiblanav.records",
+        "qiblanav.declination"}
+    assert new_modules & {"dataclasses", "inspect", "numpy", "datetime",
+                          "qiblanav.dataio", "qiblanav.pipeline", "qiblanav.simulator"} == set()
+
+
+def test_grid_query_by_coordinates_does_not_load_csv():
+    exit_code, new_modules = loaded_by(["qibla", "--lat", "-6.9147", "--lon", "107.6098", "--decl-grid", GRID])
+    assert exit_code == 0
+    assert "qiblanav.records" in new_modules and "csv" not in new_modules
+
+
+# The geodesy, declination and record values keep the contract of a frozen dataclass.
 VALUES = [
     (GeoCoordinate, {"latitude_deg": -0.0, "longitude_deg": 190.0},
      "GeoCoordinate(latitude_deg=-0.0, longitude_deg=-170.0)"),
@@ -73,6 +115,13 @@ VALUES = [
                        "lon_step": 1.0, "values": ((1.5, 2.0), (-3.0, 4.0))},
      "DeclinationGrid(lat_min=0.0, lat_max=1.0, lat_step=1.0, lon_min=10.0, lon_max=11.0, lon_step=1.0, "
      "values=((1.5, 2.0), (-3.0, 4.0)))"),
+    (SensorSample, {"t_ms": 0.0, "accel": (0.0, -0.5, 9.81), "mag": (20.0, -5.0, -40.0)},
+     "SensorSample(t_ms=0.0, accel=(0.0, -0.5, 9.81), mag=(20.0, -5.0, -40.0))"),
+    (TruthRecord, {"t_ms": 0.0, "true_heading_deg": 359.5, "pitch_deg": -1.0, "roll_deg": 2.0},
+     "TruthRecord(t_ms=0.0, true_heading_deg=359.5, pitch_deg=-1.0, roll_deg=2.0)"),
+    (TraceFile, {"samples": (), "truth": ()}, "TraceFile(samples=(), truth=())"),
+    (CityRecord, {"name": "Bandung", "location": GeoCoordinate(-6.9147, 107.6098)},
+     "CityRecord(name='Bandung', location=GeoCoordinate(latitude_deg=-6.9147, longitude_deg=107.6098))"),
 ]
 
 
@@ -90,6 +139,27 @@ def test_value_types_are_frozen_values(cls, fields, text):
         with pytest.raises(AttributeError):
             delattr(value, name)
     assert repr(value) == text
+
+
+# A record refuses a field that is not finite, or a vector that is not three
+# components, naming the field and the value.
+REFUSALS = [
+    (lambda: SensorSample(math.nan, (0.0, 0.0, 9.8), (1.0, 2.0, 3.0)), "t_ms must be finite, got nan"),
+    (lambda: SensorSample(0.0, (0.0, 9.8), (1.0, 2.0, 3.0)), "accel must be three finite components, got (0.0, 9.8)"),
+    (lambda: SensorSample(0.0, (0.0, 0.0, 9.8), (1.0, 2.0, 3.0, 4.0)),
+     "mag must be three finite components, got (1.0, 2.0, 3.0, 4.0)"),
+    (lambda: SensorSample(0.0, (0.0, 0.0, 9.8), (1.0, math.inf, 3.0)),
+     "mag must be three finite components, got (1.0, inf, 3.0)"),
+    (lambda: TruthRecord(0.0, math.nan, 0.0, 0.0),
+     "truth record fields must be finite, got TruthRecord(t_ms=0.0, true_heading_deg=nan, pitch_deg=0.0, roll_deg=0.0)"),
+]
+
+
+@pytest.mark.parametrize("build, message", REFUSALS)
+def test_records_name_what_they_refuse(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message
 
 
 def test_every_public_name_is_its_module_attribute():

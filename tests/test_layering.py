@@ -9,8 +9,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qiblanav"
 # share a rank, so neither may import the other.
 RANK = {
     "errors": 0,
-    "records": 1,
-    "geodesy": 2,
+    "geodesy": 1,
+    "records": 2,
     "declination": 3,
     "pipeline": 4,
     "simulator": 5,
