@@ -2,7 +2,10 @@
 compass pipeline verified against a deterministic sensor simulator.
 
 Every public name is looked up on first use (PEP 562), so `import qiblanav`
-loads no submodule and only `calibrate` and the simulator load numpy.
+loads no submodule. numpy loads with the names of `simulator` and `dataio`
+(the trace and report functions) and when `calibrate` or `run_trace` is
+called; every other name, the one-sample pipeline's `process` among them,
+works without it.
 """
 
 import importlib

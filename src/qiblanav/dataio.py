@@ -41,6 +41,8 @@ from itertools import chain, repeat
 from operator import add
 from typing import Any
 
+import numpy as np
+
 from .errors import EmptyReport, OutOfSpan, ParseError
 from .geodesy import AzimuthDeg, circular_diff, wrap_azimuth
 from .pipeline import ENTRY, Guidance, QiblaPointerState
@@ -77,8 +79,6 @@ _LINE_CHARS = 128
 def _in_order(rows: Any, after: float = -float("inf")) -> bool:
     """Whether every value of `rows` is finite and their time column never
     decreases, from `after` on: the rule of each stream of a trace."""
-    import numpy as np
-
     t = np.concatenate(([after], rows[:, 0]))
     return bool(np.isfinite(rows).all() and (t[1:] >= t[:-1]).all())
 
@@ -86,8 +86,6 @@ def _in_order(rows: Any, after: float = -float("inf")) -> bool:
 def _lines(tag: str, rows: Any) -> Any:
     """One trace line per row, as an object array: the tag, then each float
     in its shortest round-trip repr."""
-    import numpy as np
-
     template = tag + " %r" * rows.shape[1] + "\n"
     return np.array(list(map(template.__mod__, map(tuple, rows.tolist()))), dtype=object)
 
@@ -99,8 +97,6 @@ def write_trace(trace: TraceFile, path: str) -> None:
     a value that is not finite, or timestamps out of order. Formats and
     writes about BLOCK_CHARS characters of lines at a time.
     """
-    import numpy as np
-
     samples, truth = SAMPLE.rows_of(trace.samples), TRUTH.rows_of(trace.truth)
     for (kind, _), rows in zip(_STREAMS.values(), (samples, truth)):
         if not _in_order(rows):
@@ -138,8 +134,6 @@ def _block_rows(lines: list[list[str]], last_t: dict[str, float]) -> dict[str, A
     """Each stream's rows of a block of trace lines, checked in bulk by the
     rule `_check_line` states line by line, or None when a line breaks it.
     Sets `last_t` as `_check_line` does, once the whole block keeps the rule."""
-    import numpy as np
-
     if not _STREAMS.keys() >= {tokens[0] for tokens in lines}:
         return None
     streams = {}
@@ -177,8 +171,6 @@ def read_trace_blocks(path: str) -> Iterator[TraceFile]:
 
 def join_blocks(blocks: Iterable[TraceFile]) -> TraceFile:
     """One trace of the samples and the truth of `blocks` in turn."""
-    import numpy as np
-
     blocks = list(blocks)
 
     def joined(layout: Layout, views: list[Sequence]) -> RecordView:
@@ -197,8 +189,6 @@ def _headings_at(truth: Any, t_ms: Any, start: Any = None) -> Any:
     """The true heading at each time of the column `t_ms`, from truth rows
     in time order; see `truth_heading_at`. `start`, when rows before the
     first one given were dropped, is the first time of the whole truth span."""
-    import numpy as np
-
     tt, hh = truth[:, 0], truth[:, 1]
     outside = ~((tt[0] <= t_ms) & (t_ms <= tt[-1])) if len(tt) else np.ones(len(t_ms), dtype=bool)
     if outside.any():
@@ -230,8 +220,6 @@ def truth_heading_at(truth: Sequence[TruthRecord], t_ms: float) -> AzimuthDeg:
     so it costs O(n); on a `RecordView`, such as `read_trace` and
     `simulate` give, it costs O(log n). Many calls want a view.
     """
-    import numpy as np
-
     return AzimuthDeg(_headings_at(TRUTH.rows_of(truth), np.array([float(t_ms)]))[0])
 
 
@@ -251,15 +239,11 @@ class _Summary:
     """
 
     def __init__(self) -> None:
-        import numpy as np
-
         self.count, self.total, self.peak = 0, 0.0, 0.0
         self.tail, self.truth = np.empty((0, ENTRY.width)), np.empty((0, TRUTH.width))
         self.start = None
 
     def add(self, entries: Any, truth: Any) -> None:
-        import numpy as np
-
         if not np.isfinite(entries).all():
             raise ValueError("run_trace entries must be finite")
         if not _in_order(np.concatenate((self.truth[-1:], truth))):

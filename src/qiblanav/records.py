@@ -14,12 +14,15 @@ stage reaches those rows only through `Layout.rows_of`, which takes any
 sequence of records; a `RecordView` is such a sequence, a read-only one
 that builds each record on demand from its row.
 
-A line ends at \\n, \\r\\n or a lone \\r (Python's universal newlines) and
-nowhere else. Text formats are line oriented: a header line
-`<tag> <version> [args...]`, then a body of whitespace-separated tokens.
-'#' starts a comment that runs to the end of the line, and blank lines are
-skipped. Every number must be finite, and every error names the line it was
-found on.
+The file reader is the standard library's text layer: UTF-8 with Python's
+universal newlines, so a line ends at \\n, \\r\\n or a lone \\r and nowhere
+else, and one leading byte order mark is dropped. It reads a file once
+from its start, so a pipe or a FIFO is read as a file is. A byte that is
+not valid UTF-8 raises ParseError naming its line. Text formats are line
+oriented: a header line `<tag> <version> [args...]`, then a body of
+whitespace-separated tokens. '#' starts a comment that runs to the end of
+the line, and blank lines are skipped. Every number must be finite, and
+every error names the line it was found on.
 
 City CSV: mandatory header ``name,latitude_deg,longitude_deg``; names are
 unique case-insensitively. It is read with the `csv` module, so quoted
@@ -28,7 +31,6 @@ names may contain commas.
 
 from __future__ import annotations
 
-import codecs
 import io
 import itertools
 import math
@@ -44,7 +46,7 @@ G = 9.81  # m/s^2
 # Accelerometer magnitude band for a sample to be usable for tilt.
 STATIC_ACCEL_BAND = (0.5 * G, 1.5 * G)
 
-# The bytes read_pieces reads, and the text read_body tokenizes, at a time.
+# The characters read_pieces reads, and read_body tokenizes, at a time.
 # Its tokens take about 9 times as many bytes: 64 Ki characters, about 800
 # trace lines, make 0.6 MB.
 BLOCK_CHARS = 1 << 16
@@ -188,64 +190,54 @@ def finite_floats(
     return values
 
 
-def _to_lf(text: str) -> str:
-    """`text` with each line end, \\r\\n or a lone \\r, written as \\n."""
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+def _whole_lines(stream: io.TextIOBase) -> Iterator[str]:
+    """The text of a universal-newline text stream, read BLOCK_CHARS
+    characters at a time and given again in pieces that each end at a line
+    end (the last piece excepted), so a piece holds a line longer than a
+    read whole.
 
-
-def _whole_lines(chunks: Iterator[str]) -> Iterator[str]:
-    """The text of `chunks`, cut anywhere, given again in pieces that each end
-    at a line end (the last piece excepted) with line ends written as \\n.
-
-    A piece ends at the last line end of a chunk, so it holds a line longer
-    than a chunk whole. A \\r that ends a chunk waits for the next one,
-    where it may begin a \\r\\n. A UnicodeDecodeError from `chunks` gives
-    the lines before the bad byte first, then raises ParseError naming the
-    bad byte's line.
+    A byte that did not decode, which `surrogateescape` reads as a lone
+    surrogate, gives the lines before it first, then raises ParseError
+    naming its line with the reason the strict UTF-8 decoder gives.
     """
     held, lineno = "", 1  # text after the last line end given, and the line it starts
     while True:
-        try:
-            chunk = next(chunks, None)
-        except UnicodeDecodeError as exc:
-            chunk = exc.object[: exc.start].decode()
-            bad = ParseError(f"invalid UTF-8: {exc.reason}", lineno + _to_lf(held + chunk).count("\n"))
-        else:
-            bad = None
-        if chunk is None:
-            break
+        chunk = stream.read(BLOCK_CHARS)
         text = held + chunk
-        end = len(text) - text.endswith("\r")  # a final \r may begin a \r\n
-        cut = max(text.rfind("\n", 0, end), text.rfind("\r", 0, end)) + 1
-        if cut:
-            piece = _to_lf(text[:cut])
-            lineno += piece.count("\n")
+        cut = text.rfind("\n") + 1 if chunk else len(text)
+        piece, held = text[:cut], text[cut:]
+        if not piece.isascii():
+            try:
+                piece.encode()
+            except UnicodeEncodeError as exc:
+                start = piece.rfind("\n", 0, exc.start) + 1
+                if start:
+                    yield piece[:start]
+                line, reason = piece[start : piece.find("\n", exc.start) + 1 or None], exc.reason
+                try:  # the line's bytes, line end included, as read
+                    line.encode("utf-8", "surrogateescape").decode()
+                except UnicodeError as strict:  # or, from a str, a lone surrogate of its own
+                    reason = strict.reason
+                raise ParseError(f"invalid UTF-8: {reason}", lineno + piece.count("\n", 0, start)) from None
+        if piece:
             yield piece
-        held = text[cut:]
-        if bad is not None:
-            raise bad
-    if held:
-        yield _to_lf(held)
-
-
-def _decoded(path: str) -> Iterator[str]:
-    """The UTF-8 file at `path`, after one leading byte order mark, decoded
-    BLOCK_CHARS bytes at a time."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    with open(path, "rb") as fh:
-        if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
-            fh.seek(0)
-        while data := fh.read(BLOCK_CHARS):
-            yield decoder.decode(data)
-        yield decoder.decode(b"", final=True)
+        if not chunk:
+            return
+        lineno += piece.count("\n")
 
 
 def read_pieces(path: str) -> Iterator[str]:
     """The contents of a UTF-8 text file as `read_text` gives them, in pieces
     of whole lines of about BLOCK_CHARS characters, read as they are asked
-    for. A byte sequence that does not decode raises ParseError naming its
-    line, once the pieces before that line are given."""
-    return _whole_lines(_decoded(path))
+    for. The file is read once from its start, so it may be a pipe. A byte
+    sequence that does not decode raises ParseError naming its line, once
+    the pieces before that line are given."""
+    # Not "utf-8-sig", which reads a file of only the first one or two bytes
+    # of a byte order mark as empty text, where they do not decode.
+    with open(path, encoding="utf-8", errors="surrogateescape") as stream:
+        pieces = _whole_lines(stream)
+        yield next(pieces, "").removeprefix("\ufeff")  # the first piece starts the file
+        yield from pieces
 
 
 def read_text(path: str) -> str:
@@ -270,10 +262,7 @@ def read_body(
     all held at once. Errors are raised as `error`; a bad header names
     line 1.
     """
-    if isinstance(text, str):
-        pieces = _whole_lines(text[i : i + BLOCK_CHARS] for i in range(0, len(text), BLOCK_CHARS))
-    else:
-        pieces = iter(text)
+    pieces = _whole_lines(io.StringIO(text, newline=None)) if isinstance(text, str) else iter(text)
     first = next(pieces, "")  # a piece holds whole lines, so all of the header
     end = first.find("\n")
     if end < 0:  # no line end: the header is all of it

@@ -1,6 +1,7 @@
-"""The package root loads lazily, and the commands that never calibrate or
-simulate start without numpy, and `qibla` and `distance`, by coordinates or
-by a named city, load only the modules they run."""
+"""The package root loads lazily, the commands that never calibrate or
+simulate start without numpy, as does the one-sample pipeline, and `qibla`
+and `distance`, by coordinates or by a named city, load only the modules
+they run."""
 
 import copy
 import importlib
@@ -105,6 +106,31 @@ def test_grid_query_by_coordinates_does_not_load_csv():
     exit_code, new_modules = loaded_by(["qibla", "--lat", "-6.9147", "--lon", "107.6098", "--decl-grid", GRID])
     assert exit_code == 0
     assert "qiblanav.records" in new_modules and "csv" not in new_modules
+
+
+# Runs the one-sample pipeline, as an embedded device would, in a fresh
+# interpreter; prints whether numpy is loaded.
+STREAM = """
+import sys
+from qiblanav import (CalibrationState, DeclinationDeg, FilterState, GeoCoordinate, Guidance, SensorSample,
+                      filter_heading, guidance, process, tilt_compensated_heading)
+user, cal = GeoCoordinate(-6.9147, 107.6098), CalibrationState((25.0, -18.0, 9.0), 400, 360.0)
+static = SensorSample(0.0, (0.0, 0.0, -9.81), (40.0, 5.0, -20.0))
+dynamic = SensorSample(20.0, (0.0, 0.0, -30.0), (40.0, 5.0, -20.0))
+filt, first = process(static, user, cal, FilterState(), DeclinationDeg(0.8))
+filt, second = process(dynamic, user, cal, filt, DeclinationDeg(0.8))
+assert not first.dynamic and second.dynamic and second.true_heading == first.true_heading
+_, heading = filter_heading(FilterState(alpha=0.5), tilt_compensated_heading(static, cal))
+assert isinstance(guidance(float(heading) - 180.0), Guidance)
+print("numpy" in sys.modules)
+"""
+
+
+def test_one_sample_pipeline_never_loads_numpy():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", STREAM], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout == "False\n"
 
 
 # The geodesy, declination and record values keep the contract of a frozen dataclass.

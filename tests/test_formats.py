@@ -3,13 +3,14 @@ their line, and loaders that fail with nothing but ParseError."""
 
 import csv
 import io
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qiblanav import load_cities, load_grid, load_scenario, read_report, read_trace
+from qiblanav import load_cities, load_grid, load_scenario, read_report, read_trace, records
 from qiblanav.errors import DuplicateCity, ParseError, ScenarioError
-from qiblanav.records import SensorSample, TruthRecord, finite_floats, read_lines
+from qiblanav.records import SensorSample, TruthRecord, finite_floats, read_lines, read_pieces, read_text
 
 from cli_checks import run_cli
 from conftest import DATA_DIR
@@ -104,6 +105,49 @@ class TestLineRule:
         trace = tmp_path / "t.txt"
         trace.write_text("\ufeffqtrace v1\ns 0 0 0 -9.81 40 0 0\n", encoding="utf-8")
         assert len(read_trace(str(trace)).samples) == 1
+
+    def test_a_lone_surrogate_in_a_string_names_its_line(self):
+        # what reading undecodable bytes with errors="surrogateescape" gives
+        with pytest.raises(ParseError, match="invalid UTF-8: invalid start byte") as exc:
+            list(read_lines("fmt v1\n1 2\n# \udcff\n", "fmt v1")[1])
+        assert exc.value.line == 3
+
+
+BOM = b"\xef\xbb\xbf"
+# Line ends, byte order marks, form feeds and NEL, and valid, truncated and
+# invalid UTF-8 sequences, encoded surrogates among them.
+FILE_BYTES = st.lists(st.sampled_from([
+    b"\n", b"\r", b"\r\n", BOM, b"a", b"1 2", b" ", b"#", b"\x0c", b"\xc2\x85", b"\xc3\xa9", b"\xe2\x82\xac",
+    b"\xf0\x9f\x98\x80", b"\xe2\x82", b"\xf0\x9f", b"\xc3", b"\xff", b"\x80", b"\xc0\xaf", b"\xed\xa0\x80",
+    b"\xed\xb2\x80",
+]), max_size=16).map(b"".join)
+
+
+@settings(deadline=None)
+@given(start=st.sampled_from([b"", BOM, b"\xef\xbb"]), rest=FILE_BYTES, block=st.integers(1, 1 << 16))
+@example(start=b"", rest=b"\r\xff", block=1 << 16)  # a line end just before the bad byte
+@example(start=b"\xef\xbb", rest=b"", block=1)  # only part of a BOM
+def test_reader_is_the_universal_newline_text_layer(scratch, start, rest, block):
+    """A file reads as Python's strict UTF-8 decoder and universal newlines
+    read it, one leading BOM dropped; bytes that do not decode give the
+    whole lines before them, then the decoder's reason and their line."""
+    data = start + rest
+    path = scratch / "bytes.txt"
+    path.write_bytes(data)
+    body = data.removeprefix(BOM)
+    given_pieces = []
+    with mock.patch.object(records, "BLOCK_CHARS", block):
+        try:
+            text = body.decode("utf-8")
+        except UnicodeDecodeError as bad:
+            valid = io.StringIO(body[: bad.start].decode("utf-8"), newline=None).read()
+            line = 1 + valid.count("\n")
+            with pytest.raises(ParseError) as exc:
+                given_pieces.extend(read_pieces(str(path)))
+            assert str(exc.value) == f"line {line}: invalid UTF-8: {bad.reason}"
+            assert "".join(given_pieces) == valid[: valid.rfind("\n") + 1]
+        else:
+            assert read_text(str(path)) == io.StringIO(text, newline=None).read()
 
 
 PIPELINE_ARGV = ["pipeline", "--trace", "{}", "--lat", "0", "--lon", "0", "--out", "{}.json"]
