@@ -26,8 +26,8 @@ Report: a JSON document with "report", "meta", "samples" and "summary"
 sections (or a plain-text table via format="text"). When truth records are
 supplied the summary adds steady-state heading/deviation error over the
 final 10 seconds of the trace. The JSON bytes are those of
-`json.dumps(document, indent=2, allow_nan=False)` plus a newline. A report
-replaces its path only once it is complete.
+`json.dumps(document, indent=2, allow_nan=False)` plus a newline. A trace
+or a report replaces its path only once it is complete.
 """
 
 from __future__ import annotations
@@ -95,7 +95,8 @@ def write_trace(trace: TraceFile, path: str) -> None:
 
     Refuses, before opening `path`, a stream that `read_trace` would refuse:
     a value that is not finite, or timestamps out of order. Formats and
-    writes about BLOCK_CHARS characters of lines at a time.
+    writes about BLOCK_CHARS characters of lines at a time, to a file beside
+    `path` that replaces it once the trace is complete, as a report does.
     """
     samples, truth = SAMPLE.rows_of(trace.samples), TRUTH.rows_of(trace.truth)
     for (kind, _), rows in zip(_STREAMS.values(), (samples, truth)):
@@ -104,7 +105,7 @@ def write_trace(trace: TraceFile, path: str) -> None:
     # how many samples precede each truth line: those up to the first one not earlier than it
     after = np.minimum(np.searchsorted(samples[:, 0], truth[:, 0], side="left") + 1, len(samples))
     step = max(1, records.BLOCK_CHARS // _LINE_CHARS)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         fh.write(TRACE_HEADER + "\n")
         j = 0  # the first truth line not yet written
         for a in range(0, max(len(samples), 1), step):

@@ -5,7 +5,8 @@ clockwise from true north and normalized to [0, 360). Distances are on a
 sphere of the mean Earth radius, 6371.0 km.
 
 Everything here is a pure function of its inputs and safe to call from any
-number of threads.
+number of threads. `_Frozen` is the base of every value class in the
+package, so none of them loads `dataclasses`.
 """
 
 from __future__ import annotations
@@ -68,8 +69,9 @@ class DistanceKm(float):
 
 
 class _Frozen:
-    """A value whose fields are its `__slots__`, each set once through
-    `_set` in `__init__`: assignment and deletion raise AttributeError, it
+    """A value whose fields are its `__slots__`, each set once in `__init__`,
+    through `_set` or, in a class built per sample, one `object.__setattr__`
+    call a field: assignment and deletion raise AttributeError, it
     equals only an instance of its own class with equal fields, and it hashes
     and prints by value, as a frozen dataclass does."""
 

@@ -19,11 +19,12 @@ Frame and sign conventions (pinned by the simulator's oracle tests):
       yh = my*cos(phi) - mz*sin(phi)
   and the magnetic heading is atan2(-yh, xh), normalized to [0, 360).
 
-Calibration and filter states are plain immutable values threaded through
-calls. The one module-level state is a bounded cache of qibla bearings,
-keyed on the user's location, which gives the bits `qibla_azimuth` gives
-and is safe to share, so distinct pipelines can run on distinct threads
-freely.
+Calibration and filter states are immutable values threaded through calls,
+and each sample's output is one too: `geodesy._Frozen` values, as every
+value class of the package is. The one module-level state is a bounded
+cache of qibla bearings, keyed on the user's location, which gives the bits
+`qibla_azimuth` gives and is safe to share, so distinct pipelines can run
+on distinct threads freely.
 
 One sample and a whole trace share the levelling and EMA arithmetic,
 written once in functions that take floats or float64 columns: `process`
@@ -47,15 +48,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from types import SimpleNamespace
 
 from .declination import DeclinationDeg, to_true_heading
-from .errors import DegenerateSweep, DynamicSample, InsufficientData
-from .geodesy import AzimuthDeg, GeoCoordinate, circular_diff, qibla_azimuth, wrap_azimuth, wrap_signed
-from .records import SAMPLE, Layout, RecordView, SensorSample, in_static_band
+from .errors import DegenerateSweep, DynamicSample, InsufficientData, InvalidAngle
+from .geodesy import AzimuthDeg, GeoCoordinate, _Frozen, circular_diff, qibla_azimuth, wrap_azimuth, wrap_signed
+from .records import SAMPLE, Layout, RecordView, SensorSample, _setattr, in_static_band
 
 # Convergence thresholds for a calibration sweep.
 MIN_CALIBRATION_SAMPLES = 200
@@ -73,14 +73,21 @@ DEFAULT_GUIDANCE_THRESHOLD_DEG = 2.0
 _qibla = lru_cache(maxsize=64)(qibla_azimuth)
 
 
-@dataclass(frozen=True)
-class CalibrationState:
+class CalibrationState(_Frozen):
     """Estimated hard-iron offset plus how much sweep supported it;
     `CalibrationState()` is the uncalibrated state."""
 
-    hard_iron: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    samples_used: int = 0
-    coverage_deg: float = 0.0
+    __slots__ = ("hard_iron", "samples_used", "coverage_deg")
+
+    def __init__(self, hard_iron: tuple[float, float, float] = (0.0, 0.0, 0.0), samples_used: int = 0,
+                 coverage_deg: float = 0.0) -> None:
+        if len(hard_iron) != 3 or not all(map(math.isfinite, hard_iron)):
+            raise ValueError(f"hard_iron must be three finite components, got {hard_iron!r}")
+        if not (isinstance(samples_used, int) and samples_used >= 0):
+            raise ValueError(f"samples_used must be a nonnegative int, got {samples_used!r}")
+        if not 0.0 <= coverage_deg <= 360.0:
+            raise ValueError(f"coverage_deg must be finite and in [0, 360], got {coverage_deg!r}")
+        self._set(hard_iron, samples_used, coverage_deg)
 
     @property
     def converged(self) -> bool:
@@ -88,23 +95,25 @@ class CalibrationState:
         return self.samples_used >= MIN_CALIBRATION_SAMPLES and self.coverage_deg >= MIN_COVERAGE_DEG
 
 
-@dataclass(frozen=True)
-class FilterState:
+class FilterState(_Frozen):
     """Circular EMA state: a unit vector (c, s) accumulating the heading.
 
     c/s are both None until the first heading initializes them. alpha is
     fixed per pipeline instance.
     """
 
-    alpha: float = DEFAULT_ALPHA
-    c: float | None = None
-    s: float | None = None
+    __slots__ = ("alpha", "c", "s")
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha!r}")
-        if (self.c is None) != (self.s is None):
-            raise ValueError(f"c and s must be set together, got c={self.c!r}, s={self.s!r}")
+    def __init__(self, alpha: float = DEFAULT_ALPHA, c: float | None = None, s: float | None = None) -> None:
+        if not (0.0 < alpha <= 1.0):
+            raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
+        if (c is None) != (s is None):
+            raise ValueError(f"c and s must be set together, got c={c!r}, s={s!r}")
+        if c is not None and not (math.isfinite(c) and math.isfinite(s)):
+            raise ValueError(f"c and s must be finite, got c={c!r}, s={s!r}")
+        _setattr(self, "alpha", alpha)
+        _setattr(self, "c", c)
+        _setattr(self, "s", s)
 
 
 class Guidance(str, Enum):
@@ -113,8 +122,7 @@ class Guidance(str, Enum):
     TURN_RIGHT = "turn_right"
 
 
-@dataclass(frozen=True)
-class QiblaPointerState:
+class QiblaPointerState(_Frozen):
     """Per-sample pipeline output.
 
     deviation_deg is circular_diff(qibla, true_heading): positive means the
@@ -123,13 +131,17 @@ class QiblaPointerState:
     heading was carried forward.
     """
 
-    magnetic_heading: AzimuthDeg
-    true_heading: AzimuthDeg
-    qibla: AzimuthDeg
-    deviation_deg: float
-    guidance: Guidance
-    calibrated: bool
-    dynamic: bool = False
+    __slots__ = ("magnetic_heading", "true_heading", "qibla", "deviation_deg", "guidance", "calibrated", "dynamic")
+
+    def __init__(self, magnetic_heading: AzimuthDeg, true_heading: AzimuthDeg, qibla: AzimuthDeg,
+                 deviation_deg: float, guidance: Guidance, calibrated: bool, dynamic: bool = False) -> None:
+        _setattr(self, "magnetic_heading", magnetic_heading)
+        _setattr(self, "true_heading", true_heading)
+        _setattr(self, "qibla", qibla)
+        _setattr(self, "deviation_deg", deviation_deg)
+        _setattr(self, "guidance", guidance)
+        _setattr(self, "calibrated", calibrated)
+        _setattr(self, "dynamic", dynamic)
 
 
 _GUIDANCES = tuple(Guidance)  # definition order: aligned, turn_left, turn_right
@@ -144,6 +156,8 @@ def guidance(deviation_deg: float, threshold_deg: float = DEFAULT_GUIDANCE_THRES
     """Classify a signed deviation against an alignment threshold."""
     if not (math.isfinite(threshold_deg) and threshold_deg > 0.0):
         raise ValueError(f"threshold_deg must be finite and positive, got {threshold_deg!r}")
+    if not math.isfinite(deviation_deg):
+        raise InvalidAngle(f"deviation must be finite, got {deviation_deg!r}")
     return _GUIDANCES[_guidance_code(deviation_deg, threshold_deg)]
 
 
@@ -252,7 +266,8 @@ def calibrate(samples: Sequence[SensorSample]) -> CalibrationState:
 
     headings = np.sort(wrap_azimuth(_level_heading(usable[:, 1:4].T, pts.T, hard_iron, m)))
     max_gap = max(headings[0] + 360.0 - headings[-1], np.diff(headings).max(initial=0.0))
-    return CalibrationState(hard_iron, len(usable), float(360.0 - max_gap))
+    # Equal headings span nothing, though rounding can make their one gap exceed 360.
+    return CalibrationState(hard_iron, len(usable), float(max(360.0 - max_gap, 0.0)))
 
 
 def _filtered_heading(state: FilterState) -> AzimuthDeg:
@@ -279,29 +294,6 @@ def _filter(state: FilterState, h: AzimuthDeg) -> tuple[FilterState, AzimuthDeg]
     return state, _filtered_heading(state)
 
 
-def _step(
-    sample: SensorSample,
-    qibla: AzimuthDeg,
-    cal: CalibrationState,
-    filt: FilterState,
-    decl: DeclinationDeg,
-    threshold_deg: float,
-) -> tuple[FilterState, QiblaPointerState]:
-    """One sample through the pointer. A dynamic sample carries the filtered
-    heading forward, so the caller passes one only once `filt` holds a
-    heading."""
-    dynamic = not sample.usable_for_tilt
-    if dynamic:
-        magnetic = filtered = _filtered_heading(filt)
-    else:
-        magnetic = AzimuthDeg(_level_heading(sample.accel, sample.mag, cal.hard_iron))
-        filt, filtered = _filter(filt, magnetic)
-    true_heading = to_true_heading(filtered, decl)
-    deviation = circular_diff(qibla, true_heading)
-    return filt, QiblaPointerState(magnetic, true_heading, qibla, deviation, guidance(deviation, threshold_deg),
-                                   cal.converged, dynamic)
-
-
 def process(
     sample: SensorSample,
     user: GeoCoordinate,
@@ -320,9 +312,18 @@ def process(
     nothing to emit and DynamicSample propagates.
     """
     qibla = _qibla(user)
-    if filt.c is None:
-        _require_static(sample)
-    return _step(sample, qibla, cal, filt, decl, threshold_deg)
+    dynamic = not sample.usable_for_tilt
+    if dynamic:
+        if filt.c is None:
+            _require_static(sample)  # raises: there is no heading to carry forward yet
+        magnetic = filtered = _filtered_heading(filt)
+    else:
+        magnetic = AzimuthDeg(_level_heading(sample.accel, sample.mag, cal.hard_iron))
+        filt, filtered = _filter(filt, magnetic)
+    true_heading = to_true_heading(filtered, decl)
+    deviation = circular_diff(qibla, true_heading)
+    return filt, QiblaPointerState(magnetic, true_heading, qibla, deviation, guidance(deviation, threshold_deg),
+                                   cal.converged, dynamic)
 
 
 def _entry_row(entry: tuple[float, QiblaPointerState]) -> tuple:

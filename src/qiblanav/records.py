@@ -51,7 +51,8 @@ STATIC_ACCEL_BAND = (0.5 * G, 1.5 * G)
 # trace lines, make 0.6 MB.
 BLOCK_CHARS = 1 << 16
 
-# A view builds a SensorSample or a TruthRecord per row, so these two set
+# A view builds a SensorSample, a TruthRecord or a pipeline entry per row,
+# and `pipeline.process` a FilterState and an entry per sample, so these set
 # their fields with a call each rather than through the loop in `_set`.
 _setattr = object.__setattr__
 

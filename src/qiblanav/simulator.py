@@ -39,7 +39,8 @@ Scenario file format (flat key/value text read by `records.read_lines`)::
 
 Each key names the Scenario field it sets, and a `field_` key sets that
 MagneticField field of Scenario.field (field_horizontal_ut sets
-MagneticField.horizontal_ut). A key the file omits takes the default.
+MagneticField.horizontal_ut); both are `geodesy._Frozen` values. A key
+the file omits takes the default.
 heading_deg, pitch_deg and roll_deg take either a single constant or a list
 of t_ms:value knots. Heading interpolates along the shortest circular arc
 between knots, so at a knot's time it is the knot's value mod 360; pitch
@@ -53,12 +54,12 @@ scenario whose sensor readings overflow the float range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
 
 from .errors import ScenarioError
+from .geodesy import _Frozen
 from .records import SAMPLE, TRUTH, G, RecordView, SensorSample, TraceFile, TruthRecord
 from .records import finite_floats, read_lines, read_text
 
@@ -76,35 +77,31 @@ _UNWRAP_LIMIT_DEG = 2.0**19
 Knots = tuple[tuple[float, float], ...]
 
 
-@dataclass(frozen=True)
-class MagneticField:
+class MagneticField(_Frozen):
     """Locally uniform field: horizontal intensity, inclination, declination."""
 
-    horizontal_ut: float
-    inclination_deg: float = 0.0
-    declination_deg: float = 0.0
+    __slots__ = ("horizontal_ut", "inclination_deg", "declination_deg")
+
+    def __init__(self, horizontal_ut: float, inclination_deg: float = 0.0, declination_deg: float = 0.0) -> None:
+        self._set(horizontal_ut, inclination_deg, declination_deg)
 
 
 def _refuse(key: str, rule: str) -> NoReturn:
     raise ScenarioError(f"{key} {rule}", key=key)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Frozen):
     """Full description of a synthetic trace; a pure value, reusable."""
 
-    duration_ms: float
-    sample_rate_hz: float
-    heading_deg: Knots
-    pitch_deg: Knots = ((0.0, 0.0),)
-    roll_deg: Knots = ((0.0, 0.0),)
-    field: MagneticField = MagneticField(40.0)
-    hard_iron_ut: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    noise_sigma_mag_ut: float = 0.0
-    noise_sigma_accel_ms2: float = 0.0
-    rng_seed: int = 0
+    __slots__ = ("duration_ms", "sample_rate_hz", "heading_deg", "pitch_deg", "roll_deg", "field", "hard_iron_ut",
+                 "noise_sigma_mag_ut", "noise_sigma_accel_ms2", "rng_seed")
 
-    def __post_init__(self) -> None:
+    def __init__(self, duration_ms: float, sample_rate_hz: float, heading_deg: Knots,
+                 pitch_deg: Knots = ((0.0, 0.0),), roll_deg: Knots = ((0.0, 0.0),),
+                 field: MagneticField = MagneticField(40.0), hard_iron_ut: tuple[float, float, float] = (0.0, 0.0, 0.0),
+                 noise_sigma_mag_ut: float = 0.0, noise_sigma_accel_ms2: float = 0.0, rng_seed: int = 0) -> None:
+        self._set(duration_ms, sample_rate_hz, heading_deg, pitch_deg, roll_deg, field, hard_iron_ut,
+                  noise_sigma_mag_ut, noise_sigma_accel_ms2, rng_seed)
         if not (math.isfinite(self.duration_ms) and self.duration_ms > 0.0):
             _refuse("duration_ms", "must be positive")
         if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0.0):

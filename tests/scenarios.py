@@ -35,14 +35,17 @@ def tumbled_sweep(
     seed: int = 0,
     *,
     duration_ms: float = 8000.0,
+    sample_rate_hz: float = 50.0,
     yaw_span_deg: float = 360.0,
+    yaw_offset_deg: float = 0.0,
     amp: float = 60.0,
     hard_iron: tuple[float, float, float] = (0.0, 0.0, 0.0),
     noise_mag: float = 0.0,
     noise_accel: float = 0.0,
     field: MagneticField = FIELD,
 ) -> Scenario:
-    """A calibration sweep: yaw covers yaw_span while pitch/roll tumble.
+    """A calibration sweep: yaw covers yaw_span from yaw_offset while
+    pitch/roll tumble.
 
     The tumbling keeps the magnetometer point cloud off a single plane, so
     the sphere fit is well posed (a constant-attitude sweep is not).
@@ -52,8 +55,8 @@ def tumbled_sweep(
                (2 * t / 3, 2 * yaw_span_deg / 3), (t, yaw_span_deg))
     return Scenario(
         duration_ms=duration_ms,
-        sample_rate_hz=50.0,
-        heading_deg=heading,
+        sample_rate_hz=sample_rate_hz,
+        heading_deg=tuple((when, deg + yaw_offset_deg) for when, deg in heading),
         pitch_deg=tri_knots(0.0, t, amp, 4, 0.0, 0.0),
         roll_deg=tri_knots(0.0, t, amp, 7, -amp, -amp),
         field=field,
@@ -76,17 +79,18 @@ def flat_sweep(seed: int = 0, *, hard_iron=(0.0, 0.0, 0.0)) -> Scenario:
     )
 
 
-def acceptance_scenario(seed: int) -> Scenario:
+def acceptance_scenario(seed: int, duration_ms: float = ACCEPTANCE_DURATION_MS) -> Scenario:
     """Calibration sweep then 30 s at constant heading/attitude.
 
     Matches data/scenario_example.txt apart from the seed: full yaw circle
     with +-50 deg tumbling tilts over the first 12 s, a 1 s turn, then
-    heading 200 at pitch 15 / roll -10 until 42 s.
+    heading 200 at pitch 15 / roll -10 until 42 s, and for another
+    duration_ms the hold runs on or the trace ends sooner.
     """
     sweep_pitch = tri_knots(0.0, SWEEP_MS, 50.0, 3, 0.0, HOLD_PITCH_DEG)
     sweep_roll = tri_knots(0.0, SWEEP_MS, 50.0, 5, -50.0, HOLD_ROLL_DEG)
     return Scenario(
-        duration_ms=ACCEPTANCE_DURATION_MS,
+        duration_ms=duration_ms,
         sample_rate_hz=50.0,
         heading_deg=(
             (0.0, 0.0), (4000.0, 120.0), (8000.0, 240.0), (SWEEP_MS, 360.0),

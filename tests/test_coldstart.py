@@ -1,7 +1,8 @@
 """The package root loads lazily, the commands that never calibrate or
 simulate start without numpy, as does the one-sample pipeline, and `qibla`
 and `distance`, by coordinates or by a named city, load only the modules
-they run."""
+they run. No command loads `dataclasses`: every value class is a
+`geodesy._Frozen`."""
 
 import copy
 import importlib
@@ -17,11 +18,13 @@ import pytest
 
 import qiblanav
 from conftest import DATA_DIR
-from qiblanav import CityRecord, DeclinationGrid, GeoCoordinate, SensorSample, TraceFile, TruthRecord
+from qiblanav import (AzimuthDeg, CalibrationState, CityRecord, DeclinationGrid, FilterState, GeoCoordinate, Guidance,
+                      MagneticField, QiblaPointerState, Scenario, SensorSample, TraceFile, TruthRecord)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CITIES = str(DATA_DIR / "cities.csv")
 GRID = str(DATA_DIR / "declination_grid.txt")
+SCENARIO = str(DATA_DIR / "scenario_example.txt")
 
 # Runs in a fresh interpreter; prints, after each step, whether numpy is
 # loaded, and then every module loaded since the start, which does not count
@@ -109,9 +112,11 @@ def test_grid_query_by_coordinates_does_not_load_csv():
 
 
 # Runs the one-sample pipeline, as an embedded device would, in a fresh
-# interpreter; prints whether numpy is loaded.
+# interpreter; prints whether numpy is loaded, then every module loaded since
+# the start. CI runs it also where numpy is not installed.
 STREAM = """
-import sys
+import json, sys
+before = set(sys.modules)
 from qiblanav import (CalibrationState, DeclinationDeg, FilterState, GeoCoordinate, Guidance, SensorSample,
                       filter_heading, guidance, process, tilt_compensated_heading)
 user, cal = GeoCoordinate(-6.9147, 107.6098), CalibrationState((25.0, -18.0, 9.0), 400, 360.0)
@@ -122,7 +127,8 @@ filt, second = process(dynamic, user, cal, filt, DeclinationDeg(0.8))
 assert not first.dynamic and second.dynamic and second.true_heading == first.true_heading
 _, heading = filter_heading(FilterState(alpha=0.5), tilt_compensated_heading(static, cal))
 assert isinstance(guidance(float(heading) - 180.0), Guidance)
-print("numpy" in sys.modules)
+print(json.dumps("numpy" in sys.modules))
+print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
@@ -130,10 +136,21 @@ def test_one_sample_pipeline_never_loads_numpy():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", STREAM], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    assert done.stdout == "False\n"
+    numpy_loaded, new_modules = map(json.loads, done.stdout.splitlines())
+    assert numpy_loaded is False
+    assert set(new_modules) & {"dataclasses", "inspect", "numpy"} == set()
 
 
-# The geodesy, declination and record values keep the contract of a frozen dataclass.
+def test_trace_commands_do_not_load_dataclasses(tmp_path):
+    trace, report = str(tmp_path / "trace.txt"), str(tmp_path / "report.json")
+    for argv in (["simulate", "--scenario", SCENARIO, "--out", trace],
+                 ["pipeline", "--trace", trace, "--lat", "-6.9147", "--lon", "107.6098", "--out", report]):
+        exit_code, new_modules = loaded_by(argv)
+        assert exit_code == 0 and "dataclasses" not in new_modules, argv
+
+
+# Every value class (geodesy, declination, records, pipeline and simulator)
+# keeps the contract of a frozen dataclass.
 VALUES = [
     (GeoCoordinate, {"latitude_deg": -0.0, "longitude_deg": 190.0},
      "GeoCoordinate(latitude_deg=-0.0, longitude_deg=-170.0)"),
@@ -148,6 +165,24 @@ VALUES = [
     (TraceFile, {"samples": (), "truth": ()}, "TraceFile(samples=(), truth=())"),
     (CityRecord, {"name": "Bandung", "location": GeoCoordinate(-6.9147, 107.6098)},
      "CityRecord(name='Bandung', location=GeoCoordinate(latitude_deg=-6.9147, longitude_deg=107.6098))"),
+    (CalibrationState, {"hard_iron": (25.0, -18.0, 9.0), "samples_used": 400, "coverage_deg": 360.0},
+     "CalibrationState(hard_iron=(25.0, -18.0, 9.0), samples_used=400, coverage_deg=360.0)"),
+    (FilterState, {"alpha": 0.5, "c": 1.0, "s": -0.0}, "FilterState(alpha=0.5, c=1.0, s=-0.0)"),
+    (QiblaPointerState, {"magnetic_heading": AzimuthDeg(10.0), "true_heading": AzimuthDeg(10.8),
+                         "qibla": AzimuthDeg(295.1), "deviation_deg": -75.7, "guidance": Guidance.TURN_LEFT,
+                         "calibrated": True, "dynamic": False},
+     "QiblaPointerState(magnetic_heading=10.0, true_heading=10.8, qibla=295.1, deviation_deg=-75.7, "
+     "guidance=<Guidance.TURN_LEFT: 'turn_left'>, calibrated=True, dynamic=False)"),
+    (MagneticField, {"horizontal_ut": 40.0, "inclination_deg": -30.0, "declination_deg": 0.8},
+     "MagneticField(horizontal_ut=40.0, inclination_deg=-30.0, declination_deg=0.8)"),
+    (Scenario, {"duration_ms": 1000.0, "sample_rate_hz": 50.0, "heading_deg": ((0.0, 0.0), (500.0, 90.0)),
+                "pitch_deg": ((0.0, 15.0),), "roll_deg": ((0.0, -10.0),),
+                "field": MagneticField(40.0, -30.0, 0.8), "hard_iron_ut": (25.0, -18.0, 9.0),
+                "noise_sigma_mag_ut": 2.0, "noise_sigma_accel_ms2": 0.05, "rng_seed": 7},
+     "Scenario(duration_ms=1000.0, sample_rate_hz=50.0, heading_deg=((0.0, 0.0), (500.0, 90.0)), "
+     "pitch_deg=((0.0, 15.0),), roll_deg=((0.0, -10.0),), "
+     "field=MagneticField(horizontal_ut=40.0, inclination_deg=-30.0, declination_deg=0.8), "
+     "hard_iron_ut=(25.0, -18.0, 9.0), noise_sigma_mag_ut=2.0, noise_sigma_accel_ms2=0.05, rng_seed=7)"),
 ]
 
 
@@ -167,8 +202,9 @@ def test_value_types_are_frozen_values(cls, fields, text):
     assert repr(value) == text
 
 
-# A record refuses a field that is not finite, or a vector that is not three
-# components, naming the field and the value.
+# A record or a pipeline state refuses a field it cannot hold (a number that
+# is not finite, a vector that is not three components, a count or an angle
+# out of its range), naming the field and the value.
 REFUSALS = [
     (lambda: SensorSample(math.nan, (0.0, 0.0, 9.8), (1.0, 2.0, 3.0)), "t_ms must be finite, got nan"),
     (lambda: SensorSample(0.0, (0.0, 9.8), (1.0, 2.0, 3.0)), "accel must be three finite components, got (0.0, 9.8)"),
@@ -178,6 +214,15 @@ REFUSALS = [
      "mag must be three finite components, got (1.0, inf, 3.0)"),
     (lambda: TruthRecord(0.0, math.nan, 0.0, 0.0),
      "truth record fields must be finite, got TruthRecord(t_ms=0.0, true_heading_deg=nan, pitch_deg=0.0, roll_deg=0.0)"),
+    (lambda: CalibrationState((1.0, 2.0)), "hard_iron must be three finite components, got (1.0, 2.0)"),
+    (lambda: CalibrationState((1.0, math.nan, 3.0)), "hard_iron must be three finite components, got (1.0, nan, 3.0)"),
+    (lambda: CalibrationState(samples_used=-1), "samples_used must be a nonnegative int, got -1"),
+    (lambda: CalibrationState(samples_used=200.0), "samples_used must be a nonnegative int, got 200.0"),
+    (lambda: CalibrationState(coverage_deg=math.nan), "coverage_deg must be finite and in [0, 360], got nan"),
+    (lambda: CalibrationState(coverage_deg=360.5), "coverage_deg must be finite and in [0, 360], got 360.5"),
+    (lambda: CalibrationState(coverage_deg=-math.inf), "coverage_deg must be finite and in [0, 360], got -inf"),
+    (lambda: FilterState(0.5, math.nan, math.nan), "c and s must be finite, got c=nan, s=nan"),
+    (lambda: FilterState(0.5, 1.0, math.inf), "c and s must be finite, got c=1.0, s=inf"),
 ]
 
 

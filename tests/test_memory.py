@@ -1,7 +1,6 @@
 """`qiblanav pipeline` keeps nothing per sample past its calibration sweep,
 so its peak memory does not grow with the trace."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -46,7 +45,7 @@ def test_pipeline_peak_memory_is_flat_in_the_trace_length(tmp_path):
     peaks = []
     for n in (5000, 50000):
         trace = tmp_path / f"trace-{n}.txt"
-        write_trace(simulate(dataclasses.replace(acceptance_scenario(1), duration_ms=20.0 * n)), str(trace))
+        write_trace(simulate(acceptance_scenario(1, duration_ms=20.0 * n)), str(trace))
         peaks.append(peak_rss_mb(["pipeline", "--trace", trace.name, "--lat", "-6.9147", "--lon", "107.6098",
                                   "--sweep-ms", repr(SWEEP_MS), "--format", "json", "--out", "report.json"],
                                  tmp_path))

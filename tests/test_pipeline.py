@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +24,7 @@ from qiblanav import (
     qibla_azimuth,
     read_trace,
     run_trace,
+    simulate,
     tilt_compensated_heading,
     write_trace,
 )
@@ -126,6 +126,11 @@ class TestGuidance:
             with pytest.raises(ValueError):
                 guidance(0.0, threshold)
 
+    @pytest.mark.parametrize("deviation", [math.nan, math.inf, -math.inf])
+    def test_non_finite_deviation_refused(self, deviation):
+        with pytest.raises(InvalidAngle, match=f"deviation must be finite, got {deviation!r}"):
+            guidance(deviation)
+
 
 class TestTiltCompensatedHeading:
     def test_flat_facing_magnetic_north(self):
@@ -193,7 +198,8 @@ class TestCalibrate:
     @given(b=st.tuples(OFFSETS, OFFSETS, OFFSETS))
     def test_hard_iron_shift_moves_center_by_same_vector(self, b):
         base = tumbled_sweep(seed=3, hard_iron=(25.0, -18.0, 9.0), noise_mag=2.0, noise_accel=0.05)
-        shifted = dataclasses.replace(base, hard_iron_ut=tuple(h + d for h, d in zip(base.hard_iron_ut, b)))
+        shifted = tumbled_sweep(seed=3, hard_iron=tuple(h + d for h, d in zip(base.hard_iron_ut, b)), noise_mag=2.0,
+                                noise_accel=0.05)
         before = calibrate(generate(base)[0]).hard_iron
         after = calibrate(generate(shifted)[0]).hard_iron
         assert [a - c for a, c in zip(after, before)] == pytest.approx(list(b), abs=1e-9)
@@ -233,6 +239,13 @@ class TestCalibrate:
         cal = calibrate(list(samples))
         assert cal.coverage_deg >= 180.0
         assert cal.converged
+
+    def test_equal_headings_cover_zero_degrees(self):
+        # A tumble at one heading whose usable headings all come out equal,
+        # so rounding makes their one gap a hair over 360 degrees.
+        samples = simulate(tumbled_sweep(duration_ms=1000.0, yaw_span_deg=0.0, yaw_offset_deg=309.9631899071969,
+                                         hard_iron=(1.0, 2.0, 3.0))).samples
+        assert 0.0 <= calibrate(samples).coverage_deg < 1e-9
 
     def test_converged_flag_requires_thresholds(self):
         assert not CalibrationState().converged
@@ -414,8 +427,7 @@ class TestProcess:
     @given(delta=st.floats(min_value=-720.0, max_value=720.0))
     def test_heading_knot_offset_shifts_true_headings(self, delta):
         base = tumbled_sweep(seed=0, hard_iron=(25.0, -18.0, 9.0))
-        shifted = dataclasses.replace(
-            base, heading_deg=tuple((t, v + delta) for t, v in base.heading_deg))
+        shifted = tumbled_sweep(seed=0, hard_iron=(25.0, -18.0, 9.0), yaw_offset_deg=delta)
         runs = []
         for scenario in (base, shifted):
             samples, _ = generate(scenario)

@@ -1,12 +1,14 @@
 """`qiblanav pipeline` reads, runs and reports its trace block by block: the
 report and stdout do not depend on where the blocks end, and a failed run
-leaves `--out` as it was."""
+leaves `--out` as it was, as a failed `qiblanav simulate` does."""
 
-import dataclasses
 import errno
 import os
 import stat
+import subprocess
+import sys
 import threading
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -18,9 +20,12 @@ from qiblanav.dataio import write_report_blocks
 from qiblanav.records import SAMPLE, RecordView
 
 from cli_checks import run_cli
+from conftest import DATA_DIR
 from scenarios import HARD_IRON, NOISE_ACCEL, NOISE_MAG, tumbled_sweep
 
 WHOLE = 1 << 24  # records.BLOCK_CHARS that reads any trace here as one block
+SRC = Path(__file__).resolve().parent.parent / "src"
+SCENARIO = str(DATA_DIR / "scenario_example.txt")  # a trace of 344,678 bytes
 
 
 @pytest.fixture(scope="module")
@@ -29,9 +34,8 @@ def workdir(tmp_path_factory):
     window, with dynamic samples (the first one among them) and truth at
     half the rate: to the end, and to 9.9 s only, which OutOfSpan refuses."""
     path = tmp_path_factory.mktemp("stream")
-    scenario = dataclasses.replace(
-        tumbled_sweep(seed=3, duration_ms=14100.0, hard_iron=HARD_IRON, noise_mag=NOISE_MAG,
-                      noise_accel=NOISE_ACCEL), sample_rate_hz=10.0)
+    scenario = tumbled_sweep(seed=3, duration_ms=14100.0, sample_rate_hz=10.0, hard_iron=HARD_IRON, noise_mag=NOISE_MAG,
+                             noise_accel=NOISE_ACCEL)
     trace = simulate(scenario)
     rows = trace.samples.rows.copy()
     rows[::7, 1:4] *= 3.0
@@ -173,6 +177,46 @@ def test_out_may_be_a_pipe_or_a_link(tmp_path):
     assert run_cli([*argv, str(link)])[0] == 0
     assert link.is_symlink() and target.read_bytes() == read[0]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "pipe.out", "report.txt", "trace.txt"]
+
+
+def test_simulate_out_may_be_a_pipe(tmp_path):
+    """A named pipe, or /dev/fd/N for an os.pipe(), gets the whole trace."""
+    argv = ["simulate", "--scenario", SCENARIO, "--out"]
+    assert run_cli([*argv, str(tmp_path / "trace.txt")])[0] == 0
+    whole = (tmp_path / "trace.txt").read_bytes()
+    pipe = tmp_path / "pipe.out"
+    os.mkfifo(pipe)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    assert run_cli([*argv, str(pipe)])[0] == 0
+    reader.join(timeout=60)
+    assert not reader.is_alive() and read[0] == whole
+    (code, _, _), trace = into_pipe(argv)
+    assert code == 0 and trace == whole
+
+
+# Runs `qiblanav` with the arguments after the first, which is the largest
+# file it may write, in bytes; a write past it fails with EFBIG.
+SIZE_LIMITED = """
+import resource, signal, sys
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[1]), resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+from qiblanav.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_a_simulate_that_fails_while_writing_leaves_out_as_it_was(tmp_path):
+    out = tmp_path / "trace.txt"
+    out.write_bytes(b"an earlier trace\n")
+    done = subprocess.run([sys.executable, "-c", SIZE_LIMITED, "100000", "simulate", "--scenario", SCENARIO,
+                           "--out", str(out)], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert f"[Errno {errno.EFBIG}]" in done.stderr
+    assert out.read_bytes() == b"an earlier trace\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.txt"]
 
 
 def test_a_failed_run_writes_nothing_into_a_pipe(workdir):
