@@ -15,6 +15,7 @@ usable samples, degenerate calibration sweep), 64 usage error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -272,6 +273,25 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one `qiblanav` command; returns its exit code, or raises
+    SystemExit on a usage error.
+
+    The cyclic garbage collector is off while the command runs, and the
+    caller's setting is restored however it ends. A command leaves the same
+    few hundred objects in cycles whatever the length of its trace, so a
+    collection during it costs time and frees next to nothing; numpy's
+    import alone would trigger dozens.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # One clock reading per invocation, so every generated_at it writes agrees.

@@ -39,13 +39,12 @@ from contextlib import contextmanager, suppress
 from functools import reduce
 from itertools import chain, repeat
 from operator import add
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from .errors import EmptyReport, OutOfSpan, ParseError
 from .geodesy import AzimuthDeg, circular_diff, wrap_azimuth
-from .pipeline import ENTRY, Guidance, QiblaPointerState
 from . import records
 # perfbench/cliquery.py times `dataio.load_cities`; this re-import keeps that
 # name until the benchmark reads it from `records`.
@@ -62,6 +61,9 @@ from .records import (
     read_pieces,
     read_text,
 )
+
+if TYPE_CHECKING:  # at run time only the report functions import the pipeline, so a trace alone does not load it
+    from .pipeline import QiblaPointerState
 
 TRACE_HEADER = "qtrace v1"
 REPORT_TAG = "qibla-pipeline v1"
@@ -83,11 +85,12 @@ def _in_order(rows: Any, after: float = -float("inf")) -> bool:
     return bool(np.isfinite(rows).all() and (t[1:] >= t[:-1]).all())
 
 
-def _lines(tag: str, rows: Any) -> Any:
-    """One trace line per row, as an object array: the tag, then each float
-    in its shortest round-trip repr."""
-    template = tag + " %r" * rows.shape[1] + "\n"
-    return np.array(list(map(template.__mod__, map(tuple, rows.tolist()))), dtype=object)
+def _each_distinct(fmt: Any, column: Any) -> Any:
+    """`fmt` of each value of a float column, as an object array, called once
+    per distinct value. Values are told apart by their bits, so 0.0 and -0.0
+    stay distinct."""
+    bits, index = np.unique(column.view(np.int64), return_inverse=True)
+    return np.array(list(map(fmt, bits.view(float).tolist())), dtype=object)[index]
 
 
 def write_trace(trace: TraceFile, path: str) -> None:
@@ -104,6 +107,10 @@ def write_trace(trace: TraceFile, path: str) -> None:
             raise ValueError(f"{kind}s must be finite, with timestamps monotone nondecreasing")
     # how many samples precede each truth line: those up to the first one not earlier than it
     after = np.minimum(np.searchsorted(samples[:, 0], truth[:, 0], side="left") + 1, len(samples))
+    # Each line is the tag, then each float in its shortest round-trip repr.
+    # A truth column past the time holds few distinct values: each is formatted once.
+    sample_line = "s" + " %r" * SAMPLE.width + "\n"
+    truth_reprs = [_each_distinct(repr, col) for col in truth[:, 1:].T]
     step = max(1, records.BLOCK_CHARS // _LINE_CHARS)
     with _replacing(path) as fh:
         fh.write(TRACE_HEADER + "\n")
@@ -111,7 +118,10 @@ def write_trace(trace: TraceFile, path: str) -> None:
         for a in range(0, max(len(samples), 1), step):
             b = min(a + step, len(samples))
             k = j + int(np.searchsorted(after[j:], b, side="right"))  # the truth lines before sample b
-            fh.writelines(np.insert(_lines("s", samples[a:b]), after[j:k] - a, _lines("t", truth[j:k])).tolist())
+            lines = np.array(list(map(sample_line.__mod__, map(tuple, samples[a:b].tolist()))), dtype=object)
+            times = truth[j:k, 0].tolist()
+            truth_lines = list(map("t %r %s %s %s\n".__mod__, zip(times, *(c[j:k].tolist() for c in truth_reprs))))
+            fh.writelines(np.insert(lines, after[j:k] - a, np.array(truth_lines, dtype=object)).tolist())
             j = k
 
 
@@ -144,8 +154,8 @@ def _block_rows(lines: list[list[str]], last_t: dict[str, float]) -> dict[str, A
             return None
         fields = list(chain.from_iterable(group))
         del fields[:: layout.width + 1]  # the tags
-        try:
-            rows = np.fromiter(map(float, fields), float, len(fields)).reshape(-1, layout.width)
+        try:  # numpy calls float on each str, so it takes the tokens float takes
+            rows = np.array(fields, dtype=float).reshape(-1, layout.width)
         except ValueError:
             return None
         if not _in_order(rows, last_t[tag]):
@@ -225,8 +235,8 @@ def truth_heading_at(truth: Sequence[TruthRecord], t_ms: float) -> AzimuthDeg:
 
 
 class _Summary:
-    """`summarize` as a fold over a stream given in blocks of ENTRY rows and
-    TRUTH rows, in order.
+    """`summarize` as a fold over a stream given in blocks of entries and
+    truth records, in order.
 
     It keeps the entry count, the sum of the absolute deviations, added
     left to right, and their max. Of the rest it keeps only what the
@@ -240,11 +250,17 @@ class _Summary:
     """
 
     def __init__(self) -> None:
+        from .pipeline import ENTRY
+
+        self.entry = ENTRY
         self.count, self.total, self.peak = 0, 0.0, 0.0
         self.tail, self.truth = np.empty((0, ENTRY.width)), np.empty((0, TRUTH.width))
         self.start = None
 
-    def add(self, entries: Any, truth: Any) -> None:
+    def add(self, entries: Sequence, truth: Sequence) -> Any:
+        """Fold in a block of entries and truth records; returns the
+        entries' ENTRY rows."""
+        entries, truth = self.entry.rows_of(entries), TRUTH.rows_of(truth)
         if not np.isfinite(entries).all():
             raise ValueError("run_trace entries must be finite")
         if not _in_order(np.concatenate((self.truth[-1:], truth))):
@@ -265,6 +281,7 @@ class _Summary:
             earliest = self.tail[-1, 0] - STEADY_STATE_WINDOW_MS
             truth = truth[max(int(np.searchsorted(truth[:, 0], earliest, side="right")) - 1, 0):]
         self.truth = truth
+        return entries
 
     def result(self) -> dict:
         if not self.count:
@@ -297,7 +314,7 @@ def summarize(
     every Python version. Truth that is not finite or out of time order,
     and a non-finite entry, raise ValueError."""
     fold = _Summary()
-    fold.add(ENTRY.rows_of(entries), TRUTH.rows_of(truth))
+    fold.add(entries, truth)
     return fold.result()
 
 
@@ -311,21 +328,25 @@ _JSON_ENTRY = """%s    {
       "t_ms": %r,
       "magnetic_heading_deg": %r,
       "true_heading_deg": %r,
-      "qibla_deg": %r,
+      "qibla_deg": %s,
       "deviation_deg": %r,
       "guidance": "%s",
       "calibrated": %s,
       "dynamic": %s
     }"""
-_TEXT_ENTRY = "{:>12.1f} {:>10.2f} {:>10.2f} {:>10.2f} {:>+10.2f} {}{}\n"
-_GUIDANCE_VALUES = [g.value for g in Guidance]  # ENTRY's guidance column indexes this
+_TEXT_ENTRY = "{:>12.1f} {:>10.2f} {:>10.2f} {} {:>+10.2f} {}{}\n"
 
 
 def _entry_lines(rows: Any, fmt: str, first: bool) -> Iterator[str]:
     """The report text of a block of ENTRY rows; `first` when no entry was
-    written before them."""
-    t, magnetic, true_heading, qibla, deviation = rows[:, :5].T.tolist()
-    guidances = list(map(_GUIDANCE_VALUES.__getitem__, rows[:, 5].astype(int).tolist()))
+    written before them. The qibla column holds one bearing per place, so
+    each distinct one is formatted once."""
+    from .pipeline import Guidance
+
+    t, magnetic, true_heading, _, deviation = rows[:, :5].T.tolist()
+    qibla = _each_distinct(repr if fmt == "json" else "{:>10.2f}".format, rows[:, 3]).tolist()
+    values = [g.value for g in Guidance]  # ENTRY's guidance column indexes these
+    guidances = list(map(values.__getitem__, rows[:, 5].astype(int).tolist()))
     if fmt == "json":
         flags = list(map(("false", "true").__getitem__, (rows[:, 6:8] == 1.0).ravel().tolist()))
         return map(_JSON_ENTRY.__mod__, zip(chain(["" if first else ",\n"], repeat(",\n")), t, magnetic,
@@ -419,8 +440,7 @@ def write_report_blocks(
     with _replacing(path) as fh:
         fh.write(head)
         for entries, truth in blocks:
-            rows = ENTRY.rows_of(entries)
-            fold.add(rows, TRUTH.rows_of(truth))
+            rows = fold.add(entries, truth)
             fh.writelines(_entry_lines(rows, fmt, fold.count == len(rows)))
         summary = fold.result()
         if fmt == "json":

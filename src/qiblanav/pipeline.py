@@ -35,13 +35,13 @@ over its result rows (the `ENTRY` layout) that builds each
 recurrence, so `run_trace` keeps one scalar loop, for it alone.
 
 Which library does what, so that a column gets exactly the bits one sample
-gets: every transcendental function (atan2, hypot, sin, cos, and the
-degree/radian scalings) is `math`'s, the C library's, applied element by
-element to a column. Apart from the sphere fit in `calibrate`, numpy does
-only + - * / %, comparisons and selection, which IEEE 754 rounds the same
-everywhere. numpy's own `arctan2` and `hypot` run SIMD kernels that differ
-from libm in the last bit on some inputs and CPUs, and the goldens pin
-those bits.
+gets: every transcendental function (atan2, hypot, sin and cos) is
+`math`'s, the C library's, applied element by element to a column. Apart
+from the sphere fit in `calibrate`, numpy does only + - * / %, comparisons
+and selection, which IEEE 754 rounds the same everywhere; its `degrees` and
+`radians` are one multiply by the constant `math`'s use. numpy's own
+`arctan2` and `hypot` run SIMD kernels that differ from libm in the last
+bit on some inputs and CPUs, and the goldens pin those bits.
 """
 
 from __future__ import annotations
@@ -162,14 +162,15 @@ def guidance(deviation_deg: float, threshold_deg: float = DEFAULT_GUIDANCE_THRES
 
 
 def _columns_math():
-    """`math`'s functions applied element by element to float64 columns."""
+    """`math`'s functions applied element by element to float64 columns, and
+    numpy's `degrees` and `radians`, which are the one multiply `math`'s are."""
     import numpy as np
 
     def each(f):
         return lambda *cols: np.fromiter(map(f, *(c.tolist() for c in cols)), float, len(cols[0]))
 
-    return SimpleNamespace(**{name: each(getattr(math, name))
-                              for name in ("atan2", "hypot", "cos", "sin", "degrees", "radians")})
+    return SimpleNamespace(degrees=np.degrees, radians=np.radians,
+                           **{name: each(getattr(math, name)) for name in ("atan2", "hypot", "cos", "sin")})
 
 
 def _level_heading(accel, mag, hard_iron, m=math):

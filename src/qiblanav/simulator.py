@@ -202,8 +202,7 @@ def simulate(scenario: Scenario) -> TraceFile:
     if not (np.isfinite(accel).all() and np.isfinite(mag).all()):
         raise ScenarioError("sensor readings overflow: the field, hard iron, noise or pitch/roll is too large")
 
-    truth = np.column_stack((t, np.degrees(yaw) % 360.0, np.fromiter(map(math.degrees, pitch.tolist()), float, n),
-                             np.fromiter(map(math.degrees, roll.tolist()), float, n)))
+    truth = np.column_stack((t, np.degrees(yaw) % 360.0, np.degrees(pitch), np.degrees(roll)))
     return TraceFile(RecordView(SAMPLE, np.column_stack((t, accel, mag))), RecordView(TRUTH, truth))
 
 

@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import json
 
 import pytest
@@ -12,6 +14,7 @@ from qiblanav import (
     tilt_compensated_heading,
     write_trace,
 )
+from qiblanav import cli
 
 from cli_checks import run_cli
 from conftest import DATA_DIR, GOLDEN_DIR
@@ -341,6 +344,22 @@ class TestCalibrateCmd:
         assert out == golden("calibrate.json")
 
 
+def test_batch_outputs_match_their_digests(tmp_path, monkeypatch):
+    """The trace `simulate` writes from the example scenario, and the JSON
+    and text reports `pipeline` writes on it with the golden's arguments,
+    byte for byte (CI checks the installed command against the same file)."""
+    monkeypatch.chdir(tmp_path)
+    pipeline = ["pipeline", "--trace", "trace.txt", "--city", "Bandung", "--cities", CITIES, "--decl", "0.8",
+                "--sweep-ms", "12000"]
+    assert run_cli(["simulate", "--scenario", SCENARIO, "--out", "trace.txt"])[0] == 0
+    assert run_cli([*pipeline, "--out", "report.json", "--format", "json"])[0] == 0
+    assert run_cli([*pipeline, "--out", "report.txt", "--format", "text"])[0] == 0
+    digests = dict(reversed(line.split()) for line in golden("batch.sha256").splitlines())
+    assert sorted(digests) == ["report.json", "report.txt", "trace.txt"]
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 class TestExitCodeContract:
     def test_unknown_subcommand_usage_error(self):
         code, _, _ = run_cli(["frobnicate"])
@@ -379,3 +398,60 @@ class TestTimestamps:
         stamps = {doc["generated_at"], doc["meta"]["generated_at"],
                   read_report(str(report_path))["meta"]["generated_at"]}
         assert len(stamps) == 1
+
+
+@pytest.fixture
+def collector():
+    """Restores the test process's collector setting after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestGarbageCollector:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_restores_the_callers_setting(self, tmp_path, collector, enabled):
+        trace = tmp_path / "one.txt"
+        trace.write_text("qtrace v1\ns 0 0 0 -9.81 40 0 0\n")  # one usable sample: too few to calibrate
+        for argv, code in [(["qibla", "--lat", "0", "--lon", "10"], 0),
+                           (["qibla", "--lat", "21.4225", "--lon", "39.8262"], 2),
+                           (["calibrate", "--trace", str(trace)], 3),
+                           (["qibla", "--lat", "0"], 64)]:  # argparse raises SystemExit(64)
+            (gc.enable if enabled else gc.disable)()
+            assert run_cli(argv)[0] == code
+            assert gc.isenabled() is enabled, argv
+
+    def test_the_collector_is_off_while_a_command_runs(self, monkeypatch, collector):
+        seen = []
+
+        def cmd_distance(args):
+            seen.append(gc.isenabled())
+            return {}, []
+
+        monkeypatch.setattr(cli, "cmd_distance", cmd_distance)
+        gc.enable()
+        assert run_cli(["distance", "--from-lat", "0", "--from-lon", "0", "--to-lat", "1", "--to-lon", "1"])[0] == 0
+        assert seen == [False] and gc.isenabled()
+
+    def test_a_command_leaves_as_many_cycles_at_any_trace_length(self, tmp_path, collector):
+        """So turning the collector off for a command costs no memory that
+        grows with the trace."""
+        scenario = (DATA_DIR / "scenario_example.txt").read_text(encoding="utf-8")
+        assert "duration_ms 42000\n" in scenario
+        trace, report = str(tmp_path / "trace.txt"), str(tmp_path / "report.json")
+
+        def cycles(n_samples):
+            (tmp_path / "s.txt").write_text(scenario.replace("duration_ms 42000", f"duration_ms {20 * n_samples}"))
+            found = []
+            for argv in (["simulate", "--scenario", str(tmp_path / "s.txt"), "--out", trace],
+                         ["pipeline", "--trace", trace, "--lat", "-6.9147", "--lon", "107.6098",
+                          "--sweep-ms", "12000", "--out", report],
+                         ["calibrate", "--trace", trace]):
+                gc.collect()
+                gc.disable()
+                assert run_cli(argv)[0] == 0, argv
+                found.append(gc.collect())
+            return found
+
+        cycles(2000)  # the first run also imports
+        assert cycles(2000) == cycles(20000)

@@ -149,6 +149,17 @@ def test_trace_commands_do_not_load_dataclasses(tmp_path):
         assert exit_code == 0 and "dataclasses" not in new_modules, argv
 
 
+def test_each_trace_command_loads_only_its_own_trace_module(tmp_path):
+    """simulate writes a trace without the pipeline; pipeline reads one
+    without the simulator."""
+    trace, report = str(tmp_path / "trace.txt"), str(tmp_path / "report.json")
+    exit_code, new_modules = loaded_by(["simulate", "--scenario", SCENARIO, "--out", trace])
+    assert exit_code == 0 and "qiblanav.pipeline" not in new_modules
+    exit_code, new_modules = loaded_by(["pipeline", "--trace", trace, "--lat", "-6.9147", "--lon", "107.6098",
+                                        "--sweep-ms", "12000", "--out", report])
+    assert exit_code == 0 and "qiblanav.simulator" not in new_modules
+
+
 # Every value class (geodesy, declination, records, pipeline and simulator)
 # keeps the contract of a frozen dataclass.
 VALUES = [

@@ -22,12 +22,15 @@ from qiblanav import (
     write_report,
     write_trace,
 )
-from qiblanav import records
+from qiblanav import dataio, records
 from qiblanav.dataio import REPORT_TAG
 from qiblanav.errors import ParseError
-from qiblanav.records import SAMPLE, TRUTH, read_body
+from qiblanav.records import SAMPLE, TRUTH, finite_floats, read_body
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# A small pool drawn from often, so that a column repeats its values and
+# holds both zeros, which compare equal but are written apart.
+VALUES = st.sampled_from([0.0, -0.0, 1.5, -2.25, 359.5]) | FINITE
 # records.BLOCK_CHARS values: one byte or a few at a time, whole lines of one
 # to three samples for write_trace, and one block for any trace here.
 BLOCK_SIZES = st.sampled_from([1, 2, 3, 5, 7, 11, 13, 131, 257, 389, 1 << 24])
@@ -44,9 +47,9 @@ def workdir(tmp_path_factory):
 def traces(draw):
     """Samples and truth records in time order, truth timestamps leading,
     trailing, equal to and between the samples', duplicates included."""
-    samples = [SensorSample(t, draw(st.tuples(FINITE, FINITE, FINITE)), draw(st.tuples(FINITE, FINITE, FINITE)))
+    samples = [SensorSample(t, draw(st.tuples(VALUES, VALUES, VALUES)), draw(st.tuples(VALUES, VALUES, VALUES)))
                for t in draw(TIMES)]
-    truth = [TruthRecord(t, *draw(st.tuples(FINITE, FINITE, FINITE))) for t in draw(TIMES)]
+    truth = [TruthRecord(t, *draw(st.tuples(VALUES, VALUES, VALUES))) for t in draw(TIMES)]
     return samples, truth
 
 
@@ -84,6 +87,15 @@ def test_trace_round_trips_its_columns_and_writes_the_record_bytes(workdir, trac
     assert back.samples == samples and back.truth == truth
 
 
+def test_a_truth_column_keeps_the_sign_of_each_zero(workdir):
+    zeros = [0.0, -0.0, 0.0, -0.0]
+    samples = [SensorSample(float(t), (0.0, 0.0, -9.81), (40.0, 0.0, 0.0)) for t in range(4)]
+    truth = [TruthRecord(float(t), z, -z, z) for t, z in enumerate(zeros)]
+    path = workdir / "zeros.txt"
+    write_trace(TraceFile(samples, truth), str(path))
+    assert path.read_bytes() == record_by_record(samples, truth)
+
+
 def test_views_are_read_only_sequences_of_records(workdir):
     samples = [SensorSample(float(i), (0.0, 0.0, -9.81), (40.0, 0.0, float(i))) for i in range(4)]
     path = workdir / "view.txt"
@@ -108,9 +120,9 @@ def entry_document(t_ms, state):
     }
 
 
-HEADINGS = FINITE.map(AzimuthDeg)
-DEVIATIONS = st.floats(-1e300, 1e300)  # so the summary's sum of at most 8 stays finite
-ENTRIES = st.lists(st.tuples(FINITE, st.builds(QiblaPointerState, HEADINGS, HEADINGS, HEADINGS, DEVIATIONS,
+HEADINGS = VALUES.map(AzimuthDeg)
+DEVIATIONS = st.sampled_from([0.0, -0.0, 1.5]) | st.floats(-1e300, 1e300)  # so a sum of at most 8 stays finite
+ENTRIES = st.lists(st.tuples(VALUES, st.builds(QiblaPointerState, HEADINGS, HEADINGS, HEADINGS, DEVIATIONS,
                                                 st.sampled_from(Guidance), st.booleans(), st.booleans())),
                    min_size=1, max_size=8)
 JSON_VALUES = st.recursive(st.none() | st.booleans() | st.integers() | FINITE | st.text(max_size=8),
@@ -208,6 +220,48 @@ def test_refusal_names_the_same_line_wherever_the_blocks_end(workdir, case, bloc
         read_trace(str(path))
     assert exc.value.line == 40
     assert str(exc.value) == f"line 40: {message}"
+
+
+# Tokens that float takes or refuses where a number parser of its own might
+# not: underscores, other scripts' digits, a NUL, C99 NaN payloads, a lone
+# surrogate (invalid UTF-8 in a file), underflow, overflow and signed zeros.
+ODD_TOKENS = ["1_000.5", "\u0661.\u0665", "\uff11\uff12", "1\x00", "nan(1)", "\udcff", "1e-400", "-0", "1e5000",
+              "Infinity", "0x1p3", "1__0", "_1", ".5e-0_1", "+-1", "1e", "--0"]
+TOKENS = (st.sampled_from(ODD_TOKENS) | FINITE.map(repr) | st.from_regex(r"[-+]?[0-9_.eE]{1,8}", fullmatch=True)
+          | st.text(max_size=6)).filter(lambda token: token.split() == [token] and "#" not in token)
+
+
+@settings(deadline=None)
+@given(token=TOKENS, tag=st.sampled_from(["s", "t"]))
+def test_a_token_reads_as_float_reads_it(workdir, token, tag):
+    """A block is read in one conversion; each token gives the bits float
+    gives it, or the ParseError that the line-by-line rule, float on each
+    token, gives for its line."""
+    fields = ["1.0", token, *["0.0"] * ((6 if tag == "s" else 3) - 1)]
+    kind = "sample record" if tag == "s" else "truth record"
+    try:
+        expected = finite_floats(fields, 4, kind)  # the token's line, after the header and two lines
+    except ParseError as exc:
+        expected = exc
+    lines = [["s", *["0.0"] * 7], ["t", *["0.0"] * 4], [tag, *fields]]
+    streams = dataio._block_rows(lines, dict.fromkeys("st", -math.inf))
+    if isinstance(expected, ParseError):
+        assert streams is None
+    else:
+        assert streams[tag][-1].tobytes() == np.array(expected).tobytes()
+    path = workdir / "token.txt"
+    path.write_bytes("\n".join(["qtrace v1", *map(" ".join, lines)]).encode("utf-8", "surrogateescape") + b"\n")
+    if "\udcff" in token:  # the byte 0xff, which the decoder refuses before any number is read
+        expected = ParseError("invalid UTF-8: invalid start byte", 4)
+    try:
+        back = read_trace(str(path))
+    except ParseError as exc:
+        assert isinstance(expected, ParseError)
+        assert (exc.line, str(exc)) == (expected.line, str(expected))
+    else:
+        assert not isinstance(expected, ParseError)
+        rows = back.samples.rows if tag == "s" else back.truth.rows
+        assert rows[-1].tobytes() == np.array(expected).tobytes()
 
 
 @pytest.mark.parametrize("tag", ["s", "t"])
