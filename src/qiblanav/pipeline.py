@@ -32,7 +32,9 @@ runs it on one sample's floats, while `calibrate` and `run_trace` run it on
 a trace's columns (see `records`). `run_trace` returns a read-only sequence
 over its result rows (the `ENTRY` layout) that builds each
 (t_ms, QiblaPointerState) on demand. Only the circular EMA is a
-recurrence, so `run_trace` keeps one scalar loop, for it alone.
+recurrence: `_ema` is its one scalar loop, the one statement of its update,
+restart and pass-through rules, which `process` runs on one heading and
+`run_block` on a block's static headings.
 
 Which library does what, so that a column gets exactly the bits one sample
 gets: every transcendental function (atan2, hypot, sin and cos) is
@@ -83,7 +85,7 @@ class CalibrationState(_Frozen):
                  coverage_deg: float = 0.0) -> None:
         if len(hard_iron) != 3 or not all(map(math.isfinite, hard_iron)):
             raise ValueError(f"hard_iron must be three finite components, got {hard_iron!r}")
-        if not (isinstance(samples_used, int) and samples_used >= 0):
+        if not (isinstance(samples_used, int) and not isinstance(samples_used, bool) and samples_used >= 0):
             raise ValueError(f"samples_used must be a nonnegative int, got {samples_used!r}")
         if not 0.0 <= coverage_deg <= 360.0:
             raise ValueError(f"coverage_deg must be finite and in [0, 360], got {coverage_deg!r}")
@@ -98,8 +100,9 @@ class CalibrationState(_Frozen):
 class FilterState(_Frozen):
     """Circular EMA state: a unit vector (c, s) accumulating the heading.
 
-    c/s are both None until the first heading initializes them. alpha is
-    fixed per pipeline instance.
+    c/s are both None until the first heading initializes them; they are
+    never both zero, which would hold no heading. alpha is fixed per
+    pipeline instance.
     """
 
     __slots__ = ("alpha", "c", "s")
@@ -111,6 +114,8 @@ class FilterState(_Frozen):
             raise ValueError(f"c and s must be set together, got c={c!r}, s={s!r}")
         if c is not None and not (math.isfinite(c) and math.isfinite(s)):
             raise ValueError(f"c and s must be finite, got c={c!r}, s={s!r}")
+        if c == s == 0.0:
+            raise ValueError(f"c and s must not both be zero, got c={c!r}, s={s!r}")
         _setattr(self, "alpha", alpha)
         _setattr(self, "c", c)
         _setattr(self, "s", s)
@@ -200,14 +205,28 @@ def _angle(c, s, m=math):
     return m.degrees(m.atan2(s, c))
 
 
-def _ema(c: float, s: float, uc: float, us: float, alpha: float) -> tuple[float, float]:
-    """One EMA update of the filter vector (c, s) toward the unit (uc, us)."""
-    c = (1.0 - alpha) * c + alpha * uc
-    s = (1.0 - alpha) * s + alpha * us
-    norm = math.hypot(c, s)
-    if norm == 0.0:  # exactly antipodal update at alpha = 0.5; restart at input
-        return uc, us
-    return c / norm, s / norm
+def _ema(c: float | None, s: float | None, cs: list[float], ss: list[float], alpha: float) -> int:
+    """Run the filter vector (c, s), None while the filter is empty, through
+    the units (cs[i], ss[i]) in order, replacing each with the vector after it.
+
+    Returns how many leading units passed through unchanged: all of them at
+    alpha 1, else the first one when the filter was empty.
+    """
+    if alpha == 1.0:
+        return len(cs)
+    passed = 0
+    if c is None and cs:  # an empty filter takes the first unit
+        c, s, passed = cs[0], ss[0], 1
+    for i in range(passed, len(cs)):
+        c = (1.0 - alpha) * c + alpha * cs[i]
+        s = (1.0 - alpha) * s + alpha * ss[i]
+        norm = math.hypot(c, s)
+        if norm == 0.0:  # exactly antipodal update at alpha = 0.5; restart at the unit
+            c, s = cs[i], ss[i]
+        else:
+            cs[i] = c = c / norm
+            ss[i] = s = s / norm
+    return passed
 
 
 def _require_static(sample: SensorSample) -> None:
@@ -271,17 +290,13 @@ def calibrate(samples: Sequence[SensorSample]) -> CalibrationState:
     return CalibrationState(hard_iron, len(usable), float(max(360.0 - max_gap, 0.0)))
 
 
-def _filtered_heading(state: FilterState) -> AzimuthDeg:
-    return AzimuthDeg(_angle(state.c, state.s))
-
-
 def filter_heading(state: FilterState, new_heading: AzimuthDeg) -> tuple[FilterState, AzimuthDeg]:
     """Circular exponential moving average on the unit-vector embedding.
 
     (c, s) <- normalize((1 - alpha)*(c, s) + alpha*(cos h, sin h)); the
     returned heading is the angle of (c, s). The first heading initializes
-    the state and passes through unchanged, as does every heading when
-    alpha == 1.
+    the state and passes through unchanged, as does every heading at
+    alpha 1.
     """
     return _filter(state, AzimuthDeg(new_heading))
 
@@ -289,10 +304,10 @@ def filter_heading(state: FilterState, new_heading: AzimuthDeg) -> tuple[FilterS
 def _filter(state: FilterState, h: AzimuthDeg) -> tuple[FilterState, AzimuthDeg]:
     """filter_heading of a heading that already is an AzimuthDeg."""
     uc, us = _unit(h)
-    if state.c is None or state.alpha == 1.0:
-        return FilterState(state.alpha, uc, us), h
-    state = FilterState(state.alpha, *_ema(state.c, state.s, uc, us, state.alpha))
-    return state, _filtered_heading(state)
+    cs, ss = [uc], [us]
+    passed = _ema(state.c, state.s, cs, ss, state.alpha)
+    state = FilterState(state.alpha, cs[0], ss[0])
+    return state, h if passed else AzimuthDeg(_angle(state.c, state.s))
 
 
 def process(
@@ -317,7 +332,7 @@ def process(
     if dynamic:
         if filt.c is None:
             _require_static(sample)  # raises: there is no heading to carry forward yet
-        magnetic = filtered = _filtered_heading(filt)
+        magnetic = filtered = AzimuthDeg(_angle(filt.c, filt.s))
     else:
         magnetic = AzimuthDeg(_level_heading(sample.accel, sample.mag, cal.hard_iron))
         filt, filtered = _filter(filt, magnetic)
@@ -367,7 +382,6 @@ def run_block(
 
     guidance(0.0, threshold_deg)
     qibla = _qibla(user)
-    alpha = filt.alpha
     m = _columns_math()
     rows = SAMPLE.rows_of(samples)
     usable = in_static_band(m.hypot(*rows[:, 1:4].T))
@@ -378,34 +392,24 @@ def run_block(
 
     magnetic = wrap_azimuth(_level_heading(static[:, 1:4].T, static[:, 4:7].T, cal.hard_iron, m))
     cs, ss = (u.tolist() for u in _unit(magnetic, m))  # the filter vector after each static sample
-    if alpha < 1.0 and cs:  # else every static sample sets the vector to its own unit
-        if filt.c is not None:
-            cs[0], ss[0] = _ema(filt.c, filt.s, cs[0], ss[0], alpha)
-        for i in range(1, len(cs)):  # the one scalar loop: the EMA is a recurrence
-            cs[i], ss[i] = _ema(cs[i - 1], ss[i - 1], cs[i], ss[i], alpha)
-    vector = wrap_azimuth(_angle(np.array(cs), np.array(ss), m))  # the heading each vector holds
-    if alpha == 1.0:  # every heading passes through the filter
-        filtered = magnetic
-    elif filt.c is None:  # the first heading passes through
-        filtered = np.concatenate((magnetic[:1], vector[1:]))
-    else:
-        filtered = vector
+    passed = _ema(filt.c, filt.s, cs, ss, filt.alpha)
+    held = wrap_azimuth(_angle(np.array(cs), np.array(ss), m))  # the heading each vector holds
 
     # Row i's static sample is the last one at or before it; a dynamic row
     # re-emits the heading that sample's filter vector holds. Before the
     # block's first static sample, that is the heading `filt` holds.
-    lead = [] if filt.c is None else [float(_filtered_heading(filt))]
+    lead = [] if filt.c is None else [float(AzimuthDeg(_angle(filt.c, filt.s)))]
     last = np.cumsum(usable) - 1 + len(lead)
-    vector = np.concatenate((lead, vector))[last]
+    vector = np.concatenate((lead, held))[last]
+    filtered = np.where(usable, np.concatenate((lead, magnetic[:passed], held[passed:]))[last], vector)
     magnetic = np.where(usable, np.concatenate((lead, magnetic))[last], vector)
-    filtered = np.where(usable, np.concatenate((lead, filtered))[last], vector)
     true_heading = wrap_azimuth(filtered + float(decl))
     deviation = wrap_signed(float(qibla) - true_heading)
     out = np.column_stack((rows[:, 0], magnetic, true_heading, np.full(len(rows), float(qibla)), deviation,
                            _guidance_code(deviation, threshold_deg), np.full(len(rows), cal.converged),
                            ~usable))
     if cs:
-        filt = FilterState(alpha, cs[-1], ss[-1])
+        filt = FilterState(filt.alpha, cs[-1], ss[-1])
     return filt, RecordView(ENTRY, out)
 
 

@@ -47,13 +47,15 @@ between knots, so at a knot's time it is the knot's value mod 360; pitch
 and roll interpolate linearly. Before the first knot and after the last
 one the end value holds. A scenario gives
 duration_ms * sample_rate_hz / 1000 samples, rounded, and must give at
-least one and at most MAX_SAMPLES. simulate and generate refuse a
+least one and at most MAX_SAMPLES. rng_seed is an integer in [0, 2**64),
+such as a numpy integer, and never a bool. simulate and generate refuse a
 scenario whose sensor readings overflow the float range.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import NoReturn
 
 import numpy as np
@@ -135,8 +137,12 @@ class Scenario(_Frozen):
             sigma = getattr(self, name)
             if not (math.isfinite(sigma) and sigma >= 0.0):
                 _refuse(name, "must be finite and nonnegative")
-        if not 0 <= int(self.rng_seed) < 2**64:
-            _refuse("rng_seed", "must fit in 64 bits")
+        try:
+            seed = operator.index(self.rng_seed)
+        except TypeError:
+            seed = None
+        if seed is None or isinstance(self.rng_seed, bool) or not 0 <= seed < 2**64:
+            _refuse("rng_seed", f"must be an integer that fits in 64 bits, got {self.rng_seed!r}")
 
     @property
     def n_samples(self) -> int:

@@ -113,7 +113,7 @@ def test_grid_query_by_coordinates_does_not_load_csv():
 
 # Runs the one-sample pipeline, as an embedded device would, in a fresh
 # interpreter; prints whether numpy is loaded, then every module loaded since
-# the start. CI runs it also where numpy is not installed.
+# the start. tests/test_without_numpy.py runs it also where numpy is not installed.
 STREAM = """
 import json, sys
 before = set(sys.modules)
@@ -214,8 +214,8 @@ def test_value_types_are_frozen_values(cls, fields, text):
 
 
 # A record or a pipeline state refuses a field it cannot hold (a number that
-# is not finite, a vector that is not three components, a count or an angle
-# out of its range), naming the field and the value.
+# is not finite, a vector that is not three components or, for the filter,
+# zero, a count or an angle out of its range), naming the field and the value.
 REFUSALS = [
     (lambda: SensorSample(math.nan, (0.0, 0.0, 9.8), (1.0, 2.0, 3.0)), "t_ms must be finite, got nan"),
     (lambda: SensorSample(0.0, (0.0, 9.8), (1.0, 2.0, 3.0)), "accel must be three finite components, got (0.0, 9.8)"),
@@ -229,11 +229,13 @@ REFUSALS = [
     (lambda: CalibrationState((1.0, math.nan, 3.0)), "hard_iron must be three finite components, got (1.0, nan, 3.0)"),
     (lambda: CalibrationState(samples_used=-1), "samples_used must be a nonnegative int, got -1"),
     (lambda: CalibrationState(samples_used=200.0), "samples_used must be a nonnegative int, got 200.0"),
+    (lambda: CalibrationState(samples_used=True), "samples_used must be a nonnegative int, got True"),
     (lambda: CalibrationState(coverage_deg=math.nan), "coverage_deg must be finite and in [0, 360], got nan"),
     (lambda: CalibrationState(coverage_deg=360.5), "coverage_deg must be finite and in [0, 360], got 360.5"),
     (lambda: CalibrationState(coverage_deg=-math.inf), "coverage_deg must be finite and in [0, 360], got -inf"),
     (lambda: FilterState(0.5, math.nan, math.nan), "c and s must be finite, got c=nan, s=nan"),
     (lambda: FilterState(0.5, 1.0, math.inf), "c and s must be finite, got c=1.0, s=inf"),
+    (lambda: FilterState(0.5, 0.0, -0.0), "c and s must not both be zero, got c=0.0, s=-0.0"),
 ]
 
 

@@ -332,6 +332,16 @@ class TestFilterHeading:
         assert (state.c, state.s) == (uc, us)
         assert float(out) == pytest.approx(h, abs=1e-12)
 
+    def test_exactly_antipodal_update_restarts_on_the_block_path(self):
+        sample, _ = one_sample(heading=123.456, pitch=10.0, roll=-5.0)
+        cal = CalibrationState()
+        h = math.radians(tilt_compensated_heading(sample, cal))
+        filt = FilterState(0.5, -math.cos(h), -math.sin(h))
+        want = process(sample, BANDUNG, cal, filt)
+        assert want[0] == FilterState(0.5, math.cos(h), math.sin(h))
+        state, entries = run_block([sample], BANDUNG, cal, filt)
+        assert (state, list(entries)) == (want[0], [(sample.t_ms, want[1])])
+
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             FilterState(alpha=0.0)

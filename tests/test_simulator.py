@@ -192,6 +192,18 @@ class TestScenarioValidation:
             Scenario(duration_ms=100.0, sample_rate_hz=50.0, heading_deg=((0.0, 0.0),),
                      **{name: sigma})
 
+    @pytest.mark.parametrize("seed", [1.5, -0.5, float("nan"), float("inf"), "7", True, False, None])
+    def test_a_seed_that_is_not_an_integer_is_refused(self, seed):
+        with pytest.raises(ScenarioError, match="^rng_seed must be an integer") as exc:
+            Scenario(duration_ms=100.0, sample_rate_hz=50.0, heading_deg=((0.0, 0.0),), rng_seed=seed)
+        assert exc.value.key == "rng_seed"
+
+    @pytest.mark.parametrize("seed", [np.int64(77), np.uint64(77), np.int8(77)])
+    def test_a_numpy_integer_seed_is_that_seed(self, seed):
+        numpy_seeded, int_seeded = (generate(constant_scenario(noise_sigma_mag_ut=2.0, rng_seed=s))[0]
+                                    for s in (seed, 77))
+        assert list(numpy_seeded) == list(int_seeded)
+
     @settings(deadline=None)
     @given(data=st.data(), value=st.sampled_from([float("nan"), float("inf"), float("-inf")]))
     def test_a_bad_value_in_any_field_is_named_by_its_key(self, data, value):
