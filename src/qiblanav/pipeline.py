@@ -26,37 +26,32 @@ cache of qibla bearings, keyed on the user's location, which gives the bits
 `qibla_azimuth` gives and is safe to share, so distinct pipelines can run
 on distinct threads freely.
 
-One sample and a whole trace share the levelling and EMA arithmetic,
-written once in functions that take floats or float64 columns: `process`
-runs it on one sample's floats, while `calibrate` and `run_trace` run it on
-a trace's columns (see `records`). `run_trace` returns a read-only sequence
-over its result rows (the `ENTRY` layout) that builds each
-(t_ms, QiblaPointerState) on demand. Only the circular EMA is a
-recurrence: `_ema` is its one scalar loop, the one statement of its update,
-restart and pass-through rules, which `process` runs on one heading and
-`run_block` on a block's static headings.
+One loop, `_run`, takes each sample through the pointer: the static-band
+check, the levelling, the circular EMA (`_ema`, the one statement of its
+update, restart and pass-through rules), the carry-forward of a dynamic
+sample, declination, deviation and guidance, each written once. `process`
+runs it on one sample and `run_block` on a block's rows (see `records`);
+`run_trace` is `run_block` on a whole trace, and returns a read-only
+sequence over its result rows (the `ENTRY` layout) that builds each
+(t_ms, QiblaPointerState) on demand.
 
-Which library does what, so that a column gets exactly the bits one sample
-gets: every transcendental function (atan2, hypot, sin and cos) is
-`math`'s, the C library's, applied element by element to a column. Apart
-from the sphere fit in `calibrate`, numpy does only + - * / %, comparisons
-and selection, which IEEE 754 rounds the same everywhere; its `degrees` and
-`radians` are one multiply by the constant `math`'s use. numpy's own
-`arctan2` and `hypot` run SIMD kernels that differ from libm in the last
-bit on some inputs and CPUs, and the goldens pin those bits.
+Every function of a sample is `math`'s, applied to floats, so one sample,
+a block and a whole trace get the same bits, and the one-sample pipeline
+never loads numpy. numpy only fits the sphere in `calibrate` and holds
+rows; `calibrate` maps the same functions over its columns' floats.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from enum import Enum
 from functools import lru_cache
-from types import SimpleNamespace
+from itertools import chain, repeat
 
-from .declination import DeclinationDeg, to_true_heading
+from .declination import DeclinationDeg
 from .errors import DegenerateSweep, DynamicSample, InsufficientData, InvalidAngle
-from .geodesy import AzimuthDeg, GeoCoordinate, _Frozen, circular_diff, qibla_azimuth, wrap_azimuth, wrap_signed
+from .geodesy import AzimuthDeg, GeoCoordinate, _Frozen, qibla_azimuth, wrap_azimuth, wrap_signed
 from .records import SAMPLE, Layout, RecordView, SensorSample, _setattr, in_static_band
 
 # Convergence thresholds for a calibration sweep.
@@ -101,8 +96,8 @@ class FilterState(_Frozen):
     """Circular EMA state: a unit vector (c, s) accumulating the heading.
 
     c/s are both None until the first heading initializes them; they are
-    never both zero, which would hold no heading. alpha is fixed per
-    pipeline instance.
+    never both zero, which would hold no heading, and their length is
+    finite. alpha is fixed per pipeline instance.
     """
 
     __slots__ = ("alpha", "c", "s")
@@ -112,10 +107,12 @@ class FilterState(_Frozen):
             raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
         if (c is None) != (s is None):
             raise ValueError(f"c and s must be set together, got c={c!r}, s={s!r}")
-        if c is not None and not (math.isfinite(c) and math.isfinite(s)):
-            raise ValueError(f"c and s must be finite, got c={c!r}, s={s!r}")
-        if c == s == 0.0:
-            raise ValueError(f"c and s must not both be zero, got c={c!r}, s={s!r}")
+        if c is not None and not 0.0 < math.hypot(c, s) < math.inf:
+            if not (math.isfinite(c) and math.isfinite(s)):
+                raise ValueError(f"c and s must be finite, got c={c!r}, s={s!r}")
+            if c == s == 0.0:
+                raise ValueError(f"c and s must not both be zero, got c={c!r}, s={s!r}")
+            raise ValueError(f"c and s must have a finite length, got c={c!r}, s={s!r}")
         _setattr(self, "alpha", alpha)
         _setattr(self, "c", c)
         _setattr(self, "s", s)
@@ -152,8 +149,8 @@ class QiblaPointerState(_Frozen):
 _GUIDANCES = tuple(Guidance)  # definition order: aligned, turn_left, turn_right
 
 
-def _guidance_code(deviation_deg, threshold_deg):
-    """Index into Guidance's members of a deviation, a float or an array of them."""
+def _guidance_code(deviation_deg: float, threshold_deg: float) -> int:
+    """Index into Guidance's members of a deviation."""
     return (deviation_deg > threshold_deg) * 2 + (deviation_deg < -threshold_deg)
 
 
@@ -166,67 +163,68 @@ def guidance(deviation_deg: float, threshold_deg: float = DEFAULT_GUIDANCE_THRES
     return _GUIDANCES[_guidance_code(deviation_deg, threshold_deg)]
 
 
-def _columns_math():
-    """`math`'s functions applied element by element to float64 columns, and
-    numpy's `degrees` and `radians`, which are the one multiply `math`'s are."""
-    import numpy as np
-
-    def each(f):
-        return lambda *cols: np.fromiter(map(f, *(c.tolist() for c in cols)), float, len(cols[0]))
-
-    return SimpleNamespace(degrees=np.degrees, radians=np.radians,
-                           **{name: each(getattr(math, name)) for name in ("atan2", "hypot", "cos", "sin")})
-
-
-def _level_heading(accel, mag, hard_iron, m=math):
-    """Magnetic heading in degrees, not yet wrapped, from accel = (ax, ay, az)
-    and mag = (mx, my, mz), floats or columns; `m` supplies the functions."""
-    ax, ay, az = accel
-    pitch = m.atan2(ax, m.hypot(ay, az))
-    roll = m.atan2(-ay, -az)
-    mx = mag[0] - hard_iron[0]
-    my = mag[1] - hard_iron[1]
-    mz = mag[2] - hard_iron[2]
-    cp, sp = m.cos(pitch), m.sin(pitch)
-    cr, sr = m.cos(roll), m.sin(roll)
+def _level_heading(ax: float, ay: float, az: float, mx: float, my: float, mz: float,
+                   hard_iron: tuple[float, float, float]) -> float:
+    """Magnetic heading in degrees, not yet wrapped, from one sample's accel
+    (ax, ay, az) and mag (mx, my, mz)."""
+    pitch = math.atan2(ax, math.hypot(ay, az))
+    roll = math.atan2(-ay, -az)
+    mx -= hard_iron[0]
+    my -= hard_iron[1]
+    mz -= hard_iron[2]
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    cr, sr = math.cos(roll), math.sin(roll)
     xh = mx * cp + my * sr * sp + mz * cr * sp
     yh = my * cr - mz * sr
-    return m.degrees(m.atan2(-yh, xh))
+    return math.degrees(math.atan2(-yh, xh))
 
 
-def _unit(heading, m=math):
-    """The filter's embedding (cos h, sin h) of a heading or a column of them."""
-    hr = m.radians(heading)
-    return m.cos(hr), m.sin(hr)
+def _ema(c: float | None, s: float | None, alpha: float, h: float) -> tuple[float, float, float]:
+    """The filter vector (c, s), None while the filter is empty, after the
+    heading h, a wrapped float, and the heading it outputs for h: h itself
+    when h passes through (into an empty filter, and always at alpha 1),
+    else the angle of the new vector."""
+    hr = math.radians(h)
+    uc, us = math.cos(hr), math.sin(hr)
+    if c is None or alpha == 1.0:
+        return uc, us, h
+    c = (1.0 - alpha) * c + alpha * uc
+    s = (1.0 - alpha) * s + alpha * us
+    norm = math.hypot(c, s)
+    if norm == 0.0:  # exactly antipodal update at alpha = 0.5; restart at the unit
+        c, s = uc, us
+    else:
+        c, s = c / norm, s / norm
+    return c, s, wrap_azimuth(math.degrees(math.atan2(s, c)))
 
 
-def _angle(c, s, m=math):
-    """The heading, not yet wrapped, of a filter vector or columns of them."""
-    return m.degrees(m.atan2(s, c))
+def _run(rows: Iterable[Sequence[float]], qibla: float, cal: CalibrationState, filt: FilterState, decl: float,
+         threshold_deg: float) -> tuple[float | None, float | None, list[tuple]]:
+    """Take sample rows (t_ms, ax, ay, az, mx, my, mz) of floats through the
+    pointer, in order, from the filter state `filt`.
 
-
-def _ema(c: float | None, s: float | None, cs: list[float], ss: list[float], alpha: float) -> int:
-    """Run the filter vector (c, s), None while the filter is empty, through
-    the units (cs[i], ss[i]) in order, replacing each with the vector after it.
-
-    Returns how many leading units passed through unchanged: all of them at
-    alpha 1, else the first one when the filter was empty.
+    Returns the filter vector (c, s) after them and one `ENTRY` row per
+    sample that has output: a dynamic sample re-emits the heading the
+    filter holds, and before it holds one has none.
     """
-    if alpha == 1.0:
-        return len(cs)
-    passed = 0
-    if c is None and cs:  # an empty filter takes the first unit
-        c, s, passed = cs[0], ss[0], 1
-    for i in range(passed, len(cs)):
-        c = (1.0 - alpha) * c + alpha * cs[i]
-        s = (1.0 - alpha) * s + alpha * ss[i]
-        norm = math.hypot(c, s)
-        if norm == 0.0:  # exactly antipodal update at alpha = 0.5; restart at the unit
-            c, s = cs[i], ss[i]
+    guidance(0.0, threshold_deg)  # checks the threshold once
+    alpha, hard_iron, calibrated = filt.alpha, cal.hard_iron, cal.converged
+    c, s = filt.c, filt.s
+    out = []
+    for t, ax, ay, az, mx, my, mz in rows:
+        dynamic = not in_static_band(math.hypot(ax, ay, az))
+        if not dynamic:
+            magnetic = wrap_azimuth(_level_heading(ax, ay, az, mx, my, mz, hard_iron))
+            c, s, filtered = _ema(c, s, alpha, magnetic)
+        elif c is None:  # no heading to carry forward yet
+            continue
         else:
-            cs[i] = c = c / norm
-            ss[i] = s = s / norm
-    return passed
+            magnetic = filtered = wrap_azimuth(math.degrees(math.atan2(s, c)))
+        true_heading = wrap_azimuth(filtered + decl)
+        deviation = wrap_signed(qibla - true_heading)
+        out.append((t, magnetic, true_heading, qibla, deviation, _guidance_code(deviation, threshold_deg),
+                    calibrated, dynamic))
+    return c, s, out
 
 
 def _require_static(sample: SensorSample) -> None:
@@ -245,7 +243,7 @@ def tilt_compensated_heading(sample: SensorSample, cal: CalibrationState) -> Azi
     Raises DynamicSample when the accelerometer magnitude is out of band.
     """
     _require_static(sample)
-    return AzimuthDeg(_level_heading(sample.accel, sample.mag, cal.hard_iron))
+    return AzimuthDeg(_level_heading(*sample.accel, *sample.mag, cal.hard_iron))
 
 
 def calibrate(samples: Sequence[SensorSample]) -> CalibrationState:
@@ -265,9 +263,11 @@ def calibrate(samples: Sequence[SensorSample]) -> CalibrationState:
     """
     import numpy as np  # here, so commands that never calibrate start without numpy
 
-    m = _columns_math()
+    def columns(block):  # each column of a block, read as floats without a list of them
+        return map(memoryview, np.ascontiguousarray(block.T))
+
     rows = SAMPLE.rows_of(samples)
-    usable = rows[in_static_band(m.hypot(*rows[:, 1:4].T))]
+    usable = rows[in_static_band(np.fromiter(map(math.hypot, *columns(rows[:, 1:4])), float, len(rows)))]
     if len(usable) < 10:
         raise InsufficientData(f"{len(usable)} usable samples, need at least 10")
 
@@ -284,7 +284,8 @@ def calibrate(samples: Sequence[SensorSample]) -> CalibrationState:
     center = x[:3] + mean
     hard_iron = (float(center[0]), float(center[1]), float(center[2]))
 
-    headings = np.sort(wrap_azimuth(_level_heading(usable[:, 1:4].T, pts.T, hard_iron, m)))
+    headings = np.fromiter(map(_level_heading, *columns(usable[:, 1:7]), repeat(hard_iron)), float, len(usable))
+    headings = np.sort(wrap_azimuth(headings))
     max_gap = max(headings[0] + 360.0 - headings[-1], np.diff(headings).max(initial=0.0))
     # Equal headings span nothing, though rounding can make their one gap exceed 360.
     return CalibrationState(hard_iron, len(usable), float(max(360.0 - max_gap, 0.0)))
@@ -298,16 +299,8 @@ def filter_heading(state: FilterState, new_heading: AzimuthDeg) -> tuple[FilterS
     the state and passes through unchanged, as does every heading at
     alpha 1.
     """
-    return _filter(state, AzimuthDeg(new_heading))
-
-
-def _filter(state: FilterState, h: AzimuthDeg) -> tuple[FilterState, AzimuthDeg]:
-    """filter_heading of a heading that already is an AzimuthDeg."""
-    uc, us = _unit(h)
-    cs, ss = [uc], [us]
-    passed = _ema(state.c, state.s, cs, ss, state.alpha)
-    state = FilterState(state.alpha, cs[0], ss[0])
-    return state, h if passed else AzimuthDeg(_angle(state.c, state.s))
+    c, s, filtered = _ema(state.c, state.s, state.alpha, AzimuthDeg(new_heading))
+    return FilterState(state.alpha, c, s), AzimuthDeg(filtered)
 
 
 def process(
@@ -321,25 +314,22 @@ def process(
 ) -> tuple[FilterState, QiblaPointerState]:
     """Run one sample through the full pointer pipeline.
 
-    Composes tilt_compensated_heading -> filter_heading -> to_true_heading
-    -> qibla_azimuth -> circular_diff -> guidance. A dynamic sample leaves
+    Takes the sample through the steps of tilt_compensated_heading ->
+    filter_heading -> to_true_heading -> qibla_azimuth -> circular_diff ->
+    guidance, in the loop `run_block` runs. A dynamic sample leaves
     the filter untouched and re-emits the previous filtered heading with
     the dynamic flag set; if no heading has been filtered yet there is
     nothing to emit and DynamicSample propagates.
     """
     qibla = _qibla(user)
-    dynamic = not sample.usable_for_tilt
-    if dynamic:
-        if filt.c is None:
-            _require_static(sample)  # raises: there is no heading to carry forward yet
-        magnetic = filtered = AzimuthDeg(_angle(filt.c, filt.s))
-    else:
-        magnetic = AzimuthDeg(_level_heading(sample.accel, sample.mag, cal.hard_iron))
-        filt, filtered = _filter(filt, magnetic)
-    true_heading = to_true_heading(filtered, decl)
-    deviation = circular_diff(qibla, true_heading)
-    return filt, QiblaPointerState(magnetic, true_heading, qibla, deviation, guidance(deviation, threshold_deg),
-                                   cal.converged, dynamic)
+    c, s, out = _run((SAMPLE.row(sample),), float(qibla), cal, filt, float(decl), threshold_deg)
+    if not out:
+        _require_static(sample)  # raises: there is no heading to carry forward yet
+    _, magnetic, true_heading, _, deviation, code, calibrated, dynamic = out[0]
+    # Before the filter state, so a heading that is not finite raises InvalidAngle.
+    state = QiblaPointerState(AzimuthDeg(magnetic), AzimuthDeg(true_heading), qibla, deviation, _GUIDANCES[code],
+                              calibrated, dynamic)
+    return FilterState(filt.alpha, c, s), state
 
 
 def _entry_row(entry: tuple[float, QiblaPointerState]) -> tuple:
@@ -348,7 +338,7 @@ def _entry_row(entry: tuple[float, QiblaPointerState]) -> tuple:
             _GUIDANCES.index(s.guidance), s.calibrated, s.dynamic)
 
 
-def _entry(r: list[float]) -> tuple[float, QiblaPointerState]:
+def _entry(r: Sequence[float]) -> tuple[float, QiblaPointerState]:
     return r[0], QiblaPointerState(AzimuthDeg(r[1]), AzimuthDeg(r[2]), AzimuthDeg(r[3]), r[4],
                                    _GUIDANCES[int(r[5])], r[6] == 1.0, r[7] == 1.0)
 
@@ -376,41 +366,16 @@ def run_block(
     holds no heading, dynamic samples before the first usable one produce
     no output (there is no heading to carry forward yet). The qibla bearing
     is computed once, so a user at the Kaaba or its antipode raises even
-    for an empty block; threshold_deg is checked once too.
+    for an empty block; threshold_deg is checked once too. A heading that
+    is not finite raises InvalidAngle, as it does in `process`.
     """
     import numpy as np
 
-    guidance(0.0, threshold_deg)
-    qibla = _qibla(user)
-    m = _columns_math()
-    rows = SAMPLE.rows_of(samples)
-    usable = in_static_band(m.hypot(*rows[:, 1:4].T))
-    if filt.c is None:  # output starts at the first usable sample
-        first = usable.argmax() if usable.any() else len(usable)
-        rows, usable = rows[first:], usable[first:]
-    static = rows[usable]
-
-    magnetic = wrap_azimuth(_level_heading(static[:, 1:4].T, static[:, 4:7].T, cal.hard_iron, m))
-    cs, ss = (u.tolist() for u in _unit(magnetic, m))  # the filter vector after each static sample
-    passed = _ema(filt.c, filt.s, cs, ss, filt.alpha)
-    held = wrap_azimuth(_angle(np.array(cs), np.array(ss), m))  # the heading each vector holds
-
-    # Row i's static sample is the last one at or before it; a dynamic row
-    # re-emits the heading that sample's filter vector holds. Before the
-    # block's first static sample, that is the heading `filt` holds.
-    lead = [] if filt.c is None else [float(AzimuthDeg(_angle(filt.c, filt.s)))]
-    last = np.cumsum(usable) - 1 + len(lead)
-    vector = np.concatenate((lead, held))[last]
-    filtered = np.where(usable, np.concatenate((lead, magnetic[:passed], held[passed:]))[last], vector)
-    magnetic = np.where(usable, np.concatenate((lead, magnetic))[last], vector)
-    true_heading = wrap_azimuth(filtered + float(decl))
-    deviation = wrap_signed(float(qibla) - true_heading)
-    out = np.column_stack((rows[:, 0], magnetic, true_heading, np.full(len(rows), float(qibla)), deviation,
-                           _guidance_code(deviation, threshold_deg), np.full(len(rows), cal.converged),
-                           ~usable))
-    if cs:
-        filt = FilterState(filt.alpha, cs[-1], ss[-1])
-    return filt, RecordView(ENTRY, out)
+    c, s, out = _run(SAMPLE.rows_of(samples).tolist(), float(_qibla(user)), cal, filt, float(decl), threshold_deg)
+    rows = np.fromiter(chain.from_iterable(out), float, ENTRY.width * len(out)).reshape(-1, ENTRY.width)
+    if not np.isfinite(rows).all():  # a levelled heading is nan, as atan2 gives no infinity
+        raise InvalidAngle("azimuth must be finite, got nan")
+    return FilterState(filt.alpha, c, s), RecordView(ENTRY, rows)
 
 
 def run_trace(

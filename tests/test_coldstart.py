@@ -215,7 +215,8 @@ def test_value_types_are_frozen_values(cls, fields, text):
 
 # A record or a pipeline state refuses a field it cannot hold (a number that
 # is not finite, a vector that is not three components or, for the filter,
-# zero, a count or an angle out of its range), naming the field and the value.
+# zero or longer than the largest float, a count or an angle out of its
+# range), naming the field and the value.
 REFUSALS = [
     (lambda: SensorSample(math.nan, (0.0, 0.0, 9.8), (1.0, 2.0, 3.0)), "t_ms must be finite, got nan"),
     (lambda: SensorSample(0.0, (0.0, 9.8), (1.0, 2.0, 3.0)), "accel must be three finite components, got (0.0, 9.8)"),
@@ -236,6 +237,7 @@ REFUSALS = [
     (lambda: FilterState(0.5, math.nan, math.nan), "c and s must be finite, got c=nan, s=nan"),
     (lambda: FilterState(0.5, 1.0, math.inf), "c and s must be finite, got c=1.0, s=inf"),
     (lambda: FilterState(0.5, 0.0, -0.0), "c and s must not both be zero, got c=0.0, s=-0.0"),
+    (lambda: FilterState(0.5, 1.5e308, -1.5e308), "c and s must have a finite length, got c=1.5e+308, s=-1.5e+308"),
 ]
 
 

@@ -41,3 +41,26 @@ def test_imports_point_down():
     for name, rank in RANK.items():
         for target in package_imports(PACKAGE / f"{name}.py"):
             assert RANK[target] < rank, f"{name} imports {target}"
+
+
+def refers_to_numpy(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "numpy" for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == "numpy"
+    return isinstance(node, ast.Name) and node.id in ("np", "numpy")
+
+
+def test_pipeline_uses_numpy_only_to_fit_and_to_hold_rows():
+    """Every function of a sample runs on floats, on one path: `pipeline`
+    refers to numpy only inside `calibrate` (the sphere fit) and `run_block`
+    (a block's rows)."""
+    tree = ast.parse((PACKAGE / "pipeline.py").read_text(encoding="utf-8"))
+    found = [
+        node.lineno
+        for top in tree.body
+        if not (isinstance(top, ast.FunctionDef) and top.name in ("calibrate", "run_block"))
+        for node in ast.walk(top)
+        if refers_to_numpy(node)
+    ]
+    assert found == [], f"pipeline.py refers to numpy on lines {found}"

@@ -456,6 +456,14 @@ def as_samples(readings):
     return [SensorSample(20.0 * i, accel, mag) for i, (accel, mag) in enumerate(readings)]
 
 
+# A fold's start state: the empty filter, any vector FilterState holds (a
+# finite, nonzero one of finite length, not necessarily a unit), or, with
+# alpha 0.5, the antipode of the first static sample's unit, which the
+# first update cancels exactly, so the filter restarts there.
+VECTOR = st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                   st.floats(allow_nan=False, allow_infinity=False))
+START = st.none() | VECTOR.filter(lambda v: 0.0 < math.hypot(*v) < math.inf) | st.just("antipode")
+
 FOLD_CASES = dict(
     lead=st.lists(st.tuples(DYNAMIC_ACCEL, MAG), max_size=4),
     rest=st.lists(st.tuples(st.one_of(STATIC_ACCEL, DYNAMIC_ACCEL), MAG), max_size=30),
@@ -464,30 +472,38 @@ FOLD_CASES = dict(
     alpha=st.floats(0.01, 1.0) | st.just(1.0),
     threshold=st.floats(0.1, 20.0),
     cuts=st.lists(st.integers(0, 34), max_size=5),
+    start=START,
 )
 
 
 @given(**FOLD_CASES)
-def test_run_trace_equals_process_fold(lead, rest, hard_iron, decl, alpha, threshold, cuts):
+def test_run_trace_equals_process_fold(lead, rest, hard_iron, decl, alpha, threshold, cuts, start):
     """run_trace, and run_block over the trace cut into blocks, give exactly
     what process gives sample by sample, skipping the samples that raise
     DynamicSample."""
-    check_fold(as_samples(lead + rest), hard_iron, decl, alpha, threshold, cuts)
+    check_fold(as_samples(lead + rest), hard_iron, decl, alpha, threshold, cuts, start)
 
 
 @given(**FOLD_CASES)
 def test_run_trace_on_read_trace_columns_equals_process_fold(tmp_path_factory, lead, rest, hard_iron, decl,
-                                                             alpha, threshold, cuts):
+                                                             alpha, threshold, cuts, start):
     """The same folds, given the column-backed samples of a trace file read
     back."""
     path = tmp_path_factory.mktemp("fold") / "trace.txt"
     write_trace(TraceFile(as_samples(lead + rest)), str(path))
-    check_fold(read_trace(str(path)).samples, hard_iron, decl, alpha, threshold, cuts)
+    check_fold(read_trace(str(path)).samples, hard_iron, decl, alpha, threshold, cuts, start)
 
 
-def check_fold(samples, hard_iron, decl, alpha, threshold, cuts):
+def check_fold(samples, hard_iron, decl, alpha, threshold, cuts, start):
+    """Fold process over the samples from the start state, and compare
+    run_block over the cuts from that state, and run_trace from the empty
+    one."""
     cal = CalibrationState(hard_iron)
-    filt = FilterState(alpha=alpha)
+    if start == "antipode":
+        first = next((sample for sample in samples if sample.usable_for_tilt), None)
+        h = math.radians(tilt_compensated_heading(first, cal)) if first else 0.0
+        alpha, start = 0.5, (-math.cos(h), -math.sin(h))
+    filt = begin = FilterState(alpha, *(start or (None, None)))
     expected = []
     for sample in samples:
         try:
@@ -495,16 +511,30 @@ def check_fold(samples, hard_iron, decl, alpha, threshold, cuts):
         except DynamicSample:
             continue
         expected.append((sample.t_ms, state))
-    whole = run_trace(samples, BANDUNG, cal, DeclinationDeg(decl), alpha=alpha, threshold_deg=threshold)
-    chunked, state = [], FilterState(alpha=alpha)
+    chunked, state = [], begin
     bounds = [0, *sorted(cuts), len(samples)]
     for a, b in zip(bounds, bounds[1:]):  # blocks, empty ones among them
         state, entries = run_block(samples[a:b], BANDUNG, cal, state, DeclinationDeg(decl), threshold_deg=threshold)
         chunked += entries
     assert state == filt
-    assert len(whole) == len(chunked) == len(expected)
-    for entry, piece, reference in zip(whole, chunked, expected):
-        assert entry == piece == reference
+    assert chunked == expected
+    if start is None:
+        assert run_trace(samples, BANDUNG, cal, DeclinationDeg(decl), alpha=alpha, threshold_deg=threshold) == expected
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_heading_that_is_not_finite_raises_invalid_angle():
+    """A hard iron whose subtraction overflows levels to no heading: one
+    sample, a block and a whole trace each raise InvalidAngle, and no
+    warning."""
+    cal = CalibrationState((-1e308,) * 3)
+    sample = SensorSample(0.0, (0.0, 0.0, -9.81), (1e308,) * 3)
+    with pytest.raises(InvalidAngle, match="azimuth must be finite, got nan"):
+        process(sample, BANDUNG, cal, FilterState())
+    with pytest.raises(InvalidAngle, match="azimuth must be finite, got nan"):
+        run_block([sample], BANDUNG, cal, FilterState())
+    with pytest.raises(InvalidAngle, match="azimuth must be finite, got nan"):
+        run_trace([sample], BANDUNG, cal)
 
 
 @given(lat=st.sampled_from([0.0, -0.0]) | st.floats(-90.0, 90.0),
