@@ -121,7 +121,7 @@ def write_trace(trace: TraceFile, path: str) -> None:
             lines = np.array(list(map(sample_line.__mod__, map(tuple, samples[a:b].tolist()))), dtype=object)
             times = truth[j:k, 0].tolist()
             truth_lines = list(map("t %r %s %s %s\n".__mod__, zip(times, *(c[j:k].tolist() for c in truth_reprs))))
-            fh.writelines(np.insert(lines, after[j:k] - a, np.array(truth_lines, dtype=object)).tolist())
+            fh.write("".join(np.insert(lines, after[j:k] - a, np.array(truth_lines, dtype=object)).tolist()))
             j = k
 
 
@@ -441,7 +441,7 @@ def write_report_blocks(
         fh.write(head)
         for entries, truth in blocks:
             rows = fold.add(entries, truth)
-            fh.writelines(_entry_lines(rows, fmt, fold.count == len(rows)))
+            fh.write("".join(_entry_lines(rows, fmt, fold.count == len(rows))))
         summary = fold.result()
         if fmt == "json":
             fh.write(f'\n  ],\n  "summary": {_nested_json(summary)}\n}}\n')

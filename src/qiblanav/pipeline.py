@@ -37,8 +37,9 @@ sequence over its result rows (the `ENTRY` layout) that builds each
 
 Every function of a sample is `math`'s, applied to floats, so one sample,
 a block and a whole trace get the same bits, and the one-sample pipeline
-never loads numpy. numpy only fits the sphere in `calibrate` and holds
-rows; `calibrate` maps the same functions over its columns' floats.
+never loads numpy. numpy only holds rows and forms the sphere fit's
+elementwise products, which `math.fsum` sums exactly; `calibrate` maps
+the same functions over its columns' floats, and solves the fit on floats.
 """
 
 from __future__ import annotations
@@ -246,49 +247,88 @@ def tilt_compensated_heading(sample: SensorSample, cal: CalibrationState) -> Azi
     return AzimuthDeg(_level_heading(*sample.accel, *sample.mag, cal.hard_iron))
 
 
+def _solve(m: list[list[float]], v: list[float]) -> list[float]:
+    """x with m x = v, for a symmetric positive definite m: Gaussian
+    elimination on floats, without the pivoting such a matrix does not need."""
+    a = [[*row, r] for row, r in zip(m, v)]
+    size = len(a)
+    for k in range(size):
+        for i in range(k + 1, size):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    x = [0.0] * size
+    for k in reversed(range(size)):
+        r = a[k][size]
+        for j in range(k + 1, size):  # not sum(): it rounds differently from Python 3.12 on
+            r -= a[k][j] * x[j]
+        x[k] = r / a[k][k]
+    return x
+
+
 def calibrate(samples: Sequence[SensorSample]) -> CalibrationState:
     """Estimate the hard-iron offset from a rotation sweep.
 
     Least-squares sphere fit of the magnetometer point cloud (linear solve
     for the center): with p the mag samples and q = p - mean(p), solve
     [2q | 1] x ~= |q|^2 via its normal equations; the center is x[:3] plus
-    the mean. Samples whose accelerometer is out of the static band are
-    skipped. The state converges once at least 200 usable samples span at
-    least 180 degrees of heading: 360 minus the largest gap between the
-    usable samples' headings.
+    the mean. Each sum the fit takes is `math.fsum` over values numpy forms
+    elementwise, so it is exactly rounded and does not depend on the
+    samples' order: the mean is such a sum divided by n, and the normal
+    equations have 13 distinct entries besides their corner, which is n.
+    `_solve` solves them on floats. So the center is a function of the set
+    of usable samples alone, with the same bits for every sample order,
+    BLAS kernel and numpy SIMD level. Samples whose accelerometer is out
+    of the static band are skipped. The state converges once at least 200
+    usable samples span at least 180 degrees of heading: 360 minus the
+    largest gap between the usable samples' headings.
 
     Raises InsufficientData below 10 usable samples, and DegenerateSweep
-    when the normal equations' condition number exceeds 1e12 (the cloud is
-    flat or worse, so the center is unobservable).
+    when a sum overflows or the normal equations' condition number exceeds
+    1e12 (the cloud is flat or worse, so the center is unobservable).
+    `np.linalg.cond` (LAPACK) gives that number, whose last bits may follow
+    the CPU; it only gates the fit at 1e12 and reaches no output.
     """
     import numpy as np  # here, so commands that never calibrate start without numpy
 
     def columns(block):  # each column of a block, read as floats without a list of them
         return map(memoryview, np.ascontiguousarray(block.T))
 
+    def total(x) -> float:  # the exactly rounded sum of a float64 array; inf if it overflows
+        try:
+            return math.fsum(memoryview(x))
+        except (OverflowError, ValueError):  # an overflowing sum, or inf - inf
+            return math.inf
+
     rows = SAMPLE.rows_of(samples)
     usable = rows[in_static_band(np.fromiter(map(math.hypot, *columns(rows[:, 1:4])), float, len(rows)))]
-    if len(usable) < 10:
-        raise InsufficientData(f"{len(usable)} usable samples, need at least 10")
+    n = len(usable)
+    if n < 10:
+        raise InsufficientData(f"{n} usable samples, need at least 10")
 
-    pts = np.ascontiguousarray(usable[:, 4:7])
-    mean = pts.mean(axis=0)
-    q = pts - mean
-    a = np.hstack([2.0 * q, np.ones((len(q), 1))])
-    b = (q * q).sum(axis=1)
-    ata = a.T @ a
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a sum that is not finite
+        pts = np.ascontiguousarray(usable[:, 4:7].T)
+        mean = [total(p) / n for p in pts]
+        q = [p - m for p, m in zip(pts, mean)]
+        b = q[0] * q[0] + q[1] * q[1] + q[2] * q[2]
+        ata = [[float(n)] * 4 for _ in range(4)]  # the corner, ata[3][3], is the count
+        for i in range(3):
+            for j in range(i, 3):
+                ata[i][j] = ata[j][i] = 4.0 * total(q[i] * q[j])
+            ata[i][3] = ata[3][i] = 2.0 * total(q[i])
+        atb = [2.0 * total(qi * b) for qi in q] + [total(b)]
+    if not all(map(math.isfinite, chain(*ata, atb))):
+        raise DegenerateSweep("normal equations overflow")
     cond = np.linalg.cond(ata)
     if not np.isfinite(cond) or cond > MAX_FIT_CONDITION:
         raise DegenerateSweep(f"normal equations condition {cond:.3e} exceeds {MAX_FIT_CONDITION:.0e}")
-    x = np.linalg.solve(ata, a.T @ b)
-    center = x[:3] + mean
-    hard_iron = (float(center[0]), float(center[1]), float(center[2]))
+    x = _solve(ata, atb)
+    hard_iron = (x[0] + mean[0], x[1] + mean[1], x[2] + mean[2])
 
-    headings = np.fromiter(map(_level_heading, *columns(usable[:, 1:7]), repeat(hard_iron)), float, len(usable))
+    headings = np.fromiter(map(_level_heading, *columns(usable[:, 1:7]), repeat(hard_iron)), float, n)
     headings = np.sort(wrap_azimuth(headings))
     max_gap = max(headings[0] + 360.0 - headings[-1], np.diff(headings).max(initial=0.0))
     # Equal headings span nothing, though rounding can make their one gap exceed 360.
-    return CalibrationState(hard_iron, len(usable), float(max(360.0 - max_gap, 0.0)))
+    return CalibrationState(hard_iron, n, float(max(360.0 - max_gap, 0.0)))
 
 
 def filter_heading(state: FilterState, new_heading: AzimuthDeg) -> tuple[FilterState, AzimuthDeg]:

@@ -1,6 +1,10 @@
 import gc
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
 
 import pytest
 
@@ -358,6 +362,24 @@ def test_batch_outputs_match_their_digests(tmp_path, monkeypatch):
     assert sorted(digests) == ["report.json", "report.txt", "trace.txt"]
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_goldens_hold_on_the_oldest_x86_blas_kernel(tmp_path):
+    """The fit's bits do not follow the BLAS kernel that OpenBLAS picks for
+    the CPU: in a fresh interpreter on its Prescott kernel, which any x86-64
+    CPU runs, `calibrate` and `pipeline` print their goldens."""
+    if platform.machine() != "x86_64":
+        pytest.skip("OpenBLAS's Prescott kernel runs on x86-64 only")
+    env = dict(os.environ, PYTHONPATH=str(GOLDEN_DIR.parent.parent / "src"), OPENBLAS_CORETYPE="Prescott")
+
+    def qiblanav(*argv):
+        return subprocess.run([sys.executable, "-m", "qiblanav.cli", *argv], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120, check=True).stdout
+
+    qiblanav("simulate", "--scenario", SCENARIO, "--out", "trace.txt")
+    assert qiblanav("calibrate", "--trace", "trace.txt", "--format", "json") == golden("calibrate.json")
+    assert qiblanav("pipeline", "--trace", "trace.txt", "--city", "Bandung", "--cities", CITIES, "--decl", "0.8",
+                    "--sweep-ms", "12000", "--out", "report.json", "--format", "json") == golden("pipeline.json")
 
 
 class TestExitCodeContract:

@@ -64,3 +64,21 @@ def test_pipeline_uses_numpy_only_to_fit_and_to_hold_rows():
         if refers_to_numpy(node)
     ]
     assert found == [], f"pipeline.py refers to numpy on lines {found}"
+
+
+def test_pipeline_fits_with_no_matrix_product_or_library_solve():
+    """A BLAS product's or a LAPACK solve's last bits follow the CPU, and the
+    goldens print the fitted center: `pipeline` has no `@` and calls none of
+    numpy's products or solvers."""
+    tree = ast.parse((PACKAGE / "pipeline.py").read_text(encoding="utf-8"))
+
+    def callee(call: ast.Call) -> str | None:
+        return call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
+
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(getattr(node, "op", None), ast.MatMult)
+        or isinstance(node, ast.Call) and callee(node) in ("solve", "lstsq", "inv", "dot", "matmul")
+    ]
+    assert found == [], f"pipeline.py multiplies or solves with numpy on lines {found}"

@@ -226,6 +226,24 @@ class TestCalibrate:
         with pytest.raises(DegenerateSweep):
             calibrate(list(samples))
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rng=st.randoms(use_true_random=False))
+    def test_the_fit_depends_only_on_the_set_of_samples(self, seed, rng):
+        # exactly rounded sums: no order of the samples, and no container of them, moves a bit
+        samples = simulate(tumbled_sweep(seed=seed, hard_iron=(25.0, -18.0, 9.0), noise_mag=2.0,
+                                         noise_accel=0.05)).samples
+        shuffled = list(samples)
+        rng.shuffle(shuffled)
+        assert calibrate(shuffled) == calibrate(list(samples)) == calibrate(samples)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_a_sweep_whose_sums_overflow_is_degenerate(self, scale):
+        samples = simulate(tumbled_sweep(seed=0)).samples
+        huge = [SensorSample(s.t_ms, s.accel, tuple(scale * m for m in s.mag)) for s in samples]
+        with pytest.raises(DegenerateSweep):
+            calibrate(huge)
+
     def test_quarter_sweep_not_converged(self):
         samples, _ = generate(tumbled_sweep(seed=0, yaw_span_deg=90.0,
                                             hard_iron=(10.0, -5.0, 3.0)))
