@@ -24,8 +24,8 @@ from itertools import chain
 from typing import TYPE_CHECKING, NoReturn
 
 # qibla and distance use only these modules, and `records` to read a city or
-# grid file; each other command imports the trace modules (and numpy with
-# them) itself.
+# grid file; each other command imports the trace modules itself, and only
+# simulate loads numpy.
 from .declination import DeclinationDeg, declination_at, load_grid
 from .errors import DegenerateSweep, InsufficientData, QiblaNavError
 from .geodesy import KAABA, GeoCoordinate, haversine_distance, qibla_azimuth, slc_distance
@@ -154,6 +154,9 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[str]]:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    from bisect import bisect_right
+    from operator import attrgetter
+
     from .dataio import REPORT_TAG, join_blocks, read_trace_blocks, write_report_blocks
     from .pipeline import DEFAULT_ALPHA, DEFAULT_GUIDANCE_THRESHOLD_DEG, FilterState, calibrate, guidance, run_block
 
@@ -174,11 +177,11 @@ def cmd_pipeline(args: argparse.Namespace) -> tuple[dict, list[str]]:
         held = []
         for block in blocks:
             held.append(block)
-            if args.sweep_ms is not None and len(block.samples) and block.samples.rows[-1, 0] > args.sweep_ms:
+            if args.sweep_ms is not None and len(block.samples) and block.samples[-1].t_ms > args.sweep_ms:
                 break
         cal_samples = join_blocks(held).samples
-        if args.sweep_ms is not None:
-            cal_samples = cal_samples[cal_samples.rows[:, 0] <= args.sweep_ms]
+        if args.sweep_ms is not None:  # the samples up to the sweep's end, which come first
+            cal_samples = cal_samples[:bisect_right(cal_samples, args.sweep_ms, key=attrgetter("t_ms"))]
         cal = calibrate(cal_samples)
         meta = {
             "latitude_deg": where.latitude_deg,

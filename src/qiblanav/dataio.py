@@ -5,7 +5,7 @@ round-trip numbers exactly (floats are rendered with Python's shortest
 round-trip repr). Loaders never partially succeed: any error raises before
 a dataset is returned.
 
-Traces and run_trace results are held as columns (see `records`): every
+Traces and run_trace results are held as columns (see `columns`): every
 trace and report stage reads and writes them in bulk, a block of rows at a
 time, builds no record, and gives the bytes the record-by-record rules
 below define, wherever the blocks end.
@@ -33,34 +33,26 @@ or a report replaces its path only once it is complete.
 from __future__ import annotations
 
 import json
+import math
 import os
+from array import array
+from bisect import bisect_left, bisect_right
+from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager, suppress
 from functools import reduce
 from itertools import chain, repeat
-from operator import add
+from operator import add, le
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
+from .columns import SAMPLE, TRUTH, RecordView, all_finite, float_array
 from .errors import EmptyReport, OutOfSpan, ParseError
 from .geodesy import AzimuthDeg, circular_diff, wrap_azimuth
 from . import records
 # perfbench/cliquery.py times `dataio.load_cities`; this re-import keeps that
 # name until the benchmark reads it from `records`.
 from .records import load_cities  # noqa: F401
-from .records import (
-    SAMPLE,
-    TRUTH,
-    Layout,
-    RecordView,
-    TraceFile,
-    TruthRecord,
-    finite_floats,
-    read_body,
-    read_pieces,
-    read_text,
-)
+from .records import TraceFile, TruthRecord, finite_floats, read_body, read_pieces, read_text
 
 if TYPE_CHECKING:  # at run time only the report functions import the pipeline, so a trace alone does not load it
     from .pipeline import QiblaPointerState
@@ -78,19 +70,22 @@ _STREAMS = {"s": ("sample record", SAMPLE), "t": ("truth record", TRUTH)}
 _LINE_CHARS = 128
 
 
-def _in_order(rows: Any, after: float = -float("inf")) -> bool:
-    """Whether every value of `rows` is finite and their time column never
-    decreases, from `after` on: the rule of each stream of a trace."""
-    t = np.concatenate(([after], rows[:, 0]))
-    return bool(np.isfinite(rows).all() and (t[1:] >= t[:-1]).all())
+def _in_order(values: Sequence[float], width: int, after: float = -math.inf) -> bool:
+    """Whether every value of a flat buffer of rows `width` values wide is
+    finite and their times, each row's first value, never decrease, from
+    `after` on: the rule of each stream of a trace."""
+    t = values[::width]
+    return all_finite(values) and all(map(le, chain([after], t), t))
 
 
-def _each_distinct(fmt: Any, column: Any) -> Any:
-    """`fmt` of each value of a float column, as an object array, called once
-    per distinct value. Values are told apart by their bits, so 0.0 and -0.0
+def _each_distinct(fmt: Any, column: Any) -> list[str]:
+    """`fmt` of each value of a float64 column (a buffer), called once per
+    distinct value. Values are told apart by their bits, so 0.0 and -0.0
     stay distinct."""
-    bits, index = np.unique(column.view(np.int64), return_inverse=True)
-    return np.array(list(map(fmt, bits.view(float).tolist())), dtype=object)[index]
+    bits = array("q", column.tobytes())
+    distinct = dict(zip(bits, column))
+    text = dict(zip(distinct, map(fmt, distinct.values())))
+    return list(map(text.__getitem__, bits))
 
 
 def write_trace(trace: TraceFile, path: str) -> None:
@@ -102,26 +97,30 @@ def write_trace(trace: TraceFile, path: str) -> None:
     `path` that replaces it once the trace is complete, as a report does.
     """
     samples, truth = SAMPLE.rows_of(trace.samples), TRUTH.rows_of(trace.truth)
-    for (kind, _), rows in zip(_STREAMS.values(), (samples, truth)):
-        if not _in_order(rows):
+    for (kind, layout), rows in zip(_STREAMS.values(), (samples, truth)):
+        if not _in_order(rows, layout.width):
             raise ValueError(f"{kind}s must be finite, with timestamps monotone nondecreasing")
-    # how many samples precede each truth line: those up to the first one not earlier than it
-    after = np.minimum(np.searchsorted(samples[:, 0], truth[:, 0], side="left") + 1, len(samples))
+    times, truth_times = samples[:: SAMPLE.width], truth[:: TRUTH.width]
     # Each line is the tag, then each float in its shortest round-trip repr.
     # A truth column past the time holds few distinct values: each is formatted once.
     sample_line = "s" + " %r" * SAMPLE.width + "\n"
-    truth_reprs = [_each_distinct(repr, col) for col in truth[:, 1:].T]
+    truth_reprs = [_each_distinct(repr, truth[k :: TRUTH.width]) for k in range(1, TRUTH.width)]
     step = max(1, records.BLOCK_CHARS // _LINE_CHARS)
     with _replacing(path) as fh:
         fh.write(TRACE_HEADER + "\n")
         j = 0  # the first truth line not yet written
-        for a in range(0, max(len(samples), 1), step):
-            b = min(a + step, len(samples))
-            k = j + int(np.searchsorted(after[j:], b, side="right"))  # the truth lines before sample b
-            lines = np.array(list(map(sample_line.__mod__, map(tuple, samples[a:b].tolist()))), dtype=object)
-            times = truth[j:k, 0].tolist()
-            truth_lines = list(map("t %r %s %s %s\n".__mod__, zip(times, *(c[j:k].tolist() for c in truth_reprs))))
-            fh.write("".join(np.insert(lines, after[j:k] - a, np.array(truth_lines, dtype=object)).tolist()))
+        for a in range(0, max(len(times), 1), step):
+            b = min(a + step, len(times))
+            # A truth line follows the first sample not earlier than it, or ends the file.
+            k = bisect_right(truth_times, times[b - 1], j) if b < len(times) else len(truth_times)
+            lines = list(map(sample_line.__mod__, SAMPLE.tuples(samples[a * SAMPLE.width : b * SAMPLE.width])))
+            block_times = times[a:b].tolist()
+            cuts = [0, *map(add, map(bisect_left, repeat(block_times), truth_times[j:k]), repeat(1)), None]
+            truth_lines = map("t %r %s %s %s\n".__mod__, zip(truth_times[j:k], *(r[j:k] for r in truth_reprs)))
+            # Each run of sample lines, then the truth line after it; the last run ends the block.
+            runs = list(map(lines.__getitem__, map(slice, cuts, cuts[1:])))
+            text = chain.from_iterable(chain.from_iterable(zip(runs, zip(truth_lines))))
+            fh.write("".join(chain(text, runs[-1])))
             j = k
 
 
@@ -141,8 +140,8 @@ def _check_line(lineno: int, tokens: list[str], last_t: dict[str, float]) -> Non
     last_t[tag] = t
 
 
-def _block_rows(lines: list[list[str]], last_t: dict[str, float]) -> dict[str, Any] | None:
-    """Each stream's rows of a block of trace lines, checked in bulk by the
+def _block_rows(lines: list[list[str]], last_t: dict[str, float]) -> dict[str, RecordView] | None:
+    """Each stream's view of a block of trace lines, checked in bulk by the
     rule `_check_line` states line by line, or None when a line breaks it.
     Sets `last_t` as `_check_line` does, once the whole block keeps the rule."""
     if not _STREAMS.keys() >= {tokens[0] for tokens in lines}:
@@ -154,14 +153,14 @@ def _block_rows(lines: list[list[str]], last_t: dict[str, float]) -> dict[str, A
             return None
         fields = list(chain.from_iterable(group))
         del fields[:: layout.width + 1]  # the tags
-        try:  # numpy calls float on each str, so it takes the tokens float takes
-            rows = np.array(fields, dtype=float).reshape(-1, layout.width)
+        try:
+            values = list(map(float, fields))
         except ValueError:
             return None
-        if not _in_order(rows, last_t[tag]):
+        if not _in_order(values, layout.width, last_t[tag]):
             return None
-        streams[tag] = rows
-    last_t.update((tag, rows[-1, 0]) for tag, rows in streams.items() if len(rows))
+        streams[tag] = RecordView(layout, float_array(values))
+    last_t.update((tag, view[-1].t_ms) for tag, view in streams.items() if view)
     return streams
 
 
@@ -177,17 +176,17 @@ def read_trace_blocks(path: str) -> Iterator[TraceFile]:
         if streams is None:  # a line breaks the rule: re-read line by line to raise at the first
             for lineno, tokens in zip(linenos, lines):
                 _check_line(lineno, tokens, last_t)
-        yield TraceFile(*(RecordView(layout, streams[tag]) for tag, (_, layout) in _STREAMS.items()))
+        yield TraceFile(*streams.values())
 
 
 def join_blocks(blocks: Iterable[TraceFile]) -> TraceFile:
-    """One trace of the samples and the truth of `blocks` in turn."""
-    blocks = list(blocks)
-
-    def joined(layout: Layout, views: list[Sequence]) -> RecordView:
-        return RecordView(layout, np.concatenate([np.empty((0, layout.width)), *map(layout.rows_of, views)]))
-
-    return TraceFile(joined(SAMPLE, [b.samples for b in blocks]), joined(TRUTH, [b.truth for b in blocks]))
+    """One trace of the samples and the truth of `blocks` in turn, each
+    block copied in as it comes."""
+    joined = {SAMPLE: array("d"), TRUTH: array("d")}
+    for block in blocks:
+        for layout, part in ((SAMPLE, block.samples), (TRUTH, block.truth)):
+            joined[layout].frombytes(memoryview(layout.rows_of(part)).cast("B"))
+    return TraceFile(*(RecordView(layout, rows) for layout, rows in joined.items()))
 
 
 def read_trace(path: str) -> TraceFile:
@@ -196,27 +195,28 @@ def read_trace(path: str) -> TraceFile:
     return join_blocks(read_trace_blocks(path))
 
 
-def _headings_at(truth: Any, t_ms: Any, start: Any = None) -> Any:
-    """The true heading at each time of the column `t_ms`, from truth rows
-    in time order; see `truth_heading_at`. `start`, when rows before the
-    first one given were dropped, is the first time of the whole truth span."""
-    tt, hh = truth[:, 0], truth[:, 1]
-    outside = ~((tt[0] <= t_ms) & (t_ms <= tt[-1])) if len(tt) else np.ones(len(t_ms), dtype=bool)
-    if outside.any():
-        span = f"[{tt[0] if start is None else start}, {tt[-1]}]" if len(tt) else "(empty)"
-        raise OutOfSpan(f"t={t_ms[outside.argmax()]} outside truth span {span}")
-    j = np.searchsorted(tt, t_ms, side="right") - 1
-    heading = hh[j]  # at a record's time, or at or past the last record
-    between = (j < len(tt) - 1) & (t_ms != tt[j])
-    j = j[between]
-    lo, hi, t = tt[j], tt[j + 1], t_ms[between]
-    with np.errstate(over="ignore"):
-        # Halve the times of a span too wide for a float: exact for times that large.
-        scale = np.where(np.isinf(hi - lo), 0.5, 1.0)
-    frac = (t * scale - lo * scale) / (hi * scale - lo * scale)
-    arc = np.array(list(map(circular_diff, hh[j + 1].tolist(), hh[j].tolist())), dtype=float)
-    heading[between] = hh[j] + frac * arc
-    return wrap_azimuth(heading)
+def _headings_at(truth: Sequence[float], t_ms: Iterable[float], start: float | None = None) -> list[float]:
+    """The true heading at each time of `t_ms`, from the flat buffer of
+    truth rows in time order; see `truth_heading_at`. `start`, when rows
+    before the first one given were dropped, is the first time of the whole
+    truth span."""
+    tt, hh = truth[:: TRUTH.width].tolist(), truth[1 :: TRUTH.width].tolist()
+    t_ms = list(t_ms)
+    for t in t_ms:
+        if not (tt and tt[0] <= t <= tt[-1]):
+            span = f"[{tt[0] if start is None else start}, {tt[-1]}]" if tt else "(empty)"
+            raise OutOfSpan(f"t={t} outside truth span {span}")
+    headings = []
+    for t in t_ms:
+        j = bisect_right(tt, t) - 1
+        heading = hh[j]  # at a record's time, or at or past the last record
+        if j < len(tt) - 1 and t != tt[j]:
+            lo, hi = tt[j], tt[j + 1]
+            # Halve the times of a span too wide for a float: exact for times that large.
+            scale = 0.5 if math.isinf(hi - lo) else 1.0
+            heading = hh[j] + (t * scale - lo * scale) / (hi * scale - lo * scale) * circular_diff(hh[j + 1], hh[j])
+        headings.append(wrap_azimuth(heading))
+    return headings
 
 
 def truth_heading_at(truth: Sequence[TruthRecord], t_ms: float) -> AzimuthDeg:
@@ -231,7 +231,7 @@ def truth_heading_at(truth: Sequence[TruthRecord], t_ms: float) -> AzimuthDeg:
     so it costs O(n); on a `RecordView`, such as `read_trace` and
     `simulate` give, it costs O(log n). Many calls want a view.
     """
-    return AzimuthDeg(_headings_at(TRUTH.rows_of(truth), np.array([float(t_ms)]))[0])
+    return AzimuthDeg(_headings_at(TRUTH.rows_of(truth), [float(t_ms)])[0])
 
 
 class _Summary:
@@ -240,13 +240,15 @@ class _Summary:
 
     It keeps the entry count, the sum of the absolute deviations, added
     left to right, and their max. Of the rest it keeps only what the
-    steady-state window can still need: the entries no more than
-    STEADY_STATE_WINDOW_MS before the last one so far, the truth rows from
-    the last one at or before those entries on, and the first truth time,
-    which OutOfSpan's message names. This is exact when no block's last
-    entry is earlier than an earlier block's, as for the blocks of one
-    trace; a block that breaks this raises ValueError. One block, which may
-    hold its entries in any order, is always exact.
+    steady-state window can still need: the blocks of entries that hold one
+    no more than STEADY_STATE_WINDOW_MS before the last one so far, the
+    truth rows from the last one at or before that time on, and the first
+    truth time, which OutOfSpan's message names; `result` takes the window's
+    entries from those blocks. This is exact when no block's last entry is
+    earlier than an earlier block's, as for the blocks of one trace, since
+    then that time never decreases; a block that breaks this raises
+    ValueError. One block, which may hold its entries in any order, is
+    always exact.
     """
 
     def __init__(self) -> None:
@@ -254,33 +256,37 @@ class _Summary:
 
         self.entry = ENTRY
         self.count, self.total, self.peak = 0, 0.0, 0.0
-        self.tail, self.truth = np.empty((0, ENTRY.width)), np.empty((0, TRUTH.width))
-        self.start = None
+        self.blocks = deque()  # (ENTRY rows, their latest time) of each block the window may reach
+        self.truth = array("d")  # TRUTH rows
+        self.start = self.last = None
 
     def add(self, entries: Sequence, truth: Sequence) -> Any:
         """Fold in a block of entries and truth records; returns the
         entries' ENTRY rows."""
+        width = self.entry.width
         entries, truth = self.entry.rows_of(entries), TRUTH.rows_of(truth)
-        if not np.isfinite(entries).all():
+        if not all_finite(entries):
             raise ValueError("run_trace entries must be finite")
-        if not _in_order(np.concatenate((self.truth[-1:], truth))):
+        if not _in_order(truth, TRUTH.width, self.truth[-TRUTH.width] if self.truth else -math.inf):
             raise ValueError("truth records must be finite, with timestamps monotone nondecreasing")
-        if self.start is None and len(truth):
-            self.start = truth[0, 0]
-        if len(entries):
-            if len(self.tail) and entries[-1, 0] < self.tail[-1, 0]:
+        if self.start is None and truth:
+            self.start = truth[0]
+        if entries:
+            if self.last is not None and entries[-width] < self.last:
                 raise ValueError("a block's last entry may not precede an earlier block's")
-            deviations = np.abs(entries[:, 4]).tolist()
+            self.last = entries[-width]
+            deviations = list(map(abs, entries[4::width].tolist()))
             self.count += len(deviations)
             self.total = reduce(add, deviations, self.total)
             self.peak = max(self.peak, max(deviations))
-            tail = np.concatenate((self.tail, entries))
-            self.tail = tail[tail[:, 0] >= tail[-1, 0] - STEADY_STATE_WINDOW_MS]
-        truth = np.concatenate((self.truth, truth))
-        if len(self.tail):  # every entry of the final window is at or after this
-            earliest = self.tail[-1, 0] - STEADY_STATE_WINDOW_MS
-            truth = truth[max(int(np.searchsorted(truth[:, 0], earliest, side="right")) - 1, 0):]
-        self.truth = truth
+            self.blocks.append((entries, max(entries[::width])))
+            while self.blocks[0][1] < self.last - STEADY_STATE_WINDOW_MS:
+                self.blocks.popleft()
+        self.truth.frombytes(memoryview(truth).cast("B"))
+        if self.last is not None:  # every entry of the final window is at or after this
+            earliest = self.last - STEADY_STATE_WINDOW_MS
+            first = max(bisect_right(self.truth[:: TRUTH.width].tolist(), earliest) - 1, 0)
+            self.truth = self.truth[first * TRUTH.width :]
         return entries
 
     def result(self) -> dict:
@@ -292,10 +298,13 @@ class _Summary:
             "max_abs_deviation_deg": self.peak,
         }
         if self.start is not None:
-            true_h = _headings_at(self.truth, self.tail[:, 0], self.start).tolist()
-            head_errs = list(map(abs, map(circular_diff, self.tail[:, 2].tolist(), true_h)))
-            true_dev = map(circular_diff, self.tail[:, 3].tolist(), true_h)
-            dev_errs = list(map(abs, map(circular_diff, self.tail[:, 4].tolist(), true_dev)))
+            earliest = self.last - STEADY_STATE_WINDOW_MS
+            window = [row for rows, _ in self.blocks for row in self.entry.tuples(rows) if row[0] >= earliest]
+            t, _, heading, qibla, deviation = list(zip(*window))[:5]
+            true_h = _headings_at(self.truth, t, self.start)
+            head_errs = list(map(abs, map(circular_diff, heading, true_h)))
+            true_dev = map(circular_diff, qibla, true_h)
+            dev_errs = list(map(abs, map(circular_diff, deviation, true_dev)))
             summary["steady_state_window_ms"] = STEADY_STATE_WINDOW_MS
             summary["steady_state_error_deg"] = reduce(add, head_errs, 0.0) / len(head_errs)
             summary["steady_state_max_error_deg"] = max(head_errs)
@@ -337,21 +346,22 @@ _JSON_ENTRY = """%s    {
 _TEXT_ENTRY = "{:>12.1f} {:>10.2f} {:>10.2f} {} {:>+10.2f} {}{}\n"
 
 
-def _entry_lines(rows: Any, fmt: str, first: bool) -> Iterator[str]:
-    """The report text of a block of ENTRY rows; `first` when no entry was
-    written before them. The qibla column holds one bearing per place, so
-    each distinct one is formatted once."""
-    from .pipeline import Guidance
+def _entry_lines(rows: Sequence[float], fmt: str, first: bool) -> Iterator[str]:
+    """The report text of a flat buffer of ENTRY rows; `first` when no entry
+    was written before them. The qibla column holds one bearing per place,
+    so each distinct one is formatted once."""
+    from .pipeline import ENTRY, Guidance
 
-    t, magnetic, true_heading, _, deviation = rows[:, :5].T.tolist()
-    qibla = _each_distinct(repr if fmt == "json" else "{:>10.2f}".format, rows[:, 3]).tolist()
+    t, magnetic, true_heading, _, deviation, codes, calibrated, dynamic = (
+        rows[k :: ENTRY.width].tolist() for k in range(ENTRY.width))
+    qibla = _each_distinct(repr if fmt == "json" else "{:>10.2f}".format, rows[3 :: ENTRY.width])
     values = [g.value for g in Guidance]  # ENTRY's guidance column indexes these
-    guidances = list(map(values.__getitem__, rows[:, 5].astype(int).tolist()))
-    if fmt == "json":
-        flags = list(map(("false", "true").__getitem__, (rows[:, 6:8] == 1.0).ravel().tolist()))
+    guidances = list(map(values.__getitem__, map(int, codes)))
+    if fmt == "json":  # a flag is true when it is 1.0
+        flags = [list(map({1.0: "true"}.get, column, repeat("false"))) for column in (calibrated, dynamic)]
         return map(_JSON_ENTRY.__mod__, zip(chain(["" if first else ",\n"], repeat(",\n")), t, magnetic,
-                                            true_heading, qibla, deviation, guidances, flags[::2], flags[1::2]))
-    suffixes = list(map(("", " (dynamic)").__getitem__, (rows[:, 7] == 1.0).tolist()))
+                                            true_heading, qibla, deviation, guidances, *flags))
+    suffixes = list(map({1.0: " (dynamic)"}.get, dynamic, repeat("")))
     return map(_TEXT_ENTRY.format, t, magnetic, true_heading, qibla, deviation, guidances, suffixes)
 
 
@@ -440,8 +450,8 @@ def write_report_blocks(
     with _replacing(path) as fh:
         fh.write(head)
         for entries, truth in blocks:
-            rows = fold.add(entries, truth)
-            fh.write("".join(_entry_lines(rows, fmt, fold.count == len(rows))))
+            first = not fold.count
+            fh.write("".join(_entry_lines(fold.add(entries, truth), fmt, first)))
         summary = fold.result()
         if fmt == "json":
             fh.write(f'\n  ],\n  "summary": {_nested_json(summary)}\n}}\n')

@@ -30,16 +30,16 @@ One loop, `_run`, takes each sample through the pointer: the static-band
 check, the levelling, the circular EMA (`_ema`, the one statement of its
 update, restart and pass-through rules), the carry-forward of a dynamic
 sample, declination, deviation and guidance, each written once. `process`
-runs it on one sample and `run_block` on a block's rows (see `records`);
+runs it on one sample and `run_block` on a block's rows (see `columns`);
 `run_trace` is `run_block` on a whole trace, and returns a read-only
 sequence over its result rows (the `ENTRY` layout) that builds each
 (t_ms, QiblaPointerState) on demand.
 
 Every function of a sample is `math`'s, applied to floats, so one sample,
-a block and a whole trace get the same bits, and the one-sample pipeline
-never loads numpy. numpy only holds rows and forms the sphere fit's
-elementwise products, which `math.fsum` sums exactly; `calibrate` maps
-the same functions over its columns' floats, and solves the fit on floats.
+a block and a whole trace get the same bits. Nothing here loads numpy:
+rows are held in `array('d')` buffers, and `calibrate` maps the same
+functions over its columns' floats, sums the sphere fit's products with
+`math.fsum`, exactly, and solves the fit on floats.
 """
 
 from __future__ import annotations
@@ -47,13 +47,15 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from enum import Enum
-from functools import lru_cache
-from itertools import chain, repeat
+from functools import lru_cache, partial
+from itertools import chain, compress, repeat
+from operator import add, mul, sub
 
+from .columns import SAMPLE, Layout, RecordView, all_finite, float_array
 from .declination import DeclinationDeg
 from .errors import DegenerateSweep, DynamicSample, InsufficientData, InvalidAngle
 from .geodesy import AzimuthDeg, GeoCoordinate, _Frozen, qibla_azimuth, wrap_azimuth, wrap_signed
-from .records import SAMPLE, Layout, RecordView, SensorSample, _setattr, in_static_band
+from .records import SensorSample, _setattr, in_static_band
 
 # Convergence thresholds for a calibration sweep.
 MIN_CALIBRATION_SAMPLES = 200
@@ -265,70 +267,101 @@ def _solve(m: list[list[float]], v: list[float]) -> list[float]:
     return x
 
 
+def _condition(m: list[list[float]]) -> float:
+    """The 2-norm condition number of a symmetric matrix, the ratio of its
+    largest to its smallest eigenvalue magnitude, inf when one is zero. The
+    eigenvalues come from cyclic Jacobi rotations on floats, swept until
+    each off-diagonal entry is within 2**-53 of the geometric mean of its two
+    diagonal entries, a rule under which even a small eigenvalue of a
+    positive definite matrix keeps its relative accuracy (Demmel and
+    Veselic, 1992)."""
+    top = max(map(abs, chain.from_iterable(m)))
+    if not top:
+        return math.inf
+    a = [[x / top for x in row] for row in m]  # so no rotation overflows
+    size = len(a)
+    for _ in range(64):  # a 4x4 takes a handful of sweeps
+        done = True
+        for p in range(size - 1):
+            for q in range(p + 1, size):
+                apq = a[p][q]
+                if abs(apq) <= 2.0**-53 * math.sqrt(abs(a[p][p] * a[q][q])):
+                    continue
+                done = False
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.hypot(t, 1.0)
+                s = t * c
+                a[p][p] -= t * apq
+                a[q][q] += t * apq
+                a[p][q] = a[q][p] = 0.0
+                for k in range(size):
+                    if k != p and k != q:
+                        akp, akq = a[k][p], a[k][q]
+                        a[k][p] = a[p][k] = c * akp - s * akq
+                        a[k][q] = a[q][k] = s * akp + c * akq
+        if done:
+            break
+    eigen = [abs(a[k][k]) for k in range(size)]
+    return max(eigen) / min(eigen) if min(eigen) else math.inf
+
+
 def calibrate(samples: Sequence[SensorSample]) -> CalibrationState:
     """Estimate the hard-iron offset from a rotation sweep.
 
     Least-squares sphere fit of the magnetometer point cloud (linear solve
     for the center): with p the mag samples and q = p - mean(p), solve
     [2q | 1] x ~= |q|^2 via its normal equations; the center is x[:3] plus
-    the mean. Each sum the fit takes is `math.fsum` over values numpy forms
-    elementwise, so it is exactly rounded and does not depend on the
-    samples' order: the mean is such a sum divided by n, and the normal
-    equations have 13 distinct entries besides their corner, which is n.
-    `_solve` solves them on floats. So the center is a function of the set
-    of usable samples alone, with the same bits for every sample order,
-    BLAS kernel and numpy SIMD level. Samples whose accelerometer is out
-    of the static band are skipped. The state converges once at least 200
-    usable samples span at least 180 degrees of heading: 360 minus the
-    largest gap between the usable samples' headings.
+    the mean. Each sum the fit takes is `math.fsum` over products of
+    floats, so it is exactly rounded and does not depend on the samples'
+    order: the mean is such a sum divided by n, and the normal equations
+    have 13 distinct entries besides their corner, which is n. `_solve`
+    solves them on floats. So the center is a function of the set of
+    usable samples alone, with the same bits on every CPU. Samples whose
+    accelerometer is out of the static band are skipped. The state
+    converges once at least 200 usable samples span at least 180 degrees of
+    heading: 360 minus the largest gap between the usable samples' headings.
 
     Raises InsufficientData below 10 usable samples, and DegenerateSweep
     when a sum overflows or the normal equations' condition number exceeds
     1e12 (the cloud is flat or worse, so the center is unobservable).
-    `np.linalg.cond` (LAPACK) gives that number, whose last bits may follow
-    the CPU; it only gates the fit at 1e12 and reaches no output.
+    `_condition` gives that number; it only gates the fit at 1e12 and
+    reaches no output.
     """
-    import numpy as np  # here, so commands that never calibrate start without numpy
-
-    def columns(block):  # each column of a block, read as floats without a list of them
-        return map(memoryview, np.ascontiguousarray(block.T))
-
-    def total(x) -> float:  # the exactly rounded sum of a float64 array; inf if it overflows
+    def total(x: Iterable[float]) -> float:  # the exactly rounded sum; inf if it overflows
         try:
-            return math.fsum(memoryview(x))
+            return math.fsum(x)
         except (OverflowError, ValueError):  # an overflowing sum, or inf - inf
             return math.inf
 
-    rows = SAMPLE.rows_of(samples)
-    usable = rows[in_static_band(np.fromiter(map(math.hypot, *columns(rows[:, 1:4])), float, len(rows)))]
-    n = len(usable)
+    rows, w = SAMPLE.rows_of(samples), SAMPLE.width
+    static = list(map(in_static_band, map(math.hypot, rows[1::w], rows[2::w], rows[3::w])))
+    ax, ay, az, *pts = (float_array(list(compress(rows[k::w], static))) for k in range(1, w))
+    n = len(ax)
     if n < 10:
         raise InsufficientData(f"{n} usable samples, need at least 10")
 
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a sum that is not finite
-        pts = np.ascontiguousarray(usable[:, 4:7].T)
-        mean = [total(p) / n for p in pts]
-        q = [p - m for p, m in zip(pts, mean)]
-        b = q[0] * q[0] + q[1] * q[1] + q[2] * q[2]
-        ata = [[float(n)] * 4 for _ in range(4)]  # the corner, ata[3][3], is the count
-        for i in range(3):
-            for j in range(i, 3):
-                ata[i][j] = ata[j][i] = 4.0 * total(q[i] * q[j])
-            ata[i][3] = ata[3][i] = 2.0 * total(q[i])
-        atb = [2.0 * total(qi * b) for qi in q] + [total(b)]
+    mean = [total(p) / n for p in pts]
+    q = [float_array(list(map(sub, p, repeat(m)))) for p, m in zip(pts, mean)]
+    b = float_array(list(map(add, map(add, map(mul, q[0], q[0]), map(mul, q[1], q[1])), map(mul, q[2], q[2]))))
+    ata = [[float(n)] * 4 for _ in range(4)]  # the corner, ata[3][3], is the count
+    for i in range(3):
+        for j in range(i, 3):
+            ata[i][j] = ata[j][i] = 4.0 * total(map(mul, q[i], q[j]))
+        ata[i][3] = ata[3][i] = 2.0 * total(q[i])
+    atb = [2.0 * total(map(mul, qi, b)) for qi in q] + [total(b)]
     if not all(map(math.isfinite, chain(*ata, atb))):
         raise DegenerateSweep("normal equations overflow")
-    cond = np.linalg.cond(ata)
-    if not np.isfinite(cond) or cond > MAX_FIT_CONDITION:
+    cond = _condition(ata)
+    if cond > MAX_FIT_CONDITION:
         raise DegenerateSweep(f"normal equations condition {cond:.3e} exceeds {MAX_FIT_CONDITION:.0e}")
     x = _solve(ata, atb)
     hard_iron = (x[0] + mean[0], x[1] + mean[1], x[2] + mean[2])
 
-    headings = np.fromiter(map(_level_heading, *columns(usable[:, 1:7]), repeat(hard_iron)), float, n)
-    headings = np.sort(wrap_azimuth(headings))
-    max_gap = max(headings[0] + 360.0 - headings[-1], np.diff(headings).max(initial=0.0))
+    headings = sorted(map(wrap_azimuth, map(_level_heading, ax, ay, az, *pts, repeat(hard_iron))))
+    max_gap = max(headings[0] + 360.0 - headings[-1], max(map(sub, headings[1:], headings), default=0.0))
     # Equal headings span nothing, though rounding can make their one gap exceed 360.
-    return CalibrationState(hard_iron, n, float(max(360.0 - max_gap, 0.0)))
+    return CalibrationState(hard_iron, n, max(360.0 - max_gap, 0.0))
 
 
 def filter_heading(state: FilterState, new_heading: AzimuthDeg) -> tuple[FilterState, AzimuthDeg]:
@@ -378,8 +411,13 @@ def _entry_row(entry: tuple[float, QiblaPointerState]) -> tuple:
             _GUIDANCES.index(s.guidance), s.calibrated, s.dynamic)
 
 
+# An ENTRY row's headings are wrapped and finite already: each becomes an
+# AzimuthDeg as it is, without AzimuthDeg's check and wrap.
+_azimuth = partial(float.__new__, AzimuthDeg)
+
+
 def _entry(r: Sequence[float]) -> tuple[float, QiblaPointerState]:
-    return r[0], QiblaPointerState(AzimuthDeg(r[1]), AzimuthDeg(r[2]), AzimuthDeg(r[3]), r[4],
+    return r[0], QiblaPointerState(_azimuth(r[1]), _azimuth(r[2]), _azimuth(r[3]), r[4],
                                    _GUIDANCES[int(r[5])], r[6] == 1.0, r[7] == 1.0)
 
 
@@ -409,13 +447,12 @@ def run_block(
     for an empty block; threshold_deg is checked once too. A heading that
     is not finite raises InvalidAngle, as it does in `process`.
     """
-    import numpy as np
-
-    c, s, out = _run(SAMPLE.rows_of(samples).tolist(), float(_qibla(user)), cal, filt, float(decl), threshold_deg)
-    rows = np.fromiter(chain.from_iterable(out), float, ENTRY.width * len(out)).reshape(-1, ENTRY.width)
-    if not np.isfinite(rows).all():  # a levelled heading is nan, as atan2 gives no infinity
+    rows = SAMPLE.tuples(SAMPLE.rows_of(samples).tolist())
+    c, s, out = _run(rows, float(_qibla(user)), cal, filt, float(decl), threshold_deg)
+    entries = float_array(list(chain.from_iterable(out)))
+    if not all_finite(entries):  # a levelled heading is nan, as atan2 gives no infinity
         raise InvalidAngle("azimuth must be finite, got nan")
-    return FilterState(filt.alpha, c, s), RecordView(ENTRY, rows)
+    return FilterState(filt.alpha, c, s), RecordView(ENTRY, entries)
 
 
 def run_trace(

@@ -1,18 +1,11 @@
 """Record types shared by the pipeline, the simulator and the file formats,
-the column-backed sequences that hold them in bulk, plus the one file reader
-every loader goes through and the one line reader (`read_body`, paired up
-line by line by `read_lines`) every versioned text format goes through.
+plus the one file reader every loader goes through and the one line reader
+(`read_body`, paired up line by line by `read_lines`) every versioned text
+format goes through.
 
 This module imports only `errors` and `geodesy`, so every module above them
-may import it, and it does not import numpy: a `RecordView` holds a numpy
-array made elsewhere. Its records are `geodesy._Frozen` values.
-
-A batch stage holds a stream of records as one float64 array with a row per
-record, laid out by a `Layout`: a sample row is t_ms, accel and mag (7
-columns), a truth row is t_ms, true heading, pitch and roll (4 columns). A
-stage reaches those rows only through `Layout.rows_of`, which takes any
-sequence of records; a `RecordView` is such a sequence, a read-only one
-that builds each record on demand from its row.
+may import it. Its records are `geodesy._Frozen` values; `columns` holds
+them in bulk.
 
 The file reader is the standard library's text layer: UTF-8 with Python's
 universal newlines, so a line ends at \\n, \\r\\n or a lone \\r and nowhere
@@ -35,8 +28,7 @@ import io
 import itertools
 import math
 import operator
-from collections.abc import Callable, Iterable, Iterator, Sequence
-from typing import Any
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import DuplicateCity, InvalidCoordinate, ParseError
 from .geodesy import GeoCoordinate, _Frozen
@@ -51,9 +43,10 @@ STATIC_ACCEL_BAND = (0.5 * G, 1.5 * G)
 # trace lines, make 0.6 MB.
 BLOCK_CHARS = 1 << 16
 
-# A view builds a SensorSample, a TruthRecord or a pipeline entry per row,
-# and `pipeline.process` a FilterState and an entry per sample, so these set
-# their fields with a call each rather than through the loop in `_set`.
+# A view (see `columns`) builds a SensorSample, a TruthRecord or a pipeline
+# entry per row, and `pipeline.process` a FilterState and an entry per
+# sample, so these set their fields with a call each rather than through
+# the loop in `_set`.
 _setattr = object.__setattr__
 
 
@@ -83,9 +76,8 @@ class SensorSample(_Frozen):
         return in_static_band(math.hypot(*self.accel))
 
 
-def in_static_band(norm):
-    """Whether an accelerometer magnitude, a float or an array of them, lies
-    inside the static band."""
+def in_static_band(norm: float) -> bool:
+    """Whether an accelerometer magnitude lies inside the static band."""
     lo, hi = STATIC_ACCEL_BAND
     return (lo < norm) & (norm < hi)
 
@@ -105,71 +97,9 @@ class TruthRecord(_Frozen):
             raise ValueError(f"truth record fields must be finite, got {self!r}")
 
 
-class Layout:
-    """How one kind of record lies in a row of `width` floats: `row` gives a
-    record's floats, `record` builds the record back from them."""
-
-    __slots__ = ("width", "row", "record")
-
-    def __init__(self, width: int, row: Callable[[Any], Sequence[float]], record: Callable[[list[float]], Any]):
-        self.width, self.row, self.record = width, row, record
-
-    def rows_of(self, records: Sequence) -> Any:
-        """The records as an (n, width) float64 array. A `RecordView` of this
-        layout already is one and gives its own rows, as `np.asarray` gives
-        back an array; any other sequence is read record by record."""
-        if isinstance(records, RecordView) and records.layout is self:
-            return records.rows
-        import numpy as np
-
-        return np.array(list(map(self.row, records)), dtype=float).reshape(-1, self.width)
-
-
-class RecordView(Sequence):
-    """A read-only sequence of records over the rows of a float64 array.
-
-    An integer index builds that row's record; a slice or a boolean mask
-    gives the view of the rows it selects. Equal to any sequence of equal
-    records, a tuple or a list included.
-    """
-
-    __slots__ = ("layout", "rows")
-
-    def __init__(self, layout: Layout, rows: Any):
-        rows.flags.writeable = False
-        self.layout = layout
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, index):
-        rows = self.rows[index]
-        return self.layout.record(rows.tolist()) if rows.ndim == 1 else RecordView(self.layout, rows)
-
-    def __iter__(self) -> Iterator:
-        return map(self.layout.record, self.rows.tolist())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"RecordView({list(self)!r})"
-
-
-SAMPLE = Layout(7, lambda s: (s.t_ms, *s.accel, *s.mag),
-                lambda r: SensorSample(r[0], (r[1], r[2], r[3]), (r[4], r[5], r[6])))
-TRUTH = Layout(4, operator.attrgetter("t_ms", "true_heading_deg", "pitch_deg", "roll_deg"),
-               lambda r: TruthRecord(*r))
-
-
 class TraceFile(_Frozen):
     """Ordered sensor samples with a paired truth stream, empty when the
-    trace has none. `read_trace` and `simulate` give `RecordView`s."""
+    trace has none. `read_trace` and `simulate` give `columns.RecordView`s."""
 
     __slots__ = ("samples", "truth")
 

@@ -1,7 +1,7 @@
-"""The package root loads lazily, the commands that never calibrate or
-simulate start without numpy, as does the one-sample pipeline, and `qibla`
-and `distance`, by coordinates or by a named city, load only the modules
-they run. No command loads `dataclasses`: every value class is a
+"""The package root loads lazily; every command but `simulate` starts and
+runs without numpy, as does the one-sample pipeline; and `qibla` and
+`distance`, by coordinates or by a named city, load only the modules they
+run. No command loads `dataclasses`: every value class is a
 `geodesy._Frozen`."""
 
 import copy
@@ -19,7 +19,8 @@ import pytest
 import qiblanav
 from conftest import DATA_DIR
 from qiblanav import (AzimuthDeg, CalibrationState, CityRecord, DeclinationGrid, FilterState, GeoCoordinate, Guidance,
-                      MagneticField, QiblaPointerState, Scenario, SensorSample, TraceFile, TruthRecord)
+                      MagneticField, QiblaPointerState, Scenario, SensorSample, TraceFile, TruthRecord, load_scenario,
+                      simulate, write_trace)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CITIES = str(DATA_DIR / "cities.csv")
@@ -147,6 +148,27 @@ def test_trace_commands_do_not_load_dataclasses(tmp_path):
                  ["pipeline", "--trace", trace, "--lat", "-6.9147", "--lon", "107.6098", "--out", report]):
         exit_code, new_modules = loaded_by(argv)
         assert exit_code == 0 and "dataclasses" not in new_modules, argv
+
+
+@pytest.fixture(scope="module")
+def example_trace(tmp_path_factory):
+    """The trace `qiblanav simulate` writes from the example scenario."""
+    path = tmp_path_factory.mktemp("coldstart") / "trace.txt"
+    write_trace(simulate(load_scenario(SCENARIO)), str(path))
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--format", "json"],
+    *(["pipeline", "--lat", "-6.9147", "--lon", "107.6098", "--format", fmt, *sweep, "--out", f"report.{fmt}"]
+      for fmt in ("json", "text") for sweep in ((), ("--sweep-ms", "12000")))])
+def test_pipeline_and_calibrate_never_load_numpy(example_trace, argv):
+    """Rows live in stdlib buffers, and the fit is summed and solved on
+    floats: only `simulate` loads numpy."""
+    argv = [arg.replace("report", str(example_trace.parent / "report")) for arg in argv]
+    exit_code, new_modules = loaded_by([argv[0], "--trace", str(example_trace), *argv[1:]])
+    assert exit_code == 0
+    assert "numpy" not in new_modules and "qiblanav.simulator" not in new_modules
 
 
 def test_each_trace_command_loads_only_its_own_trace_module(tmp_path):

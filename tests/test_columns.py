@@ -4,6 +4,7 @@ written and read back in bulk, the report's bytes, and the line each
 
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -25,7 +26,8 @@ from qiblanav import (
 from qiblanav import dataio, records
 from qiblanav.dataio import REPORT_TAG
 from qiblanav.errors import ParseError
-from qiblanav.records import SAMPLE, TRUTH, finite_floats, read_body
+from qiblanav.columns import SAMPLE, TRUTH, RecordView
+from qiblanav.records import finite_floats, read_body
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # A small pool drawn from often, so that a column repeats its values and
@@ -96,6 +98,39 @@ def test_a_truth_column_keeps_the_sign_of_each_zero(workdir):
     assert path.read_bytes() == record_by_record(samples, truth)
 
 
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@settings(deadline=None)
+@given(values=st.lists(st.tuples(SIGNED_ZEROS, SIGNED_ZEROS, SIGNED_ZEROS), min_size=1, max_size=12),
+       block=BLOCK_SIZES)
+def test_truth_columns_write_each_signed_zero_as_itself(workdir, values, block):
+    """A value is formatted once per bit pattern, so 0.0 and -0.0 in one
+    column are written apart, as the record-by-record writer wrote them."""
+    samples = [SensorSample(float(t), (0.0, 0.0, -9.81), (40.0, 0.0, 0.0)) for t in range(len(values))]
+    truth = [TruthRecord(float(t), *zeros) for t, zeros in enumerate(values)]
+    path = workdir / "zeros.txt"
+    with mock.patch.object(records, "BLOCK_CHARS", block):
+        write_trace(TraceFile(samples, truth), str(path))
+    assert path.read_bytes() == record_by_record(samples, truth)
+
+
+@settings(deadline=None)
+@given(qiblas=st.lists(SIGNED_ZEROS, min_size=1, max_size=8), fmt=st.sampled_from(["json", "text"]))
+def test_a_report_writes_each_signed_zero_qibla_as_itself(workdir, qiblas, fmt):
+    entries = [(float(t), QiblaPointerState(AzimuthDeg(1.0), AzimuthDeg(2.0), q, 3.0, Guidance.TURN_RIGHT, True))
+               for t, q in enumerate(qiblas)]
+    path = workdir / "zeros-report"
+    write_report(entries, str(path), fmt)
+    written = path.read_text(encoding="utf-8")
+    if fmt == "json":
+        assert [math.copysign(1.0, q) for q in map(float, re.findall(r'"qibla_deg": (\S+),', written))] == \
+            [math.copysign(1.0, q) for q in qiblas]
+    else:
+        rows = written.splitlines()[2 : 2 + len(qiblas)]
+        assert [row.split()[3] for row in rows] == [f"{q:.2f}" for q in qiblas]
+
+
 def test_views_are_read_only_sequences_of_records(workdir):
     samples = [SensorSample(float(i), (0.0, 0.0, -9.81), (40.0, 0.0, float(i))) for i in range(4)]
     path = workdir / "view.txt"
@@ -105,6 +140,16 @@ def test_views_are_read_only_sequences_of_records(workdir):
     assert view == tuple(samples) and view != samples[:3]
     with pytest.raises(ValueError):
         view.rows[0, 0] = 1.0
+
+
+def test_a_view_reads_whole_float64_rows_without_a_copy():
+    rows = np.arange(14.0).reshape(2, 7)
+    view = RecordView(SAMPLE, rows)
+    rows[1, 0] = 99.0  # the view reads the array's memory
+    assert view[1].t_ms == 99.0 and view[::-1][0].t_ms == 99.0 and view[1:].values.obj is view.values.obj
+    for bad in (np.arange(14, dtype=np.float32), np.arange(8.0)):
+        with pytest.raises(ValueError, match="float64 rows of 7 values"):
+            RecordView(SAMPLE, bad)
 
 
 def entry_document(t_ms, state):
@@ -248,7 +293,7 @@ def test_a_token_reads_as_float_reads_it(workdir, token, tag):
     if isinstance(expected, ParseError):
         assert streams is None
     else:
-        assert streams[tag][-1].tobytes() == np.array(expected).tobytes()
+        assert streams[tag].values[-len(expected):].tobytes() == np.array(expected).tobytes()
     path = workdir / "token.txt"
     path.write_bytes("\n".join(["qtrace v1", *map(" ".join, lines)]).encode("utf-8", "surrogateescape") + b"\n")
     if "\udcff" in token:  # the byte 0xff, which the decoder refuses before any number is read

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import sys
 from functools import reduce
 from operator import add
@@ -26,7 +27,7 @@ from qiblanav import (
     write_trace,
 )
 from qiblanav.errors import DuplicateCity, EmptyReport, ParseError
-from qiblanav.records import SAMPLE, TRUTH, RecordView
+from qiblanav.columns import SAMPLE, TRUTH, RecordView
 
 from scenarios import tumbled_sweep
 
@@ -138,7 +139,7 @@ class TestTraceRoundTrip:
         file is made."""
         samples, truth = generate(tumbled_sweep(seed=0, duration_ms=200.0))
         rows = {"samples": SAMPLE.rows_of(samples), "truth": TRUTH.rows_of(truth)}
-        rows[stream][4, 2] = value
+        rows[stream][4 * (SAMPLE if stream == "samples" else TRUTH).width + 2] = value  # row 4, value 2
         trace = TraceFile(RecordView(SAMPLE, rows["samples"]), RecordView(TRUTH, rows["truth"]))
         path = tmp_path / "t.txt"
         with pytest.raises(ValueError, match="must be finite"):
@@ -181,22 +182,27 @@ class TestReports:
 
     def test_summary_interpolates_half_rate_truth(self):
         # 12 s of entries, so the 10 s window leaves some out; truth at half
-        # the sample rate, so every other entry falls between two records
+        # the sample rate, so every other entry falls between two records.
+        # One block may hold its entries in any order: the window is those
+        # no more than 10 s before the last one, in the order given.
         entries, truth = make_entries(601, with_truth=True)
         half = RecordView(TRUTH, TRUTH.rows_of(truth[::2]))  # one conversion for the many calls below
-        window = [(t, s) for t, s in entries if t >= entries[-1][0] - 10000.0]
-        assert len(window) < len(entries)
-        assert any(t not in {r.t_ms for r in half} for t, _ in window)
-        head_errs, dev_errs = [], []
-        for t, s in window:
-            true_h = truth_heading_at(half, t)
-            head_errs.append(abs(circular_diff(s.true_heading, true_h)))
-            dev_errs.append(abs(circular_diff(s.deviation_deg, circular_diff(s.qibla, true_h))))
-        summary = summarize(entries, half)
-        assert summary["steady_state_error_deg"] == reduce(add, head_errs, 0.0) / len(head_errs)
-        assert summary["steady_state_max_error_deg"] == max(head_errs)
-        assert summary["steady_state_deviation_error_deg"] == reduce(add, dev_errs, 0.0) / len(dev_errs)
-        assert summary["steady_state_max_deviation_error_deg"] == max(dev_errs)
+        head = list(entries)[:-1]
+        random.Random(5).shuffle(head)
+        for stream in (entries, [*head, entries[-1]]):
+            window = [(t, s) for t, s in stream if t >= stream[-1][0] - 10000.0]
+            assert len(window) < len(stream)
+            assert any(t not in {r.t_ms for r in half} for t, _ in window)
+            head_errs, dev_errs = [], []
+            for t, s in window:
+                true_h = truth_heading_at(half, t)
+                head_errs.append(abs(circular_diff(s.true_heading, true_h)))
+                dev_errs.append(abs(circular_diff(s.deviation_deg, circular_diff(s.qibla, true_h))))
+            summary = summarize(stream, half)
+            assert summary["steady_state_error_deg"] == reduce(add, head_errs, 0.0) / len(head_errs)
+            assert summary["steady_state_max_error_deg"] == max(head_errs)
+            assert summary["steady_state_deviation_error_deg"] == reduce(add, dev_errs, 0.0) / len(dev_errs)
+            assert summary["steady_state_max_deviation_error_deg"] == max(dev_errs)
 
     def test_means_are_sums_taken_left_to_right(self):
         # builtin sum compensates its rounding from Python 3.12 on; the
@@ -218,7 +224,7 @@ class TestReports:
         if stream == "entries":
             entries[7] = (math.nan, entries[7][1])
         else:
-            rows[7, 2] = math.inf  # a pitch, which the summary does not read
+            rows[7 * TRUTH.width + 2] = math.inf  # a pitch, which the summary does not read
         with pytest.raises(ValueError, match="must be finite"):
             summarize(entries, RecordView(TRUTH, rows))
 

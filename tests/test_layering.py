@@ -11,6 +11,7 @@ RANK = {
     "errors": 0,
     "geodesy": 1,
     "records": 2,
+    "columns": 3,
     "declination": 3,
     "pipeline": 4,
     "simulator": 5,
@@ -51,19 +52,33 @@ def refers_to_numpy(node: ast.AST) -> bool:
     return isinstance(node, ast.Name) and node.id in ("np", "numpy")
 
 
-def test_pipeline_uses_numpy_only_to_fit_and_to_hold_rows():
-    """Every function of a sample runs on floats, on one path: `pipeline`
-    refers to numpy only inside `calibrate` (the sphere fit) and `run_block`
-    (a block's rows)."""
-    tree = ast.parse((PACKAGE / "pipeline.py").read_text(encoding="utf-8"))
-    found = [
-        node.lineno
-        for top in tree.body
-        if not (isinstance(top, ast.FunctionDef) and top.name in ("calibrate", "run_block"))
-        for node in ast.walk(top)
-        if refers_to_numpy(node)
-    ]
-    assert found == [], f"pipeline.py refers to numpy on lines {found}"
+def test_only_the_simulator_refers_to_numpy():
+    """`pipeline` and `calibrate` run without numpy: no module but `simulator`
+    refers to it, save `columns.RecordView.rows`, the numpy view it gives a
+    caller that asks for one."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "simulator":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = set()
+        if path.stem == "columns":
+            view = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "RecordView")
+            rows = next(n for n in view.body if isinstance(n, ast.FunctionDef) and n.name == "rows")
+            exempt = set(map(id, ast.walk(rows)))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if refers_to_numpy(node) and id(node) not in exempt]
+    assert found == [], f"numpy referred to at {found}"
+
+
+def test_no_module_reads_a_views_numpy_rows():
+    """Every stage reads a view's rows through `Layout.rows_of`, a stdlib
+    buffer, never through the numpy array `RecordView.rows`."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "rows"]
+    assert found == [], f".rows read at {found}"
 
 
 def test_pipeline_fits_with_no_matrix_product_or_library_solve():

@@ -37,12 +37,25 @@ from qiblanav.errors import (
     InvalidAngle,
 )
 
-from qiblanav.pipeline import run_block
+from qiblanav.pipeline import MAX_FIT_CONDITION, _condition, run_block
 
 from oracles import circular_abs_diff
 from scenarios import FIELD, flat_sweep, tumbled_sweep
 
 BANDUNG = GeoCoordinate(-6.9147, 107.6098)
+
+
+@st.composite
+def point_clouds(draw):
+    """10 to 60 points about an offset, on a random scale, squashed toward a
+    plane of random tilt: not at all, by a factor down to 1e-9, or onto it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(10, 60))
+    points = rng.normal(size=(n, 3)) * draw(st.floats(0.1, 100.0)) + rng.normal(0.0, 50.0, 3)
+    basis = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    local = points @ basis
+    local[:, 2] *= draw(st.sampled_from([1.0, 0.0]) | st.floats(1e-9, 1.0))
+    return local @ basis.T
 
 
 def one_sample(heading=0.0, pitch=0.0, roll=0.0, *, field=FIELD, hard_iron=(0.0, 0.0, 0.0)):
@@ -235,6 +248,34 @@ class TestCalibrate:
         shuffled = list(samples)
         rng.shuffle(shuffled)
         assert calibrate(shuffled) == calibrate(list(samples)) == calibrate(samples)
+
+    def test_a_flat_cloud_is_degenerate(self):
+        # magnetometer points spread over a tilted plane, not a sphere: no center to find
+        rng = np.random.default_rng(4)
+        u, v = rng.uniform(-40.0, 40.0, (2, 400))
+        mags = zip(25.0 + u, -18.0 + 0.5 * u + v, 9.0 - v)
+        samples = [SensorSample(20.0 * i, (0.0, 0.0, -9.81), m) for i, m in enumerate(mags)]
+        with pytest.raises(DegenerateSweep, match="condition"):
+            calibrate(samples)
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=point_clouds())
+    def test_fit_condition_agrees_with_lapack(self, points):
+        """`_condition`, cyclic Jacobi on floats, against `np.linalg.cond`
+        (an SVD) on the normal equations of random, near-flat and flat
+        clouds: within 4 eps cond relative, the rounding an SVD's smallest
+        singular value carries, which is 0.09% at the 1e12 gate. Past 1e14
+        neither value means more than that the fit is degenerate."""
+        q = points - points.mean(axis=0)
+        design = np.hstack([2.0 * q, np.ones((len(q), 1))])
+        normal = (design.T @ design).tolist()
+        with np.errstate(divide="ignore"):
+            lapack = float(np.linalg.cond(normal))
+        ours = _condition(normal)
+        if lapack <= 1e14:
+            assert abs(ours - lapack) <= (4.0 * 2.0**-52 * lapack + 1e-12) * lapack
+        else:
+            assert ours > 10.0 * MAX_FIT_CONDITION
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e160, 1e300])

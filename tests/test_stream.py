@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from qiblanav import CalibrationState, GeoCoordinate, TraceFile, run_trace, simulate, write_trace
 from qiblanav import records
 from qiblanav.dataio import write_report_blocks
-from qiblanav.records import SAMPLE, RecordView
+from qiblanav.columns import SAMPLE, RecordView
 
 from cli_checks import run_cli
 from conftest import DATA_DIR
