@@ -15,9 +15,11 @@ usable samples, degenerate calibration sweep), 64 usage error.
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import json
 import math
+import os
 import sys
 from collections.abc import Iterator
 from itertools import chain
@@ -284,7 +286,22 @@ def main(argv: list[str] | None = None) -> int:
     few hundred objects in cycles whatever the length of its trace, so a
     collection during it costs time and frees next to nothing; numpy's
     import alone would trigger dozens.
+
+    `argv=None` means the command is the process itself (the `qiblanav`
+    console script, `python -m qiblanav.cli`), which exits when `main` is
+    done. Then `main` registers `gc.freeze` with `atexit`, so on every way
+    out (a return, a usage error's `SystemExit`, an error exit) the
+    interpreter's shutdown collections skip a heap that the OS frees a
+    moment later anyway. atexit handlers run before the interpreter
+    flushes stdout and stderr, and reference counting still frees what it
+    frees. It also caps OpenBLAS at one thread unless `OPENBLAS_NUM_THREADS`
+    is set: no command makes a BLAS call, and an idle OpenBLAS worker spins
+    on a second CPU. A call with an explicit `argv`, as from a test or a
+    library user, leaves the caller's heap and environment as they were.
     """
+    if argv is None:
+        atexit.register(gc.freeze)
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -430,18 +430,63 @@ def collector():
     (gc.enable if enabled else gc.disable)()
 
 
+def one_of_each_exit(tmp_path) -> list[tuple[list[str], int]]:
+    """A command that ends with each exit code of the contract."""
+    trace = tmp_path / "one.txt"
+    trace.write_text("qtrace v1\ns 0 0 0 -9.81 40 0 0\n")  # one usable sample: too few to calibrate
+    return [(["qibla", "--lat", "0", "--lon", "10"], 0),
+            (["qibla", "--lat", "21.4225", "--lon", "39.8262"], 2),
+            (["calibrate", "--trace", str(trace)], 3),
+            (["qibla", "--lat", "0"], 64)]  # argparse raises SystemExit(64)
+
+
+# Runs `main` as a process's command, `main()`, or as a call, `main(argv)`,
+# with the command line after `-c`. The probe is registered first, so it
+# runs last at exit and prints whether objects were frozen since the start
+# (3.12 starts with a few hundred), and the OpenBLAS thread setting.
+EXIT_PROBE = """
+import atexit, gc, os, sys
+start = gc.get_freeze_count()
+atexit.register(lambda: print("\\nat exit:", gc.get_freeze_count() > start, os.environ.get("OPENBLAS_NUM_THREADS")))
+from qiblanav.cli import main
+sys.exit(main({}))
+"""
+
+
+def run_probe(call: str, argv: list[str], **extra: str) -> subprocess.CompletedProcess:
+    # Without PYTHONUNBUFFERED, stdout is block-buffered and flushed at exit, after the freeze.
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "OPENBLAS_NUM_THREADS")}
+    env.update(PYTHONPATH=str(GOLDEN_DIR.parent.parent / "src"), **extra)
+    return subprocess.run([sys.executable, "-c", EXIT_PROBE.format(call), *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestGarbageCollector:
     @pytest.mark.parametrize("enabled", [True, False])
     def test_main_restores_the_callers_setting(self, tmp_path, collector, enabled):
-        trace = tmp_path / "one.txt"
-        trace.write_text("qtrace v1\ns 0 0 0 -9.81 40 0 0\n")  # one usable sample: too few to calibrate
-        for argv, code in [(["qibla", "--lat", "0", "--lon", "10"], 0),
-                           (["qibla", "--lat", "21.4225", "--lon", "39.8262"], 2),
-                           (["calibrate", "--trace", str(trace)], 3),
-                           (["qibla", "--lat", "0"], 64)]:  # argparse raises SystemExit(64)
+        frozen, threads = gc.get_freeze_count(), os.environ.get("OPENBLAS_NUM_THREADS")
+        for argv, code in one_of_each_exit(tmp_path):
             (gc.enable if enabled else gc.disable)()
             assert run_cli(argv)[0] == code
             assert gc.isenabled() is enabled, argv
+            assert (gc.get_freeze_count(), os.environ.get("OPENBLAS_NUM_THREADS")) == (frozen, threads), argv
+
+    def test_a_process_command_exits_with_its_heap_frozen(self, tmp_path):
+        """`main()` freezes the heap at exit, before stdout is flushed, so the
+        interpreter's shutdown collections walk nothing; `main(argv)` leaves
+        the caller's heap and environment alone."""
+        for argv, code in one_of_each_exit(tmp_path):
+            for call, frozen, threads in [("", True, "1"), ("sys.argv[1:]", False, None)]:
+                done = run_probe(call, argv)
+                assert done.returncode == code, (argv, call, done.stderr)
+                assert done.stdout.endswith(f"\nat exit: {frozen} {threads}\n"), (argv, call)
+                if code == 0:
+                    assert done.stdout.startswith("qibla azimuth: "), call
+
+    def test_a_process_command_keeps_the_users_openblas_setting(self):
+        done = run_probe("", ["distance", "--from-lat", "0", "--from-lon", "0", "--to-lat", "1", "--to-lon", "1"],
+                         OPENBLAS_NUM_THREADS="2")
+        assert (done.returncode, done.stdout.splitlines()[-1]) == (0, "at exit: True 2")
 
     def test_the_collector_is_off_while_a_command_runs(self, monkeypatch, collector):
         seen = []
