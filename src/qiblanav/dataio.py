@@ -65,8 +65,9 @@ STEADY_STATE_WINDOW_MS = 10000.0
 # Each trace line tag: the stream it belongs to and that stream's row layout.
 _STREAMS = {"s": ("sample record", SAMPLE), "t": ("truth record", TRUTH)}
 
-# About the characters of a sample line, so that write_trace formats about
-# BLOCK_CHARS characters of lines at a time.
+# About the characters of a sample line, its tag and seven reprs joined by
+# spaces, so that write_trace joins about BLOCK_CHARS characters of lines at a
+# time.
 _LINE_CHARS = 128
 
 
@@ -95,15 +96,16 @@ def write_trace(trace: TraceFile, path: str) -> None:
     a value that is not finite, or timestamps out of order. Formats and
     writes about BLOCK_CHARS characters of lines at a time, to a file beside
     `path` that replaces it once the trace is complete, as a report does.
+    A line is its tag and the reprs of its row, joined by spaces; a truth
+    line is joined to the sample line it follows, and a block is its lines
+    joined by newlines.
     """
     samples, truth = SAMPLE.rows_of(trace.samples), TRUTH.rows_of(trace.truth)
     for (kind, layout), rows in zip(_STREAMS.values(), (samples, truth)):
         if not _in_order(rows, layout.width):
             raise ValueError(f"{kind}s must be finite, with timestamps monotone nondecreasing")
     times, truth_times = samples[:: SAMPLE.width], truth[:: TRUTH.width]
-    # Each line is the tag, then each float in its shortest round-trip repr.
     # A truth column past the time holds few distinct values: each is formatted once.
-    sample_line = "s" + " %r" * SAMPLE.width + "\n"
     truth_reprs = [_each_distinct(repr, truth[k :: TRUTH.width]) for k in range(1, TRUTH.width)]
     step = max(1, records.BLOCK_CHARS // _LINE_CHARS)
     with _replacing(path) as fh:
@@ -113,14 +115,16 @@ def write_trace(trace: TraceFile, path: str) -> None:
             b = min(a + step, len(times))
             # A truth line follows the first sample not earlier than it, or ends the file.
             k = bisect_right(truth_times, times[b - 1], j) if b < len(times) else len(truth_times)
-            lines = list(map(sample_line.__mod__, SAMPLE.tuples(samples[a * SAMPLE.width : b * SAMPLE.width])))
-            block_times = times[a:b].tolist()
-            cuts = [0, *map(add, map(bisect_left, repeat(block_times), truth_times[j:k]), repeat(1)), None]
-            truth_lines = map("t %r %s %s %s\n".__mod__, zip(truth_times[j:k], *(r[j:k] for r in truth_reprs)))
-            # Each run of sample lines, then the truth line after it; the last run ends the block.
-            runs = list(map(lines.__getitem__, map(slice, cuts, cuts[1:])))
-            text = chain.from_iterable(chain.from_iterable(zip(runs, zip(truth_lines))))
-            fh.write("".join(chain(text, runs[-1])))
+            reprs = map(repr, samples[a * SAMPLE.width : b * SAMPLE.width])
+            lines = list(map(" ".join, zip(repeat("s"), *[reprs] * SAMPLE.width)))
+            truth_lines = map(" ".join, zip(repeat("t"), map(repr, truth_times[j:k]), *(r[j:k] for r in truth_reprs)))
+            for i, line in zip(map(bisect_left, repeat(times[a:b].tolist()), truth_times[j:k]), truth_lines):
+                if i < b - a:
+                    lines[i] += "\n" + line
+                else:  # past the last sample: the truth lines that end the file
+                    lines.append(line)
+            if lines:
+                fh.write("\n".join(lines) + "\n")
             j = k
 
 
@@ -144,11 +148,14 @@ def _block_rows(lines: list[list[str]], last_t: dict[str, float]) -> dict[str, R
     """Each stream's view of a block of trace lines, checked in bulk by the
     rule `_check_line` states line by line, or None when a line breaks it.
     Sets `last_t` as `_check_line` does, once the whole block keeps the rule."""
-    if not _STREAMS.keys() >= {tokens[0] for tokens in lines}:
+    groups = {tag: [] for tag in _STREAMS}
+    try:
+        for tokens in lines:
+            groups[tokens[0]].append(tokens)
+    except KeyError:  # an unknown tag
         return None
     streams = {}
-    for tag, (_, layout) in _STREAMS.items():
-        group = [tokens for tokens in lines if tokens[0] == tag]
+    for (tag, (_, layout)), group in zip(_STREAMS.items(), groups.values()):
         if set(map(len, group)) - {layout.width + 1}:
             return None
         fields = list(chain.from_iterable(group))
@@ -332,35 +339,48 @@ def _nested_json(value: Any) -> str:
     return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
 
 
-# One entry of a JSON report's "samples", after the separator from the one before.
-_JSON_ENTRY = """%s    {
-      "t_ms": %r,
-      "magnetic_heading_deg": %r,
-      "true_heading_deg": %r,
+# One entry of a JSON report's "samples", as the literal pieces around its
+# fields: piece k comes before field k, of t_ms, magnetic, true heading,
+# qibla, deviation, guidance, calibrated and dynamic, and the last piece
+# ends the entry. Entries are separated by ",\n".
+_JSON_ENTRY = tuple("""    {
+      "t_ms": %s,
+      "magnetic_heading_deg": %s,
+      "true_heading_deg": %s,
       "qibla_deg": %s,
-      "deviation_deg": %r,
+      "deviation_deg": %s,
       "guidance": "%s",
       "calibrated": %s,
       "dynamic": %s
-    }"""
+    }""".split("%s"))
 _TEXT_ENTRY = "{:>12.1f} {:>10.2f} {:>10.2f} {} {:>+10.2f} {}{}\n"
 
 
 def _entry_lines(rows: Sequence[float], fmt: str, first: bool) -> Iterator[str]:
     """The report text of a flat buffer of ENTRY rows; `first` when no entry
-    was written before them. The qibla column holds one bearing per place,
-    so each distinct one is formatted once."""
+    was written before them. A JSON entry is its literal pieces and the
+    reprs of its columns, joined: the qibla column holds one bearing per
+    place, and the guidance and flag columns together at most 12 triples,
+    so each distinct one is formatted once, with the literals around it."""
     from .pipeline import ENTRY, Guidance
 
     t, magnetic, true_heading, _, deviation, codes, calibrated, dynamic = (
         rows[k :: ENTRY.width].tolist() for k in range(ENTRY.width))
-    qibla = _each_distinct(repr if fmt == "json" else "{:>10.2f}".format, rows[3 :: ENTRY.width])
     values = [g.value for g in Guidance]  # ENTRY's guidance column indexes these
+    if fmt == "json":
+        piece = _JSON_ENTRY
+        qibla = _each_distinct(lambda q: f"{piece[3]}{q!r}{piece[4]}", rows[3 :: ENTRY.width])
+        flag = {1.0: "true"}  # a flag is true when it is 1.0
+        triples = list(zip(codes, calibrated, dynamic))
+        tails = {(code, cal, dyn): f"{piece[5]}{values[int(code)]}{piece[6]}{flag.get(cal, 'false')}{piece[7]}"
+                                   f"{flag.get(dyn, 'false')}{piece[8]}"
+                 for code, cal, dyn in set(triples)}
+        heads = chain([piece[0] if first else ",\n" + piece[0]], repeat(",\n" + piece[0]))
+        return chain.from_iterable(zip(heads, map(repr, t), repeat(piece[1]), map(repr, magnetic), repeat(piece[2]),
+                                       map(repr, true_heading), qibla, map(repr, deviation),
+                                       map(tails.__getitem__, triples)))
+    qibla = _each_distinct("{:>10.2f}".format, rows[3 :: ENTRY.width])
     guidances = list(map(values.__getitem__, map(int, codes)))
-    if fmt == "json":  # a flag is true when it is 1.0
-        flags = [list(map({1.0: "true"}.get, column, repeat("false"))) for column in (calibrated, dynamic)]
-        return map(_JSON_ENTRY.__mod__, zip(chain(["" if first else ",\n"], repeat(",\n")), t, magnetic,
-                                            true_heading, qibla, deviation, guidances, *flags))
     suffixes = list(map({1.0: " (dynamic)"}.get, dynamic, repeat("")))
     return map(_TEXT_ENTRY.format, t, magnetic, true_heading, qibla, deviation, guidances, suffixes)
 

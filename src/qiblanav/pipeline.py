@@ -121,6 +121,17 @@ class FilterState(_Frozen):
         _setattr(self, "s", s)
 
 
+def _filter_state(alpha: float, c: float | None, s: float | None) -> FilterState:
+    """The FilterState after `_run`, built without FilterState's checks:
+    alpha is a valid state's, and (c, s) is that state's vector or one
+    `_ema` normalised, finite wherever the headings were."""
+    state = object.__new__(FilterState)
+    _setattr(state, "alpha", alpha)
+    _setattr(state, "c", c)
+    _setattr(state, "s", s)
+    return state
+
+
 class Guidance(str, Enum):
     ALIGNED = "aligned"
     TURN_LEFT = "turn_left"
@@ -373,7 +384,7 @@ def filter_heading(state: FilterState, new_heading: AzimuthDeg) -> tuple[FilterS
     alpha 1.
     """
     c, s, filtered = _ema(state.c, state.s, state.alpha, AzimuthDeg(new_heading))
-    return FilterState(state.alpha, c, s), AzimuthDeg(filtered)
+    return _filter_state(state.alpha, c, s), AzimuthDeg(filtered)
 
 
 def process(
@@ -402,7 +413,7 @@ def process(
     # Before the filter state, so a heading that is not finite raises InvalidAngle.
     state = QiblaPointerState(AzimuthDeg(magnetic), AzimuthDeg(true_heading), qibla, deviation, _GUIDANCES[code],
                               calibrated, dynamic)
-    return FilterState(filt.alpha, c, s), state
+    return _filter_state(filt.alpha, c, s), state
 
 
 def _entry_row(entry: tuple[float, QiblaPointerState]) -> tuple:
@@ -452,7 +463,7 @@ def run_block(
     entries = float_array(list(chain.from_iterable(out)))
     if not all_finite(entries):  # a levelled heading is nan, as atan2 gives no infinity
         raise InvalidAngle("azimuth must be finite, got nan")
-    return FilterState(filt.alpha, c, s), RecordView(ENTRY, entries)
+    return _filter_state(filt.alpha, c, s), RecordView(ENTRY, entries)
 
 
 def run_trace(

@@ -188,7 +188,27 @@ def test_report_bytes_are_json_dumps_of_the_document(workdir, entries, meta):
     assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-@pytest.mark.parametrize("meta", [{"alpha": math.nan}, {"calibration": {"hard_iron_ut": [0.0, math.inf, 0.0]}},
+@settings(deadline=None)
+@given(entries=ENTRIES, meta=METAS, cuts=st.lists(st.integers(0, 8), max_size=4))
+def test_report_bytes_do_not_depend_on_where_blocks_end(workdir, entries, meta, cuts):
+    """The entries cut into blocks, empty ones among them, give the JSON
+    bytes of the whole document and the text of one write_report, so the
+    separator before each block's first entry is the one the whole report
+    has there."""
+    entries.sort(key=lambda entry: entry[0])  # the blocks of one trace: none ends before an earlier one
+    bounds = [0, *sorted(min(cut, len(entries)) for cut in cuts), len(entries)]
+    blocks = [(entries[a:b], ()) for a, b in zip(bounds, bounds[1:])]
+    path = workdir / "blocks.json"
+    summary = dataio.write_report_blocks(blocks, str(path), meta=meta)
+    doc = {"report": REPORT_TAG, "meta": meta, "samples": [entry_document(t, s) for t, s in entries],
+           "summary": summary}
+    assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    dataio.write_report_blocks(blocks, str(workdir / "blocks.txt"), "text", meta=meta)
+    write_report(entries, str(workdir / "whole.txt"), "text", meta=meta)
+    assert (workdir / "blocks.txt").read_bytes() == (workdir / "whole.txt").read_bytes()
+
+
+@pytest.mark.parametrize("meta",[{"alpha": math.nan}, {"calibration": {"hard_iron_ut": [0.0, math.inf, 0.0]}},
                                   {"x": [1, {"y": -math.inf}]}])
 def test_non_finite_meta_raises_and_leaves_no_file(tmp_path, meta):
     state = QiblaPointerState(AzimuthDeg(1.0), AzimuthDeg(2.0), AzimuthDeg(3.0), 1.0, Guidance.ALIGNED, True)

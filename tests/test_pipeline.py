@@ -596,6 +596,38 @@ def test_a_heading_that_is_not_finite_raises_invalid_angle():
         run_trace([sample], BANDUNG, cal)
 
 
+def test_a_heading_that_is_not_finite_raises_before_a_filter_state_is_built(monkeypatch):
+    """The filter state a step returns is built without FilterState's
+    checks, so a heading that is not finite must raise before it is."""
+    built = []
+    monkeypatch.setattr("qiblanav.pipeline._filter_state", lambda *fields: built.append(fields))
+    cal = CalibrationState((-1e308,) * 3)
+    sample = SensorSample(0.0, (0.0, 0.0, -9.81), (1e308,) * 3)
+    for start in (FilterState(), FilterState(0.5, 1.0, 0.0)):
+        with pytest.raises(InvalidAngle):
+            process(sample, BANDUNG, cal, start)
+        with pytest.raises(InvalidAngle):
+            run_block([sample], BANDUNG, cal, start)
+        with pytest.raises(InvalidAngle):
+            filter_heading(start, math.nan)
+    assert built == []
+
+
+@given(readings=st.lists(st.tuples(st.one_of(STATIC_ACCEL, DYNAMIC_ACCEL), MAG), max_size=12),
+       hard_iron=st.tuples(OFFSETS, OFFSETS, OFFSETS), alpha=st.floats(0.01, 1.0) | st.just(1.0),
+       start=st.none() | VECTOR.filter(lambda v: 0.0 < math.hypot(*v) < math.inf))
+def test_process_returns_a_state_that_filter_state_accepts(readings, hard_iron, alpha, start):
+    """Each filter state process returns, unchecked, equals the FilterState
+    its fields construct, checked."""
+    filt = FilterState(alpha, *(start or (None, None)))
+    for sample in as_samples(readings):
+        try:
+            filt, _ = process(sample, BANDUNG, CalibrationState(hard_iron), filt)
+        except DynamicSample:
+            continue
+        assert filt == FilterState(filt.alpha, filt.c, filt.s)
+
+
 @given(lat=st.sampled_from([0.0, -0.0]) | st.floats(-90.0, 90.0),
        lon=st.sampled_from([0.0, -0.0]) | st.floats(-360.0, 360.0))
 def test_cached_bearing_has_the_bits_of_a_direct_call(lat, lon):
