@@ -3,10 +3,9 @@ compass pipeline verified against a deterministic sensor simulator.
 
 Every public name is looked up on first use (PEP 562), so `import qiblanav`
 loads no submodule. numpy loads only with the names of `simulator`
-(`simulate`, `generate`, the scenario types and readers) and with
-`RecordView.rows`; every other name, the trace and report functions,
-`calibrate`, `run_trace` and the one-sample pipeline's `process` among
-them, works without it.
+(`simulate`, `generate`, the scenario types and readers); every other
+name, the trace and report functions, `calibrate`, `run_trace` and the
+one-sample pipeline's `process` among them, works without it.
 """
 
 import importlib

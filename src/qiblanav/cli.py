@@ -168,6 +168,7 @@ def cmd_pipeline(args: argparse.Namespace) -> tuple[dict, list[str]]:
     threshold = DEFAULT_GUIDANCE_THRESHOLD_DEG if args.threshold is None else args.threshold
     if args.sweep_ms is not None and not math.isfinite(args.sweep_ms):
         raise ValueError(f"--sweep-ms must be finite, got {args.sweep_ms}")
+    sweep_ms = math.inf if args.sweep_ms is None else args.sweep_ms  # no sweep given: the whole trace
     # The library's own rules, applied before the trace is read.
     filt = FilterState(alpha=alpha)
     guidance(0.0, threshold)
@@ -175,16 +176,14 @@ def cmd_pipeline(args: argparse.Namespace) -> tuple[dict, list[str]]:
     blocks = read_trace_blocks(args.trace)
     try:
         # The trace streams through in one pass, but calibration comes first:
-        # hold the blocks up to the first sample after the sweep, or all.
+        # hold the blocks up to the first sample after the sweep.
         held = []
         for block in blocks:
             held.append(block)
-            if args.sweep_ms is not None and len(block.samples) and block.samples[-1].t_ms > args.sweep_ms:
+            if len(block.samples) and block.samples[-1].t_ms > sweep_ms:
                 break
-        cal_samples = join_blocks(held).samples
-        if args.sweep_ms is not None:  # the samples up to the sweep's end, which come first
-            cal_samples = cal_samples[:bisect_right(cal_samples, args.sweep_ms, key=attrgetter("t_ms"))]
-        cal = calibrate(cal_samples)
+        cal_samples = join_blocks(held).samples  # the samples up to the sweep's end, which come first
+        cal = calibrate(cal_samples[:bisect_right(cal_samples, sweep_ms, key=attrgetter("t_ms"))])
         meta = {
             "latitude_deg": where.latitude_deg,
             "longitude_deg": where.longitude_deg,

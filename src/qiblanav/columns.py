@@ -8,8 +8,8 @@ through `Layout.rows_of`, which takes any sequence of records; a
 `RecordView` is such a sequence, a read-only one that builds each record
 on demand from its row. The buffer is the standard library's, an
 `array('d')` or a memoryview, so no stage needs numpy: only `simulate`
-makes one over a numpy array, and only `RecordView.rows` gives one as an
-array, for callers that want it.
+makes one over a numpy array. A caller that wants the rows as an array
+makes one itself: `np.frombuffer(view.values).reshape(-1, view.layout.width)`.
 
 The query commands never import this module.
 """
@@ -29,8 +29,12 @@ from .records import SensorSample, TruthRecord
 
 def float_array(values: list[float]) -> array:
     """`values` in a new array('d'), converted by `struct`, which takes fewer
-    steps a value than `array` itself."""
-    return array("d", struct.pack(f"{len(values)}d", *values))
+    steps a value than `array` itself. A value that is not a number raises
+    what `array` raises for it, a TypeError."""
+    try:
+        return array("d", struct.pack(f"{len(values)}d", *values))
+    except struct.error:
+        return array("d", values)  # refuses the value struct refused, with its own error
 
 
 def all_finite(values: Sequence[float]) -> bool:
@@ -79,14 +83,6 @@ class RecordView(Sequence):
             raise ValueError(f"need float64 rows of {layout.width} values, got {view.nbytes} bytes of {view.format!r}")
         self.layout = layout
         self.values = view.cast("B").cast("d").toreadonly()
-
-    @property
-    def rows(self) -> Any:
-        """The rows as a read-only (n, width) numpy array over `values`, for
-        callers that want one; no module of this package reads it."""
-        import numpy as np
-
-        return np.frombuffer(self.values, dtype=float).reshape(-1, self.layout.width)
 
     def __len__(self) -> int:
         return len(self.values) // self.layout.width

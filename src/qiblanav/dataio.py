@@ -208,13 +208,11 @@ def _headings_at(truth: Sequence[float], t_ms: Iterable[float], start: float | N
     before the first one given were dropped, is the first time of the whole
     truth span."""
     tt, hh = truth[:: TRUTH.width].tolist(), truth[1 :: TRUTH.width].tolist()
-    t_ms = list(t_ms)
+    headings = []
     for t in t_ms:
         if not (tt and tt[0] <= t <= tt[-1]):
             span = f"[{tt[0] if start is None else start}, {tt[-1]}]" if tt else "(empty)"
             raise OutOfSpan(f"t={t} outside truth span {span}")
-    headings = []
-    for t in t_ms:
         j = bisect_right(tt, t) - 1
         heading = hh[j]  # at a record's time, or at or past the last record
         if j < len(tt) - 1 and t != tt[j]:

@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, compress, repeat
 from operator import add, mul, sub
 
@@ -409,10 +409,7 @@ def process(
     c, s, out = _run((SAMPLE.row(sample),), float(qibla), cal, filt, float(decl), threshold_deg)
     if not out:
         _require_static(sample)  # raises: there is no heading to carry forward yet
-    _, magnetic, true_heading, _, deviation, code, calibrated, dynamic = out[0]
-    # Before the filter state, so a heading that is not finite raises InvalidAngle.
-    state = QiblaPointerState(AzimuthDeg(magnetic), AzimuthDeg(true_heading), qibla, deviation, _GUIDANCES[code],
-                              calibrated, dynamic)
+    state = _entry(out[0])[1]  # before the filter state, so a heading that is not finite raises InvalidAngle
     return _filter_state(filt.alpha, c, s), state
 
 
@@ -422,13 +419,13 @@ def _entry_row(entry: tuple[float, QiblaPointerState]) -> tuple:
             _GUIDANCES.index(s.guidance), s.calibrated, s.dynamic)
 
 
-# An ENTRY row's headings are wrapped and finite already: each becomes an
-# AzimuthDeg as it is, without AzimuthDeg's check and wrap.
-_azimuth = partial(float.__new__, AzimuthDeg)
-
-
 def _entry(r: Sequence[float]) -> tuple[float, QiblaPointerState]:
-    return r[0], QiblaPointerState(_azimuth(r[1]), _azimuth(r[2]), _azimuth(r[3]), r[4],
+    """An ENTRY row as (t_ms, state), the one way a state is built: a
+    heading that is not finite raises InvalidAngle, and a guidance code
+    other than 0, 1 or 2 raises ValueError."""
+    if r[5] not in (0, 1, 2):
+        raise ValueError(f"guidance code must be 0, 1 or 2, got {r[5]!r}")
+    return r[0], QiblaPointerState(AzimuthDeg(r[1]), AzimuthDeg(r[2]), AzimuthDeg(r[3]), r[4],
                                    _GUIDANCES[int(r[5])], r[6] == 1.0, r[7] == 1.0)
 
 

@@ -67,7 +67,7 @@ from .records import G, SensorSample, TraceFile, TruthRecord, finite_floats, rea
 
 SCENARIO_HEADER = "scenario v1"
 
-# Largest trace a scenario may ask for: about 55 h at 50 Hz. generate
+# Largest trace a scenario may ask for: about 55 h at 50 Hz. simulate
 # holds the whole trace in memory.
 MAX_SAMPLES = 10**7
 

@@ -25,8 +25,9 @@ from qiblanav import (
 )
 from qiblanav import dataio, records
 from qiblanav.dataio import REPORT_TAG
-from qiblanav.errors import ParseError
-from qiblanav.columns import SAMPLE, TRUTH, RecordView
+from qiblanav.errors import InvalidAngle, ParseError
+from qiblanav.columns import SAMPLE, TRUTH, RecordView, float_array
+from qiblanav.pipeline import ENTRY
 from qiblanav.records import finite_floats, read_body
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -84,8 +85,8 @@ def test_trace_round_trips_its_columns_and_writes_the_record_bytes(workdir, trac
         back = read_trace(str(path))
     assert path.read_bytes() == record_by_record(samples, truth)
     # bit for bit, so -0.0 stays -0.0
-    assert back.samples.rows.tobytes() == SAMPLE.rows_of(samples).tobytes()
-    assert back.truth.rows.tobytes() == TRUTH.rows_of(truth).tobytes()
+    assert back.samples.values.tobytes() == SAMPLE.rows_of(samples).tobytes()
+    assert back.truth.values.tobytes() == TRUTH.rows_of(truth).tobytes()
     assert back.samples == samples and back.truth == truth
 
 
@@ -138,8 +139,8 @@ def test_views_are_read_only_sequences_of_records(workdir):
     view = read_trace(str(path)).samples
     assert len(view) == 4 and view[-1] == samples[-1] and list(view[1:3]) == samples[1:3]
     assert view == tuple(samples) and view != samples[:3]
-    with pytest.raises(ValueError):
-        view.rows[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        view.values[0] = 1.0
 
 
 def test_a_view_reads_whole_float64_rows_without_a_copy():
@@ -150,6 +151,44 @@ def test_a_view_reads_whole_float64_rows_without_a_copy():
     for bad in (np.arange(14, dtype=np.float32), np.arange(8.0)):
         with pytest.raises(ValueError, match="float64 rows of 7 values"):
             RecordView(SAMPLE, bad)
+
+
+# Headings of an ENTRY row as a caller may give them: in range, out of it,
+# and not finite.
+ROW_HEADINGS = st.floats(-720.0, 720.0) | st.sampled_from([-0.0, 360.0, 400.0, math.nan, math.inf, -math.inf])
+GUIDANCE_OF = {0.0: Guidance.ALIGNED, 1.0: Guidance.TURN_LEFT, 2.0: Guidance.TURN_RIGHT}
+ENTRY_ROWS = st.tuples(FINITE, ROW_HEADINGS, ROW_HEADINGS, ROW_HEADINGS, FINITE,
+                       st.sampled_from([-1.0, 0.0, 1.0, 2.0, 3.0, 0.5]), st.sampled_from([0.0, 1.0]),
+                       st.sampled_from([0.0, 1.0]))
+
+
+@given(rows=st.lists(ENTRY_ROWS, max_size=6))
+def test_an_entry_view_hands_out_only_checked_records(rows):
+    """Each record of a view over any ENTRY rows is the one AzimuthDeg and
+    Guidance build from its row, or raises InvalidAngle or ValueError: no
+    heading outside [0, 360) or nan, and no guidance from a code that names
+    none."""
+    view = RecordView(ENTRY, float_array([x for row in rows for x in row]))
+    for i, row in enumerate(rows):
+        try:
+            expected = (row[0], QiblaPointerState(AzimuthDeg(row[1]), AzimuthDeg(row[2]), AzimuthDeg(row[3]), row[4],
+                                                  GUIDANCE_OF[row[5]], row[6] == 1.0, row[7] == 1.0))
+        except (InvalidAngle, KeyError):
+            with pytest.raises((InvalidAngle, ValueError)):
+                view[i]
+            continue
+        t_ms, state = view[i]
+        assert (t_ms, state) == expected
+        assert all(type(h) is AzimuthDeg and 0.0 <= h < 360.0
+                   for h in (state.magnetic_heading, state.true_heading, state.qibla))
+
+
+def test_a_value_that_is_not_a_number_raises_type_error():
+    state = QiblaPointerState(AzimuthDeg(1.0), AzimuthDeg(2.0), None, 3.0, Guidance.ALIGNED, True)
+    with pytest.raises(TypeError):
+        summarize([(0.0, state)])
+    with pytest.raises(TypeError):
+        float_array([1.0, "2.0"])
 
 
 def entry_document(t_ms, state):
@@ -264,7 +303,7 @@ def test_the_long_trace_itself_reads(tmp_path):
     path.write_text("\n".join(long_trace_lines()) + "\n", encoding="utf-8")
     trace = read_trace(str(path))
     assert len(trace.samples) == len(trace.truth) == 499
-    np.testing.assert_array_equal(trace.samples.rows[:, 0], 20.0 * np.arange(499))
+    np.testing.assert_array_equal(np.frombuffer(trace.samples.values)[::SAMPLE.width], 20.0 * np.arange(499))
 
 
 @settings(deadline=None)
@@ -325,8 +364,8 @@ def test_a_token_reads_as_float_reads_it(workdir, token, tag):
         assert (exc.line, str(exc)) == (expected.line, str(expected))
     else:
         assert not isinstance(expected, ParseError)
-        rows = back.samples.rows if tag == "s" else back.truth.rows
-        assert rows[-1].tobytes() == np.array(expected).tobytes()
+        values = back.samples.values if tag == "s" else back.truth.values
+        assert values[-len(expected):].tobytes() == np.array(expected).tobytes()
 
 
 @pytest.mark.parametrize("tag", ["s", "t"])

@@ -26,7 +26,7 @@ from qiblanav import (
     write_report,
     write_trace,
 )
-from qiblanav.errors import DuplicateCity, EmptyReport, ParseError
+from qiblanav.errors import DuplicateCity, EmptyReport, OutOfSpan, ParseError
 from qiblanav.columns import SAMPLE, TRUTH, RecordView
 
 from scenarios import tumbled_sweep
@@ -227,6 +227,18 @@ class TestReports:
             rows[7 * TRUTH.width + 2] = math.inf  # a pitch, which the summary does not read
         with pytest.raises(ValueError, match="must be finite"):
             summarize(entries, RecordView(TRUTH, rows))
+
+    def test_the_first_time_out_of_the_truth_span_is_named(self):
+        # the window's entries in the order given: inside the span and on both sides of it
+        def state(heading):
+            return QiblaPointerState(AzimuthDeg(heading), AzimuthDeg(heading), AzimuthDeg(0.0), 0.0,
+                                     Guidance.ALIGNED, True)
+
+        truth = [TruthRecord(250.0, 0.0, 0.0, 0.0), TruthRecord(350.0, 10.0, 0.0, 0.0)]
+        for times, named in (((300.0, 500.0, 100.0, 400.0), 500.0), ((100.0, 300.0, 500.0), 100.0)):
+            with pytest.raises(OutOfSpan) as exc:
+                summarize([(t, state(t / 10.0)) for t in times], truth)
+            assert str(exc.value) == f"t={named} outside truth span [250.0, 350.0]"
 
     def test_heading_between_records_whose_span_overflows(self):
         # times 2e308 apart: their difference is past the float range

@@ -54,31 +54,11 @@ def refers_to_numpy(node: ast.AST) -> bool:
 
 def test_only_the_simulator_refers_to_numpy():
     """`pipeline` and `calibrate` run without numpy: no module but `simulator`
-    refers to it, save `columns.RecordView.rows`, the numpy view it gives a
-    caller that asks for one."""
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.stem == "simulator":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        exempt = set()
-        if path.stem == "columns":
-            view = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "RecordView")
-            rows = next(n for n in view.body if isinstance(n, ast.FunctionDef) and n.name == "rows")
-            exempt = set(map(id, ast.walk(rows)))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if refers_to_numpy(node) and id(node) not in exempt]
-    assert found == [], f"numpy referred to at {found}"
-
-
-def test_no_module_reads_a_views_numpy_rows():
-    """Every stage reads a view's rows through `Layout.rows_of`, a stdlib
-    buffer, never through the numpy array `RecordView.rows`."""
+    refers to it."""
     found = [f"{path.name}:{node.lineno}"
-             for path in sorted(PACKAGE.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(node, ast.Attribute) and node.attr == "rows"]
-    assert found == [], f".rows read at {found}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.stem != "simulator"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if refers_to_numpy(node)]
+    assert found == [], f"numpy referred to at {found}"
 
 
 def test_pipeline_fits_with_no_matrix_product_or_library_solve():
@@ -97,3 +77,13 @@ def test_pipeline_fits_with_no_matrix_product_or_library_solve():
         or isinstance(node, ast.Call) and callee(node) in ("solve", "lstsq", "inv", "dot", "matmul")
     ]
     assert found == [], f"pipeline.py multiplies or solves with numpy on lines {found}"
+
+
+def test_only_entry_builds_a_pointer_state():
+    """`process` and the `ENTRY` layout build a pipeline's output through
+    `pipeline._entry` alone, so each one is checked the same way."""
+    tree = ast.parse((PACKAGE / "pipeline.py").read_text(encoding="utf-8"))
+    entry = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_entry")
+    built = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "QiblaPointerState"]
+    assert len(built) == 1 and built[0] in list(ast.walk(entry))

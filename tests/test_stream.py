@@ -11,6 +11,7 @@ import threading
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -37,7 +38,7 @@ def workdir(tmp_path_factory):
     scenario = tumbled_sweep(seed=3, duration_ms=14100.0, sample_rate_hz=10.0, hard_iron=HARD_IRON, noise_mag=NOISE_MAG,
                              noise_accel=NOISE_ACCEL)
     trace = simulate(scenario)
-    rows = trace.samples.rows.copy()
+    rows = np.frombuffer(trace.samples.values).reshape(-1, SAMPLE.width).copy()
     rows[::7, 1:4] *= 3.0
     samples = RecordView(SAMPLE, rows)
     write_trace(TraceFile(samples, trace.truth[::2]), str(path / "trace.txt"))
