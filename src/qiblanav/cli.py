@@ -147,7 +147,13 @@ def cmd_distance(args: argparse.Namespace) -> tuple[dict, list[str]]:
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[str]]:
     from .dataio import write_trace
-    from .simulator import load_scenario, simulate
+
+    try:
+        from .simulator import load_scenario, simulate
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        raise QiblaNavError("simulate needs numpy, which is not installed: pip install numpy") from None
 
     trace = simulate(load_scenario(args.scenario))
     write_trace(trace, args.out)

@@ -39,6 +39,7 @@ class DeclinationGrid(_Frozen):
     def __init__(self, lat_min: float, lat_max: float, lat_step: float,
                  lon_min: float, lon_max: float, lon_step: float,
                  values: tuple[tuple[float, ...], ...]) -> None:
+        values = tuple(map(tuple, values))
         n_lat = _axis_count(lat_min, lat_max, lat_step)
         n_lon = _axis_count(lon_min, lon_max, lon_step)
         if len(values) != n_lat:

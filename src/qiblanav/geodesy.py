@@ -71,7 +71,10 @@ class DistanceKm(float):
 class _Frozen:
     """A value whose fields are its `__slots__`, each set once in `__init__`,
     through `_set` or, in a class built per sample, one `object.__setattr__`
-    call a field: assignment and deletion raise AttributeError, it
+    call a field. A value's fields are exactly what its `__init__` checked:
+    nothing builds one around that check, and a sequence it checks element
+    by element is held as the tuple it checked, so a caller's list changed
+    later changes nothing. Assignment and deletion raise AttributeError, it
     equals only an instance of its own class with equal fields, and it hashes
     and prints by value, as a frozen dataclass does."""
 

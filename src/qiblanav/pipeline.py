@@ -81,6 +81,7 @@ class CalibrationState(_Frozen):
 
     def __init__(self, hard_iron: tuple[float, float, float] = (0.0, 0.0, 0.0), samples_used: int = 0,
                  coverage_deg: float = 0.0) -> None:
+        hard_iron = tuple(hard_iron)
         if len(hard_iron) != 3 or not all(map(math.isfinite, hard_iron)):
             raise ValueError(f"hard_iron must be three finite components, got {hard_iron!r}")
         if not (isinstance(samples_used, int) and not isinstance(samples_used, bool) and samples_used >= 0):
@@ -121,17 +122,6 @@ class FilterState(_Frozen):
         _setattr(self, "s", s)
 
 
-def _filter_state(alpha: float, c: float | None, s: float | None) -> FilterState:
-    """The FilterState after `_run`, built without FilterState's checks:
-    alpha is a valid state's, and (c, s) is that state's vector or one
-    `_ema` normalised, finite wherever the headings were."""
-    state = object.__new__(FilterState)
-    _setattr(state, "alpha", alpha)
-    _setattr(state, "c", c)
-    _setattr(state, "s", s)
-    return state
-
-
 class Guidance(str, Enum):
     ALIGNED = "aligned"
     TURN_LEFT = "turn_left"
@@ -145,15 +135,24 @@ class QiblaPointerState(_Frozen):
     qibla lies clockwise of where the device points. dynamic flags samples
     whose accelerometer was out of band, for which the previous filtered
     heading was carried forward.
+
+    The three headings are built as AzimuthDeg, so one that is not finite
+    raises InvalidAngle and one outside [0, 360) is wrapped. A deviation
+    that is not finite raises InvalidAngle, and a guidance that is not a
+    Guidance member, such as the string "aligned", raises ValueError.
     """
 
     __slots__ = ("magnetic_heading", "true_heading", "qibla", "deviation_deg", "guidance", "calibrated", "dynamic")
 
-    def __init__(self, magnetic_heading: AzimuthDeg, true_heading: AzimuthDeg, qibla: AzimuthDeg,
+    def __init__(self, magnetic_heading: float, true_heading: float, qibla: float,
                  deviation_deg: float, guidance: Guidance, calibrated: bool, dynamic: bool = False) -> None:
-        _setattr(self, "magnetic_heading", magnetic_heading)
-        _setattr(self, "true_heading", true_heading)
-        _setattr(self, "qibla", qibla)
+        _setattr(self, "magnetic_heading", AzimuthDeg(magnetic_heading))
+        _setattr(self, "true_heading", AzimuthDeg(true_heading))
+        _setattr(self, "qibla", AzimuthDeg(qibla))
+        if not math.isfinite(deviation_deg):
+            raise InvalidAngle(f"deviation must be finite, got {deviation_deg!r}")
+        if not isinstance(guidance, Guidance):
+            raise ValueError(f"guidance must be a Guidance member, got {guidance!r}")
         _setattr(self, "deviation_deg", deviation_deg)
         _setattr(self, "guidance", guidance)
         _setattr(self, "calibrated", calibrated)
@@ -384,7 +383,7 @@ def filter_heading(state: FilterState, new_heading: AzimuthDeg) -> tuple[FilterS
     alpha 1.
     """
     c, s, filtered = _ema(state.c, state.s, state.alpha, AzimuthDeg(new_heading))
-    return _filter_state(state.alpha, c, s), AzimuthDeg(filtered)
+    return FilterState(state.alpha, c, s), AzimuthDeg(filtered)
 
 
 def process(
@@ -409,8 +408,8 @@ def process(
     c, s, out = _run((SAMPLE.row(sample),), float(qibla), cal, filt, float(decl), threshold_deg)
     if not out:
         _require_static(sample)  # raises: there is no heading to carry forward yet
-    state = _entry(out[0])[1]  # before the filter state, so a heading that is not finite raises InvalidAngle
-    return _filter_state(filt.alpha, c, s), state
+    state = _entry(out[0])[1]  # first, so a heading that is not finite raises InvalidAngle, not FilterState's ValueError
+    return FilterState(filt.alpha, c, s), state
 
 
 def _entry_row(entry: tuple[float, QiblaPointerState]) -> tuple:
@@ -420,13 +419,12 @@ def _entry_row(entry: tuple[float, QiblaPointerState]) -> tuple:
 
 
 def _entry(r: Sequence[float]) -> tuple[float, QiblaPointerState]:
-    """An ENTRY row as (t_ms, state), the one way a state is built: a
-    heading that is not finite raises InvalidAngle, and a guidance code
-    other than 0, 1 or 2 raises ValueError."""
+    """An ENTRY row as (t_ms, state), the one way the pipeline builds a
+    state: a guidance code other than 0, 1 or 2 raises ValueError, and the
+    state checks the rest."""
     if r[5] not in (0, 1, 2):
         raise ValueError(f"guidance code must be 0, 1 or 2, got {r[5]!r}")
-    return r[0], QiblaPointerState(AzimuthDeg(r[1]), AzimuthDeg(r[2]), AzimuthDeg(r[3]), r[4],
-                                   _GUIDANCES[int(r[5])], r[6] == 1.0, r[7] == 1.0)
+    return r[0], QiblaPointerState(r[1], r[2], r[3], r[4], _GUIDANCES[int(r[5])], r[6] == 1.0, r[7] == 1.0)
 
 
 # A run_trace entry as a row: t_ms, magnetic, true and qibla headings,
@@ -460,7 +458,7 @@ def run_block(
     entries = float_array(list(chain.from_iterable(out)))
     if not all_finite(entries):  # a levelled heading is nan, as atan2 gives no infinity
         raise InvalidAngle("azimuth must be finite, got nan")
-    return _filter_state(filt.alpha, c, s), RecordView(ENTRY, entries)
+    return FilterState(filt.alpha, c, s), RecordView(ENTRY, entries)
 
 
 def run_trace(

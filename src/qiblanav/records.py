@@ -45,22 +45,23 @@ BLOCK_CHARS = 1 << 16
 
 # A view (see `columns`) builds a SensorSample, a TruthRecord or a pipeline
 # entry per row, and `pipeline.process` a FilterState and an entry per
-# sample, so these set their fields with a call each rather than through
-# the loop in `_set`.
+# sample, each through its checking `__init__`, so these set their fields
+# with a call each rather than through the loop in `_set`.
 _setattr = object.__setattr__
 
 
 class SensorSample(_Frozen):
     """One timestamped accelerometer + magnetometer reading, body frame.
 
-    accel is specific force in m/s^2, mag is microtesla. All components
-    must be finite; timestamps within a trace are monotone nondecreasing
-    (enforced by the trace reader/writer, not here).
+    accel is specific force in m/s^2, mag is microtesla, each held as a
+    tuple. All components must be finite; timestamps within a trace are
+    monotone nondecreasing (enforced by the trace reader/writer, not here).
     """
 
     __slots__ = ("t_ms", "accel", "mag")
 
     def __init__(self, t_ms: float, accel: tuple[float, float, float], mag: tuple[float, float, float]) -> None:
+        accel, mag = tuple(accel), tuple(mag)
         if not math.isfinite(t_ms):
             raise ValueError(f"t_ms must be finite, got {t_ms!r}")
         for name, vec in (("accel", accel), ("mag", mag)):

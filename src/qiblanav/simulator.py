@@ -93,7 +93,8 @@ def _refuse(key: str, rule: str) -> NoReturn:
 
 
 class Scenario(_Frozen):
-    """Full description of a synthetic trace; a pure value, reusable."""
+    """Full description of a synthetic trace; a pure value, reusable. Its
+    knot sequences and hard_iron_ut are held as tuples."""
 
     __slots__ = ("duration_ms", "sample_rate_hz", "heading_deg", "pitch_deg", "roll_deg", "field", "hard_iron_ut",
                  "noise_sigma_mag_ut", "noise_sigma_accel_ms2", "rng_seed")
@@ -102,7 +103,8 @@ class Scenario(_Frozen):
                  pitch_deg: Knots = ((0.0, 0.0),), roll_deg: Knots = ((0.0, 0.0),),
                  field: MagneticField = MagneticField(40.0), hard_iron_ut: tuple[float, float, float] = (0.0, 0.0, 0.0),
                  noise_sigma_mag_ut: float = 0.0, noise_sigma_accel_ms2: float = 0.0, rng_seed: int = 0) -> None:
-        self._set(duration_ms, sample_rate_hz, heading_deg, pitch_deg, roll_deg, field, hard_iron_ut,
+        heading_deg, pitch_deg, roll_deg = (tuple(map(tuple, knots)) for knots in (heading_deg, pitch_deg, roll_deg))
+        self._set(duration_ms, sample_rate_hz, heading_deg, pitch_deg, roll_deg, field, tuple(hard_iron_ut),
                   noise_sigma_mag_ut, noise_sigma_accel_ms2, rng_seed)
         if not (math.isfinite(self.duration_ms) and self.duration_ms > 0.0):
             _refuse("duration_ms", "must be positive")

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import qiblanav
 from conftest import DATA_DIR
@@ -235,6 +236,69 @@ def test_value_types_are_frozen_values(cls, fields, text):
     assert repr(value) == text
 
 
+FINITE = st.floats(-1e6, 1e6)
+TRIPLES = st.tuples(FINITE, FINITE, FINITE)
+KNOTS = st.lists(st.tuples(st.floats(-1e4, 1e4), FINITE), min_size=1, max_size=4, unique_by=lambda k: k[0]).map(
+    lambda knots: tuple(sorted(knots)))
+
+
+@st.composite
+def grids(draw):
+    n_lat, n_lon = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    row = st.tuples(*[st.floats(-90.0, 90.0)] * n_lon)
+    return DeclinationGrid, (0.0, n_lat - 1.0, 1.0, 0.0, n_lon - 1.0, 1.0, draw(st.tuples(*[row] * n_lat)))
+
+
+# A value class and the arguments of one of its values, each sequence a tuple.
+BUILDS = st.one_of(
+    st.tuples(st.just(SensorSample), st.tuples(FINITE, TRIPLES, TRIPLES)),
+    st.tuples(st.just(CalibrationState), st.tuples(TRIPLES, st.integers(0, 10**6), st.floats(0.0, 360.0))),
+    st.tuples(st.just(Scenario), st.tuples(st.floats(20.0, 1000.0), st.just(50.0), KNOTS, KNOTS, KNOTS,
+                                           st.just(MagneticField(40.0)), TRIPLES)),
+    grids(),
+)
+
+
+def listed(value):
+    """A copy of `value` with every tuple in it a list."""
+    return list(map(listed, value)) if isinstance(value, tuple) else value
+
+
+def mutate(value):
+    """Reverse every list in `value` and set its first number to nan."""
+    if isinstance(value, list):
+        for item in value:
+            mutate(item)
+        value.reverse()
+        if value and isinstance(value[0], float):
+            value[0] = math.nan
+
+
+@given(build=BUILDS)
+def test_a_value_built_from_lists_keeps_what_it_checked(build):
+    """A value holds the tuples its constructor checked: built from lists
+    that are then reversed and given a nan, it equals the value built from
+    tuples, hashes as it does, and copies and pickles back equal."""
+    cls, args = build
+    from_tuples = cls(*args)
+    arguments = listed(args)
+    value = cls(*arguments)
+    mutate(arguments)
+    assert value == from_tuples and hash(value) == hash(from_tuples)
+    assert copy.copy(value) == value and copy.deepcopy(value) == value and pickle.loads(pickle.dumps(value)) == value
+
+
+def test_a_scenario_simulates_the_knots_it_checked():
+    """Reversing the knot list a scenario was built from leaves its trace as
+    it was: the scenario holds the knots it checked."""
+    knots = [(0.0, 0.0), (500.0, 90.0)]
+    scenario = Scenario(1000.0, 50.0, knots)
+    knots.reverse()
+    trace, expected = simulate(scenario), simulate(Scenario(1000.0, 50.0, ((0.0, 0.0), (500.0, 90.0))))
+    assert trace.samples.values.tobytes() == expected.samples.values.tobytes()
+    assert trace.truth.values.tobytes() == expected.truth.values.tobytes()
+
+
 # A record or a pipeline state refuses a field it cannot hold (a number that
 # is not finite, a vector that is not three components or, for the filter,
 # zero or longer than the largest float, a count or an angle out of its
@@ -260,6 +324,9 @@ REFUSALS = [
     (lambda: FilterState(0.5, 1.0, math.inf), "c and s must be finite, got c=1.0, s=inf"),
     (lambda: FilterState(0.5, 0.0, -0.0), "c and s must not both be zero, got c=0.0, s=-0.0"),
     (lambda: FilterState(0.5, 1.5e308, -1.5e308), "c and s must have a finite length, got c=1.5e+308, s=-1.5e+308"),
+    (lambda: QiblaPointerState(1.0, math.nan, 3.0, 1.0, Guidance.ALIGNED, True), "azimuth must be finite, got nan"),
+    (lambda: QiblaPointerState(1.0, 2.0, 3.0, math.inf, Guidance.ALIGNED, True), "deviation must be finite, got inf"),
+    (lambda: QiblaPointerState(1.0, 2.0, 3.0, 1.0, "aligned", True), "guidance must be a Guidance member, got 'aligned'"),
 ]
 
 

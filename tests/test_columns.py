@@ -25,7 +25,7 @@ from qiblanav import (
 )
 from qiblanav import dataio, records
 from qiblanav.dataio import REPORT_TAG
-from qiblanav.errors import InvalidAngle, ParseError
+from qiblanav.errors import ParseError
 from qiblanav.columns import SAMPLE, TRUTH, RecordView, float_array
 from qiblanav.pipeline import ENTRY
 from qiblanav.records import finite_floats, read_body
@@ -119,8 +119,11 @@ def test_truth_columns_write_each_signed_zero_as_itself(workdir, values, block):
 @settings(deadline=None)
 @given(qiblas=st.lists(SIGNED_ZEROS, min_size=1, max_size=8), fmt=st.sampled_from(["json", "text"]))
 def test_a_report_writes_each_signed_zero_qibla_as_itself(workdir, qiblas, fmt):
-    entries = [(float(t), QiblaPointerState(AzimuthDeg(1.0), AzimuthDeg(2.0), q, 3.0, Guidance.TURN_RIGHT, True))
-               for t, q in enumerate(qiblas)]
+    """A state's qibla is an AzimuthDeg, never -0.0, so the signed zeros reach
+    the writer as the ENTRY rows of a view, which it reads without building
+    a state."""
+    rows = [(float(t), 1.0, 2.0, q, 3.0, 2.0, 1.0, 0.0) for t, q in enumerate(qiblas)]
+    entries = RecordView(ENTRY, float_array([x for row in rows for x in row]))
     path = workdir / "zeros-report"
     write_report(entries, str(path), fmt)
     written = path.read_text(encoding="utf-8")
@@ -164,18 +167,29 @@ ENTRY_ROWS = st.tuples(FINITE, ROW_HEADINGS, ROW_HEADINGS, ROW_HEADINGS, FINITE,
 
 @given(rows=st.lists(ENTRY_ROWS, max_size=6))
 def test_an_entry_view_hands_out_only_checked_records(rows):
-    """Each record of a view over any ENTRY rows is the one AzimuthDeg and
-    Guidance build from its row, or raises InvalidAngle or ValueError: no
-    heading outside [0, 360) or nan, and no guidance from a code that names
-    none."""
+    """Each record of a view over any ENTRY rows is the state a caller builds
+    from the row's fields, or raises what that build raises: no heading
+    outside [0, 360) or nan. A code that names no guidance raises
+    ValueError in the view, and so does that code, or its name as a string,
+    given to the state as its guidance."""
     view = RecordView(ENTRY, float_array([x for row in rows for x in row]))
     for i, row in enumerate(rows):
-        try:
-            expected = (row[0], QiblaPointerState(AzimuthDeg(row[1]), AzimuthDeg(row[2]), AzimuthDeg(row[3]), row[4],
-                                                  GUIDANCE_OF[row[5]], row[6] == 1.0, row[7] == 1.0))
-        except (InvalidAngle, KeyError):
-            with pytest.raises((InvalidAngle, ValueError)):
+        if row[5] not in GUIDANCE_OF:
+            with pytest.raises(ValueError, match="guidance code must be 0, 1 or 2"):
                 view[i]
+            with pytest.raises(ValueError):
+                QiblaPointerState(row[1], row[2], row[3], row[4], row[5], True)
+            continue
+        guidance = GUIDANCE_OF[row[5]]
+        with pytest.raises(ValueError):
+            QiblaPointerState(row[1], row[2], row[3], row[4], guidance.value, True)
+        try:
+            expected = (row[0], QiblaPointerState(row[1], row[2], row[3], row[4], guidance,
+                                                  row[6] == 1.0, row[7] == 1.0))
+        except ValueError as refused:
+            with pytest.raises(type(refused)) as raised:
+                view[i]
+            assert str(raised.value) == str(refused)
             continue
         t_ms, state = view[i]
         assert (t_ms, state) == expected
@@ -184,9 +198,9 @@ def test_an_entry_view_hands_out_only_checked_records(rows):
 
 
 def test_a_value_that_is_not_a_number_raises_type_error():
-    state = QiblaPointerState(AzimuthDeg(1.0), AzimuthDeg(2.0), None, 3.0, Guidance.ALIGNED, True)
+    state = QiblaPointerState(1.0, 2.0, 3.0, 3.0, Guidance.ALIGNED, True)
     with pytest.raises(TypeError):
-        summarize([(0.0, state)])
+        summarize([(None, state)])
     with pytest.raises(TypeError):
         float_array([1.0, "2.0"])
 

@@ -87,3 +87,14 @@ def test_only_entry_builds_a_pointer_state():
     built = [node for node in ast.walk(tree)
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "QiblaPointerState"]
     assert len(built) == 1 and built[0] in list(ast.walk(entry))
+
+
+def test_no_value_is_built_around_its_constructor():
+    """Every value is built through its class's checking `__init__`: no
+    module under `src/` makes an instance with `object.__new__`."""
+    found = [(path.name, node.lineno)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "__new__"
+             and getattr(node.value, "id", None) == "object"]
+    assert found == [], f"object.__new__ at {found}"

@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from qiblanav import (
     KAABA,
+    AzimuthDeg,
     DeclinationDeg,
     CalibrationState,
     FilterState,
     GeoCoordinate,
     Guidance,
     MagneticField,
+    QiblaPointerState,
     Scenario,
     SensorSample,
     TraceFile,
@@ -143,6 +145,35 @@ class TestGuidance:
     def test_non_finite_deviation_refused(self, deviation):
         with pytest.raises(InvalidAngle, match=f"deviation must be finite, got {deviation!r}"):
             guidance(deviation)
+
+
+class TestQiblaPointerState:
+    """A state a caller builds is held to the rule of every state the
+    pipeline builds."""
+
+    def test_headings_are_wrapped_azimuths(self):
+        state = QiblaPointerState(400.0, -0.0, 720.0, 1.0, Guidance.ALIGNED, True)
+        assert (state.magnetic_heading, state.true_heading, state.qibla) == (40.0, 0.0, 0.0)
+        assert state.magnetic_heading == AzimuthDeg(40.0) and type(state.magnetic_heading) is AzimuthDeg
+        assert math.copysign(1.0, state.true_heading) == 1.0
+
+    def test_deviation_keeps_its_bits(self):
+        """Not re-wrapped: wrap_signed would turn -1e-20 into 0.0."""
+        state = QiblaPointerState(1.0, 2.0, 3.0, -1e-20, Guidance.ALIGNED, True)
+        assert state.deviation_deg.hex() == (-1e-20).hex()
+
+    @pytest.mark.parametrize("heading", [math.nan, math.inf, -math.inf])
+    def test_a_heading_that_is_not_finite_raises_invalid_angle(self, heading):
+        for at in range(3):
+            headings = [1.0, 2.0, 3.0]
+            headings[at] = heading
+            with pytest.raises(InvalidAngle, match=f"azimuth must be finite, got {heading!r}"):
+                QiblaPointerState(*headings, 1.0, Guidance.ALIGNED, True)
+
+    @pytest.mark.parametrize("deviation", [math.nan, math.inf, -math.inf])
+    def test_a_deviation_that_is_not_finite_raises_invalid_angle(self, deviation):
+        with pytest.raises(InvalidAngle, match=f"deviation must be finite, got {deviation!r}"):
+            QiblaPointerState(1.0, 2.0, 3.0, deviation, Guidance.ALIGNED, True)
 
 
 class TestTiltCompensatedHeading:
@@ -597,13 +628,20 @@ def test_a_heading_that_is_not_finite_raises_invalid_angle():
 
 
 def test_a_heading_that_is_not_finite_raises_before_a_filter_state_is_built(monkeypatch):
-    """The filter state a step returns is built without FilterState's
-    checks, so a heading that is not finite must raise before it is."""
+    """A heading that is not finite raises InvalidAngle before the step
+    builds its filter state, whose check would refuse the nan vector with
+    FilterState's ValueError, which names no heading."""
     built = []
-    monkeypatch.setattr("qiblanav.pipeline._filter_state", lambda *fields: built.append(fields))
+
+    def recording(*fields):
+        built.append(fields)
+        return FilterState(*fields)
+
+    starts = (FilterState(), FilterState(0.5, 1.0, 0.0))
+    monkeypatch.setattr("qiblanav.pipeline.FilterState", recording)
     cal = CalibrationState((-1e308,) * 3)
     sample = SensorSample(0.0, (0.0, 0.0, -9.81), (1e308,) * 3)
-    for start in (FilterState(), FilterState(0.5, 1.0, 0.0)):
+    for start in starts:
         with pytest.raises(InvalidAngle):
             process(sample, BANDUNG, cal, start)
         with pytest.raises(InvalidAngle):
@@ -617,8 +655,8 @@ def test_a_heading_that_is_not_finite_raises_before_a_filter_state_is_built(monk
        hard_iron=st.tuples(OFFSETS, OFFSETS, OFFSETS), alpha=st.floats(0.01, 1.0) | st.just(1.0),
        start=st.none() | VECTOR.filter(lambda v: 0.0 < math.hypot(*v) < math.inf))
 def test_process_returns_a_state_that_filter_state_accepts(readings, hard_iron, alpha, start):
-    """Each filter state process returns, unchecked, equals the FilterState
-    its fields construct, checked."""
+    """Each filter state process returns passes FilterState's checks, which
+    it is built through, and equals the FilterState its fields construct."""
     filt = FilterState(alpha, *(start or (None, None)))
     for sample in as_samples(readings):
         try:

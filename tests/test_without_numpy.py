@@ -1,8 +1,8 @@
 """`qibla` and `distance`, by coordinates or by a named city, `pipeline`,
 `calibrate` and the one-sample pipeline run where numpy is not installed:
 each check runs under `-W error` in the interpreter of a fresh venv made
-without pip, which finds no numpy. Only `simulate` needs numpy, so the trace
-they read is written here."""
+without pip, which finds no numpy. Only `simulate` needs numpy, and exits 2
+saying so, so the trace they read is written here."""
 
 import hashlib
 import json
@@ -77,6 +77,14 @@ def test_a_grid_with_invalid_utf8_from_a_pipe_exits_2(bare):
                     "--decl-grid", "/dev/stdin", stdin=b"\n".join(lines))
     assert done.returncode == 2
     assert b"line 2: invalid UTF-8: invalid continuation byte" in done.stderr
+
+
+def test_simulate_exits_2_saying_it_needs_numpy(bare, tmp_path):
+    done = run_bare(bare, "-m", "qiblanav.cli", "simulate", "--scenario", str(DATA_DIR / "scenario_example.txt"),
+                    "--out", "trace.txt", cwd=tmp_path)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == b"error: simulate needs numpy, which is not installed: pip install numpy\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_one_sample_pipeline_loads_no_numpy_dataclasses_or_inspect(bare):
