@@ -52,7 +52,7 @@ from . import records
 # perfbench/cliquery.py times `dataio.load_cities`; this re-import keeps that
 # name until the benchmark reads it from `records`.
 from .records import load_cities  # noqa: F401
-from .records import TraceFile, TruthRecord, finite_floats, read_body, read_pieces, read_text
+from .records import TraceFile, TruthRecord, finite_floats, read_body, read_line_blocks, read_text
 
 if TYPE_CHECKING:  # at run time only the report functions import the pipeline, so a trace alone does not load it
     from .pipeline import QiblaPointerState
@@ -176,7 +176,7 @@ def read_trace_blocks(path: str) -> Iterator[TraceFile]:
     (about BLOCK_CHARS characters), each block given as the trace of its
     lines. Any malformed or out-of-order line raises ParseError naming the
     first such line, once the blocks before it are given."""
-    _, blocks = read_body(read_pieces(path), TRACE_HEADER)
+    _, blocks = read_body(read_line_blocks(path), TRACE_HEADER)
     last_t = dict.fromkeys(_STREAMS, -float("inf"))
     for linenos, lines in blocks:
         streams = _block_rows(lines, last_t)

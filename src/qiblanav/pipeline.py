@@ -138,8 +138,10 @@ class QiblaPointerState(_Frozen):
 
     The three headings are built as AzimuthDeg, so one that is not finite
     raises InvalidAngle and one outside [0, 360) is wrapped. A deviation
-    that is not finite raises InvalidAngle, and a guidance that is not a
-    Guidance member, such as the string "aligned", raises ValueError.
+    that is not finite or lies outside (-180, 180] raises InvalidAngle, and
+    one inside is kept as given. A guidance that is not a Guidance member,
+    such as the string "aligned", and a calibrated or dynamic flag that is
+    not a bool raise ValueError.
     """
 
     __slots__ = ("magnetic_heading", "true_heading", "qibla", "deviation_deg", "guidance", "calibrated", "dynamic")
@@ -151,8 +153,12 @@ class QiblaPointerState(_Frozen):
         _setattr(self, "qibla", AzimuthDeg(qibla))
         if not math.isfinite(deviation_deg):
             raise InvalidAngle(f"deviation must be finite, got {deviation_deg!r}")
+        if not -180.0 < deviation_deg <= 180.0:
+            raise InvalidAngle(f"deviation must lie in (-180, 180], got {deviation_deg!r}")
         if not isinstance(guidance, Guidance):
             raise ValueError(f"guidance must be a Guidance member, got {guidance!r}")
+        if not (isinstance(calibrated, bool) and isinstance(dynamic, bool)):
+            raise ValueError(f"calibrated and dynamic must be bools, got {calibrated!r} and {dynamic!r}")
         _setattr(self, "deviation_deg", deviation_deg)
         _setattr(self, "guidance", guidance)
         _setattr(self, "calibrated", calibrated)

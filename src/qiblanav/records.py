@@ -9,10 +9,12 @@ them in bulk.
 
 The file reader is the standard library's text layer: UTF-8 with Python's
 universal newlines, so a line ends at \\n, \\r\\n or a lone \\r and nowhere
-else, and one leading byte order mark is dropped. It reads a file once
-from its start, so a pipe or a FIFO is read as a file is. A byte that is
-not valid UTF-8 raises ParseError naming its line. Text formats are line
-oriented: a header line `<tag> <version> [args...]`, then a body of
+else, and one leading byte order mark is dropped. `read_line_blocks` gives
+a file as lists of whole lines, as the layer's `readlines` reads them, so
+no line end is found or counted here. It reads a file once from its
+start, so a pipe or a FIFO is read as a file is. A byte that is not valid
+UTF-8 raises ParseError naming its line. Text formats are line oriented:
+a header line `<tag> <version> [args...]`, then a body of
 whitespace-separated tokens. '#' starts a comment that runs to the end of
 the line, and blank lines are skipped. Every number must be finite, and
 every error names the line it was found on.
@@ -28,7 +30,7 @@ import io
 import itertools
 import math
 import operator
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, MutableSequence, Sequence
 
 from .errors import DuplicateCity, InvalidCoordinate, ParseError
 from .geodesy import GeoCoordinate, _Frozen
@@ -38,7 +40,7 @@ G = 9.81  # m/s^2
 # Accelerometer magnitude band for a sample to be usable for tilt.
 STATIC_ACCEL_BAND = (0.5 * G, 1.5 * G)
 
-# The characters read_pieces reads, and read_body tokenizes, at a time.
+# The characters read_line_blocks reads, and read_body tokenizes, at a time.
 # Its tokens take about 9 times as many bytes: 64 Ki characters, about 800
 # trace lines, make 0.6 MB.
 BLOCK_CHARS = 1 << 16
@@ -100,12 +102,17 @@ class TruthRecord(_Frozen):
 
 class TraceFile(_Frozen):
     """Ordered sensor samples with a paired truth stream, empty when the
-    trace has none. `read_trace` and `simulate` give `columns.RecordView`s."""
+    trace has none. `read_trace` and `simulate` give `columns.RecordView`s.
+
+    A stream given as a tuple or another read-only sequence, such as a
+    view, is held as given (a view's tuple would build every record); one
+    given as a list or any other iterable is held as its tuple."""
 
     __slots__ = ("samples", "truth")
 
-    def __init__(self, samples: Sequence[SensorSample], truth: Sequence[TruthRecord] = ()) -> None:
-        self._set(samples, truth)
+    def __init__(self, samples: Iterable[SensorSample], truth: Iterable[TruthRecord] = ()) -> None:
+        self._set(*(records if isinstance(records, Sequence) and not isinstance(records, MutableSequence)
+                    else tuple(records) for records in (samples, truth)))
 
 
 def finite_floats(
@@ -122,100 +129,90 @@ def finite_floats(
     return values
 
 
-def _whole_lines(stream: io.TextIOBase) -> Iterator[str]:
-    """The text of a universal-newline text stream, read BLOCK_CHARS
-    characters at a time and given again in pieces that each end at a line
-    end (the last piece excepted), so a piece holds a line longer than a
-    read whole.
+def _line_blocks(stream: io.TextIOBase) -> Iterator[list[str]]:
+    """The lines of a universal-newline text stream, as `readlines` reads
+    them: lists of whole lines, each ending at the line that takes it past
+    BLOCK_CHARS characters, however long that line is.
 
     A byte that did not decode, which `surrogateescape` reads as a lone
     surrogate, gives the lines before it first, then raises ParseError
     naming its line with the reason the strict UTF-8 decoder gives.
     """
-    held, lineno = "", 1  # text after the last line end given, and the line it starts
-    while True:
-        chunk = stream.read(BLOCK_CHARS)
-        text = held + chunk
-        cut = text.rfind("\n") + 1 if chunk else len(text)
-        piece, held = text[:cut], text[cut:]
-        if not piece.isascii():
-            try:
-                piece.encode()
-            except UnicodeEncodeError as exc:
-                start = piece.rfind("\n", 0, exc.start) + 1
-                if start:
-                    yield piece[:start]
-                line, reason = piece[start : piece.find("\n", exc.start) + 1 or None], exc.reason
-                try:  # the line's bytes, line end included, as read
-                    line.encode("utf-8", "surrogateescape").decode()
-                except UnicodeError as strict:  # or, from a str, a lone surrogate of its own
-                    reason = strict.reason
-                raise ParseError(f"invalid UTF-8: {reason}", lineno + piece.count("\n", 0, start)) from None
-        if piece:
-            yield piece
-        if not chunk:
-            return
-        lineno += piece.count("\n")
+    lineno = 1  # the line the next list starts at
+    while lines := stream.readlines(BLOCK_CHARS):
+        if not all(map(str.isascii, lines)):
+            for i, line in enumerate(lines):
+                try:
+                    line.encode()
+                except UnicodeEncodeError as exc:
+                    if i:
+                        yield lines[:i]
+                    reason = exc.reason
+                    try:  # the line's bytes, line end included, as read
+                        line.encode("utf-8", "surrogateescape").decode()
+                    except UnicodeError as strict:  # or, from a str, a lone surrogate of its own
+                        reason = strict.reason
+                    raise ParseError(f"invalid UTF-8: {reason}", lineno + i) from None
+        yield lines
+        lineno += len(lines)
 
 
-def read_pieces(path: str) -> Iterator[str]:
-    """The contents of a UTF-8 text file as `read_text` gives them, in pieces
-    of whole lines of about BLOCK_CHARS characters, read as they are asked
+def read_line_blocks(path: str) -> Iterator[list[str]]:
+    """The lines of a UTF-8 text file as `read_text` gives them, in lists of
+    whole lines of about BLOCK_CHARS characters, read as they are asked
     for. The file is read once from its start, so it may be a pipe. A byte
     sequence that does not decode raises ParseError naming its line, once
-    the pieces before that line are given."""
+    the lines before it are given."""
     # Not "utf-8-sig", which reads a file of only the first one or two bytes
     # of a byte order mark as empty text, where they do not decode.
     with open(path, encoding="utf-8", errors="surrogateescape") as stream:
-        pieces = _whole_lines(stream)
-        yield next(pieces, "").removeprefix("\ufeff")  # the first piece starts the file
-        yield from pieces
+        blocks = _line_blocks(stream)
+        first = next(blocks, [""])  # the first list starts the file
+        first[0] = first[0].removeprefix("\ufeff")
+        yield first
+        yield from blocks
 
 
 def read_text(path: str) -> str:
     """The contents of a UTF-8 text file, one leading byte order mark
     dropped and line ends written as \\n. A byte sequence that does not
     decode raises ParseError naming its line."""
-    return "".join(read_pieces(path))
+    return "".join(map("".join, read_line_blocks(path)))
 
 
 def read_body(
-    text: str | Iterable[str], header: str, error: type[ParseError] = ParseError
+    text: str | Iterable[list[str]], header: str, error: type[ParseError] = ParseError
 ) -> tuple[list[float], Iterator[tuple[list[int], list[list[str]]]]]:
     """Check the first line of a text against `header` and tokenize the rest.
 
-    The text is a string, or the pieces of whole lines `read_pieces` gives,
-    which are then read only as the body is. `header` is the format's first
-    line with its arguments written as placeholders, e.g. "declgrid v1
-    <lat_min> <lat_max> ...". Returns the header arguments as finite
-    floats, then the non-blank body lines, comments removed, as an iterator
-    of blocks: the line numbers and the tokens of the lines in about
-    BLOCK_CHARS characters of text, so that a long text's tokens are never
-    all held at once. Errors are raised as `error`; a bad header names
-    line 1.
+    The text is a string, or the lists of whole lines `read_line_blocks`
+    gives, which are then read only as the body is. `header` is the
+    format's first line with its arguments written as placeholders, e.g.
+    "declgrid v1 <lat_min> <lat_max> ...". Returns the header arguments as
+    finite floats, then the non-blank body lines, comments removed, as an
+    iterator of blocks: the line numbers and the tokens of the lines of one
+    list, about BLOCK_CHARS characters of text, so that a long text's
+    tokens are never all held at once. Errors are raised as `error`; a bad
+    header names line 1.
     """
-    pieces = _whole_lines(io.StringIO(text, newline=None)) if isinstance(text, str) else iter(text)
-    first = next(pieces, "")  # a piece holds whole lines, so all of the header
-    end = first.find("\n")
-    if end < 0:  # no line end: the header is all of it
-        end = len(first)
+    blocks = _line_blocks(io.StringIO(text, newline=None)) if isinstance(text, str) else iter(text)
+    first = next(blocks, [""])
     tag, version, *names = header.split()
-    head = first[:end].partition("#")[0].split()
+    head = first[0].partition("#")[0].split()
     if head[:2] != [tag, version] or len(head) != 2 + len(names):
         raise error(f"expected header {header!r}", 1)
-    return finite_floats(head[2:], 1, "header", error), _blocks(itertools.chain([first[end + 1 :]], pieces))
+    return finite_floats(head[2:], 1, "header", error), _blocks(itertools.chain([first[1:]], blocks))
 
 
-def _blocks(pieces: Iterator[str]) -> Iterator[tuple[list[int], list[list[str]]]]:
+def _blocks(blocks: Iterator[list[str]]) -> Iterator[tuple[list[int], list[list[str]]]]:
     lineno = 2
-    for piece in pieces:
-        lines = piece.split("\n")
-        if "#" in piece:  # without one, dropping comments changes nothing
+    for lines in blocks:
+        if "#" in "".join(lines):  # without one, dropping comments changes nothing
             lines = list(map(operator.itemgetter(0), map(operator.methodcaller("partition", "#"), lines)))
         tokens = list(map(str.split, lines))
         filled = list(map(bool, tokens))
         yield list(itertools.compress(itertools.count(lineno), filled)), list(itertools.compress(tokens, filled))
-        lineno += len(lines) - 1  # a piece ends at a line end, or the text does
+        lineno += len(lines)
 
 
 def read_lines(

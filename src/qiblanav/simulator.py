@@ -77,6 +77,7 @@ MAX_SAMPLES = 10**7
 _UNWRAP_LIMIT_DEG = 2.0**19
 
 Knots = tuple[tuple[float, float], ...]
+_KNOT_KEYS = ("heading_deg", "pitch_deg", "roll_deg")
 
 
 class MagneticField(_Frozen):
@@ -92,6 +93,17 @@ def _refuse(key: str, rule: str) -> NoReturn:
     raise ScenarioError(f"{key} {rule}", key=key)
 
 
+def _pairs(key: str, knots: Knots) -> Knots:
+    """`knots` as a tuple of (t_ms, value) tuples; anything else is refused."""
+    try:
+        pairs = tuple(map(tuple, knots))
+    except TypeError:  # the knots, or a knot, are not a sequence
+        pairs = ((),)
+    if not all(len(pair) == 2 for pair in pairs):
+        _refuse(key, "must be (t_ms, value) pairs")
+    return pairs
+
+
 class Scenario(_Frozen):
     """Full description of a synthetic trace; a pure value, reusable. Its
     knot sequences and hard_iron_ut are held as tuples."""
@@ -103,7 +115,7 @@ class Scenario(_Frozen):
                  pitch_deg: Knots = ((0.0, 0.0),), roll_deg: Knots = ((0.0, 0.0),),
                  field: MagneticField = MagneticField(40.0), hard_iron_ut: tuple[float, float, float] = (0.0, 0.0, 0.0),
                  noise_sigma_mag_ut: float = 0.0, noise_sigma_accel_ms2: float = 0.0, rng_seed: int = 0) -> None:
-        heading_deg, pitch_deg, roll_deg = (tuple(map(tuple, knots)) for knots in (heading_deg, pitch_deg, roll_deg))
+        heading_deg, pitch_deg, roll_deg = map(_pairs, _KNOT_KEYS, (heading_deg, pitch_deg, roll_deg))
         self._set(duration_ms, sample_rate_hz, heading_deg, pitch_deg, roll_deg, field, tuple(hard_iron_ut),
                   noise_sigma_mag_ut, noise_sigma_accel_ms2, rng_seed)
         if not (math.isfinite(self.duration_ms) and self.duration_ms > 0.0):
@@ -118,7 +130,7 @@ class Scenario(_Frozen):
             _refuse("duration_ms", f"gives {count} samples at sample_rate_hz, need at least 1")
         if count > MAX_SAMPLES:
             _refuse("duration_ms", f"gives {count:.3g} samples at sample_rate_hz, more than {MAX_SAMPLES}")
-        for name in ("heading_deg", "pitch_deg", "roll_deg"):
+        for name in _KNOT_KEYS:
             knots = getattr(self, name)
             if not knots:
                 _refuse(name, "must not be empty")

@@ -22,6 +22,7 @@ from conftest import DATA_DIR
 from qiblanav import (AzimuthDeg, CalibrationState, CityRecord, DeclinationGrid, FilterState, GeoCoordinate, Guidance,
                       MagneticField, QiblaPointerState, Scenario, SensorSample, TraceFile, TruthRecord, load_scenario,
                       simulate, write_trace)
+from qiblanav.errors import ScenarioError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CITIES = str(DATA_DIR / "cities.csv")
@@ -256,6 +257,9 @@ BUILDS = st.one_of(
     st.tuples(st.just(Scenario), st.tuples(st.floats(20.0, 1000.0), st.just(50.0), KNOTS, KNOTS, KNOTS,
                                            st.just(MagneticField(40.0)), TRIPLES)),
     grids(),
+    st.tuples(st.just(TraceFile), st.tuples(
+        st.lists(st.builds(SensorSample, FINITE, TRIPLES, TRIPLES), max_size=3).map(tuple),
+        st.lists(st.builds(TruthRecord, FINITE, FINITE, FINITE, FINITE), max_size=3).map(tuple))),
 )
 
 
@@ -286,6 +290,17 @@ def test_a_value_built_from_lists_keeps_what_it_checked(build):
     mutate(arguments)
     assert value == from_tuples and hash(value) == hash(from_tuples)
     assert copy.copy(value) == value and copy.deepcopy(value) == value and pickle.loads(pickle.dumps(value)) == value
+
+
+def test_a_trace_file_holds_a_read_only_sequence_as_given():
+    """A view or a tuple is not copied, since a view's tuple would build
+    every record; an iterable that is not a sequence is held as its tuple."""
+    trace = simulate(Scenario(1000.0, 50.0, ((0.0, 0.0),)))
+    samples = tuple(trace.samples)
+    held = TraceFile(trace.samples, trace.truth)
+    assert held.samples is trace.samples and held.truth is trace.truth
+    assert TraceFile(samples).samples is samples
+    assert TraceFile(iter(samples)) == TraceFile(samples)
 
 
 def test_a_scenario_simulates_the_knots_it_checked():
@@ -327,12 +342,15 @@ REFUSALS = [
     (lambda: QiblaPointerState(1.0, math.nan, 3.0, 1.0, Guidance.ALIGNED, True), "azimuth must be finite, got nan"),
     (lambda: QiblaPointerState(1.0, 2.0, 3.0, math.inf, Guidance.ALIGNED, True), "deviation must be finite, got inf"),
     (lambda: QiblaPointerState(1.0, 2.0, 3.0, 1.0, "aligned", True), "guidance must be a Guidance member, got 'aligned'"),
+    (lambda: Scenario(1000.0, 50.0, [(0.0, 1.0, 2.0)]), "heading_deg must be (t_ms, value) pairs"),
+    (lambda: Scenario(1000.0, 50.0, [5.0]), "heading_deg must be (t_ms, value) pairs"),
+    (lambda: Scenario(1000.0, 50.0, [(0.0, 0.0)], roll_deg=5.0), "roll_deg must be (t_ms, value) pairs"),
 ]
 
 
 @pytest.mark.parametrize("build, message", REFUSALS)
 def test_records_name_what_they_refuse(build, message):
-    with pytest.raises(ValueError) as refused:
+    with pytest.raises((ValueError, ScenarioError)) as refused:
         build()
     assert str(refused.value) == message
 

@@ -211,10 +211,10 @@ class TestReports:
             return QiblaPointerState(AzimuthDeg(heading), AzimuthDeg(heading), AzimuthDeg(0.0), deviation,
                                      Guidance.ALIGNED, True)
 
-        entries = [(0.0, state(0.1, 1e16)), (20.0, state(0.2, 1.0)), (40.0, state(0.3, -1.0))]
+        entries = [(0.0, state(0.1, 0.1)), (20.0, state(0.2, -0.2)), (40.0, state(0.3, 0.3))]
         truth = [TruthRecord(0.0, 0.0, 0.0, 0.0), TruthRecord(40.0, 0.0, 0.0, 0.0)]
         summary = summarize(entries, truth)
-        assert summary["mean_abs_deviation_deg"] == ((1e16 + 1.0) + 1.0) / 3 != math.fsum([1e16, 1.0, 1.0]) / 3
+        assert summary["mean_abs_deviation_deg"] == ((0.1 + 0.2) + 0.3) / 3 != math.fsum([0.1, 0.2, 0.3]) / 3
         assert summary["steady_state_error_deg"] == ((0.1 + 0.2) + 0.3) / 3 != math.fsum([0.1, 0.2, 0.3]) / 3
 
     @pytest.mark.parametrize("stream", ["entries", "truth"])

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from qiblanav import load_cities, load_grid, load_scenario, read_report, read_trace, records
 from qiblanav.errors import DuplicateCity, ParseError, ScenarioError
-from qiblanav.records import SensorSample, TruthRecord, finite_floats, read_lines, read_pieces, read_text
+from qiblanav.records import (SensorSample, TruthRecord, finite_floats, read_body, read_line_blocks, read_lines,
+                              read_text)
 
 from cli_checks import run_cli
 from conftest import DATA_DIR
@@ -135,7 +136,7 @@ def test_reader_is_the_universal_newline_text_layer(scratch, start, rest, block)
     path = scratch / "bytes.txt"
     path.write_bytes(data)
     body = data.removeprefix(BOM)
-    given_pieces = []
+    given_blocks = []
     with mock.patch.object(records, "BLOCK_CHARS", block):
         try:
             text = body.decode("utf-8")
@@ -143,11 +144,34 @@ def test_reader_is_the_universal_newline_text_layer(scratch, start, rest, block)
             valid = io.StringIO(body[: bad.start].decode("utf-8"), newline=None).read()
             line = 1 + valid.count("\n")
             with pytest.raises(ParseError) as exc:
-                given_pieces.extend(read_pieces(str(path)))
+                given_blocks.extend(read_line_blocks(str(path)))
             assert str(exc.value) == f"line {line}: invalid UTF-8: {bad.reason}"
-            assert "".join(given_pieces) == valid[: valid.rfind("\n") + 1]
+            assert "".join(map("".join, given_blocks)) == valid[: valid.rfind("\n") + 1]
         else:
             assert read_text(str(path)) == io.StringIO(text, newline=None).read()
+
+
+# Token lines, comments and blank lines, and lines longer than any block.
+LINE = st.text(alphabet="ab1.# \t", max_size=12) | st.integers(4100, 6000).map(lambda n: ("1.5 #" * n)[:n])
+LINE_END = st.sampled_from(["\n", "\r", "\r\n"])
+
+
+@settings(deadline=None)
+@given(lines=st.lists(st.tuples(LINE, LINE_END), max_size=12), last=LINE, block=st.integers(1, 4099))
+@example(lines=[("a", "\r"), ("", "\n"), ("b", "\n")], last="", block=1)  # \r then \n: one line end
+def test_line_numbers_and_tokens_do_not_depend_on_where_blocks_end(scratch, lines, last, block):
+    """A line's number and tokens are those of the line the text layer
+    reads, however the lines fall into blocks."""
+    text = "fmt v1\n" + "".join(line + end for line, end in lines) + last
+    path = scratch / "lines.txt"
+    path.write_bytes(text.encode())
+    expected = [(n, line.partition("#")[0].split())
+                for n, line in enumerate(io.StringIO(text, newline=None).readlines(), 1)
+                if n > 1 and line.partition("#")[0].split()]
+    with mock.patch.object(records, "BLOCK_CHARS", block):
+        assert list(read_lines(text, "fmt v1")[1]) == expected
+        blocks = read_body(read_line_blocks(str(path)), "fmt v1")[1]
+        assert [(n, tokens) for linenos, lines in blocks for n, tokens in zip(linenos, lines)] == expected
 
 
 PIPELINE_ARGV = ["pipeline", "--trace", "{}", "--lat", "0", "--lon", "0", "--out", "{}.json"]

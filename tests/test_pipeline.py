@@ -175,6 +175,25 @@ class TestQiblaPointerState:
         with pytest.raises(InvalidAngle, match=f"deviation must be finite, got {deviation!r}"):
             QiblaPointerState(1.0, 2.0, 3.0, deviation, Guidance.ALIGNED, True)
 
+    @pytest.mark.parametrize("deviation", [180.0, -179.99999999999997, 5e-324, -0.0])
+    def test_a_deviation_in_range_is_kept(self, deviation):
+        state = QiblaPointerState(1.0, 2.0, 3.0, deviation, Guidance.ALIGNED, True)
+        assert state.deviation_deg.hex() == deviation.hex()
+
+    @pytest.mark.parametrize("deviation", [-180.0, 180.00000000000003, 500.0, -1e300])
+    def test_a_deviation_out_of_range_raises_invalid_angle(self, deviation):
+        """Not wrapped: (-180, 180] is what wrap_signed gives, so nothing the
+        pipeline builds lies outside it."""
+        with pytest.raises(InvalidAngle) as refused:
+            QiblaPointerState(1.0, 2.0, 3.0, deviation, Guidance.ALIGNED, True)
+        assert str(refused.value) == f"deviation must lie in (-180, 180], got {deviation!r}"
+
+    @pytest.mark.parametrize("flags", [("no", False), (True, 0), (1, True), (None, False), (True, np.bool_(False))])
+    def test_a_flag_that_is_not_a_bool_raises_value_error(self, flags):
+        with pytest.raises(ValueError) as refused:
+            QiblaPointerState(1.0, 2.0, 3.0, 1.0, Guidance.ALIGNED, *flags)
+        assert str(refused.value) == f"calibrated and dynamic must be bools, got {flags[0]!r} and {flags[1]!r}"
+
 
 class TestTiltCompensatedHeading:
     def test_flat_facing_magnetic_north(self):
