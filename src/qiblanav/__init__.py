@@ -25,10 +25,10 @@ _MODULE_OF = {
     "FilterState": "pipeline",
     "G": "records",
     "GeoCoordinate": "geodesy",
-    "Guidance": "pipeline",
+    "Guidance": "columns",
     "KAABA": "geodesy",
     "MagneticField": "simulator",
-    "QiblaPointerState": "pipeline",
+    "QiblaPointerState": "columns",
     "Scenario": "simulator",
     "SensorSample": "records",
     "TraceFile": "records",

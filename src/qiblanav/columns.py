@@ -3,10 +3,14 @@ float64 buffer of their rows, one after another.
 
 A `Layout` says how a kind of record lies in a row: a sample row (`SAMPLE`)
 is t_ms, accel and mag (7 values), a truth row (`TRUTH`) is t_ms, true
-heading, pitch and roll (4 values). A batch stage reaches the rows only
-through `Layout.rows_of`, which takes any sequence of records; a
-`RecordView` is such a sequence, a read-only one that builds each record
-on demand from its row. The buffer is the standard library's, an
+heading, pitch and roll (4 values), and a pipeline entry row (`ENTRY`) is
+t_ms, the three headings, deviation, guidance code and the two flags (8
+values). Each layout lives here with the record it builds, so the
+pipeline that makes a `QiblaPointerState` and the report that writes it
+need not import each other. A batch stage reaches the rows only through
+`Layout.rows_of`, which takes any sequence of records; a `RecordView` is
+such a sequence, a read-only one that builds each record on demand from
+its row. The buffer is the standard library's, an
 `array('d')` or a memoryview, so no stage needs numpy: only `simulate`
 makes one over a numpy array. A caller that wants the rows as an array
 makes one itself: `np.frombuffer(view.values).reshape(-1, view.layout.width)`.
@@ -21,10 +25,13 @@ import operator
 import struct
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from enum import Enum
 from itertools import chain
 from typing import Any
 
-from .records import SensorSample, TruthRecord
+from .errors import InvalidAngle
+from .geodesy import AzimuthDeg, _Frozen
+from .records import SensorSample, TruthRecord, _setattr
 
 
 def float_array(values: list[float]) -> array:
@@ -113,3 +120,69 @@ SAMPLE = Layout(7, lambda s: (s.t_ms, *s.accel, *s.mag),
                 lambda r: SensorSample(r[0], (r[1], r[2], r[3]), (r[4], r[5], r[6])))
 TRUTH = Layout(4, operator.attrgetter("t_ms", "true_heading_deg", "pitch_deg", "roll_deg"),
                lambda r: TruthRecord(*r))
+
+
+class Guidance(str, Enum):
+    ALIGNED = "aligned"
+    TURN_LEFT = "turn_left"
+    TURN_RIGHT = "turn_right"
+
+
+class QiblaPointerState(_Frozen):
+    """Per-sample pipeline output.
+
+    deviation_deg is circular_diff(qibla, true_heading): positive means the
+    qibla lies clockwise of where the device points. dynamic flags samples
+    whose accelerometer was out of band, for which the previous filtered
+    heading was carried forward.
+
+    The three headings are built as AzimuthDeg, so one that is not finite
+    raises InvalidAngle and one outside [0, 360) is wrapped. A deviation
+    that is not finite or lies outside (-180, 180] raises InvalidAngle, and
+    one inside is kept as given. A guidance that is not a Guidance member,
+    such as the string "aligned", and a calibrated or dynamic flag that is
+    not a bool raise ValueError.
+    """
+
+    __slots__ = ("magnetic_heading", "true_heading", "qibla", "deviation_deg", "guidance", "calibrated", "dynamic")
+
+    def __init__(self, magnetic_heading: float, true_heading: float, qibla: float,
+                 deviation_deg: float, guidance: Guidance, calibrated: bool, dynamic: bool = False) -> None:
+        _setattr(self, "magnetic_heading", AzimuthDeg(magnetic_heading))
+        _setattr(self, "true_heading", AzimuthDeg(true_heading))
+        _setattr(self, "qibla", AzimuthDeg(qibla))
+        if not math.isfinite(deviation_deg):
+            raise InvalidAngle(f"deviation must be finite, got {deviation_deg!r}")
+        if not -180.0 < deviation_deg <= 180.0:
+            raise InvalidAngle(f"deviation must lie in (-180, 180], got {deviation_deg!r}")
+        if not isinstance(guidance, Guidance):
+            raise ValueError(f"guidance must be a Guidance member, got {guidance!r}")
+        if not (isinstance(calibrated, bool) and isinstance(dynamic, bool)):
+            raise ValueError(f"calibrated and dynamic must be bools, got {calibrated!r} and {dynamic!r}")
+        _setattr(self, "deviation_deg", deviation_deg)
+        _setattr(self, "guidance", guidance)
+        _setattr(self, "calibrated", calibrated)
+        _setattr(self, "dynamic", dynamic)
+
+
+_GUIDANCES = tuple(Guidance)  # definition order: aligned, turn_left, turn_right
+
+
+def _entry_row(entry: tuple[float, QiblaPointerState]) -> tuple:
+    t_ms, s = entry
+    return (t_ms, s.magnetic_heading, s.true_heading, s.qibla, s.deviation_deg,
+            _GUIDANCES.index(s.guidance), s.calibrated, s.dynamic)
+
+
+def _entry(r: Sequence[float]) -> tuple[float, QiblaPointerState]:
+    """An ENTRY row as (t_ms, state), the one way the package builds a
+    state: a guidance code other than 0, 1 or 2 raises ValueError, and the
+    state checks the rest."""
+    if r[5] not in (0, 1, 2):
+        raise ValueError(f"guidance code must be 0, 1 or 2, got {r[5]!r}")
+    return r[0], QiblaPointerState(r[1], r[2], r[3], r[4], _GUIDANCES[int(r[5])], r[6] == 1.0, r[7] == 1.0)
+
+
+# A pipeline entry as a row: t_ms, magnetic, true and qibla headings,
+# deviation, the index of its Guidance member, calibrated and dynamic (1.0 or 0.0).
+ENTRY = Layout(8, _entry_row, _entry)

@@ -8,7 +8,9 @@ a dataset is returned.
 Traces and run_trace results are held as columns (see `columns`): every
 trace and report stage reads and writes them in bulk, a block of rows at a
 time, builds no record, and gives the bytes the record-by-record rules
-below define, wherever the blocks end.
+below define, wherever the blocks end. The row layouts and records, the
+report's `ENTRY` and `QiblaPointerState` included, are `columns`', so no
+file format loads the pipeline.
 
 Trace format (read by `records.read_body`)::
 
@@ -43,9 +45,9 @@ from contextlib import contextmanager, suppress
 from functools import reduce
 from itertools import chain, repeat
 from operator import add, le
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
-from .columns import SAMPLE, TRUTH, RecordView, all_finite, float_array
+from .columns import ENTRY, SAMPLE, TRUTH, Guidance, QiblaPointerState, RecordView, all_finite, float_array
 from .errors import EmptyReport, OutOfSpan, ParseError
 from .geodesy import AzimuthDeg, circular_diff, wrap_azimuth
 from . import records
@@ -53,9 +55,6 @@ from . import records
 # name until the benchmark reads it from `records`.
 from .records import load_cities  # noqa: F401
 from .records import TraceFile, TruthRecord, finite_floats, read_body, read_line_blocks, read_text
-
-if TYPE_CHECKING:  # at run time only the report functions import the pipeline, so a trace alone does not load it
-    from .pipeline import QiblaPointerState
 
 TRACE_HEADER = "qtrace v1"
 REPORT_TAG = "qibla-pipeline v1"
@@ -257,9 +256,6 @@ class _Summary:
     """
 
     def __init__(self) -> None:
-        from .pipeline import ENTRY
-
-        self.entry = ENTRY
         self.count, self.total, self.peak = 0, 0.0, 0.0
         self.blocks = deque()  # (ENTRY rows, their latest time) of each block the window may reach
         self.truth = array("d")  # TRUTH rows
@@ -268,8 +264,8 @@ class _Summary:
     def add(self, entries: Sequence, truth: Sequence) -> Any:
         """Fold in a block of entries and truth records; returns the
         entries' ENTRY rows."""
-        width = self.entry.width
-        entries, truth = self.entry.rows_of(entries), TRUTH.rows_of(truth)
+        width = ENTRY.width
+        entries, truth = ENTRY.rows_of(entries), TRUTH.rows_of(truth)
         if not all_finite(entries):
             raise ValueError("run_trace entries must be finite")
         if not _in_order(truth, TRUTH.width, self.truth[-TRUTH.width] if self.truth else -math.inf):
@@ -304,7 +300,7 @@ class _Summary:
         }
         if self.start is not None:
             earliest = self.last - STEADY_STATE_WINDOW_MS
-            window = [row for rows, _ in self.blocks for row in self.entry.tuples(rows) if row[0] >= earliest]
+            window = [row for rows, _ in self.blocks for row in ENTRY.tuples(rows) if row[0] >= earliest]
             t, _, heading, qibla, deviation = list(zip(*window))[:5]
             true_h = _headings_at(self.truth, t, self.start)
             head_errs = list(map(abs, map(circular_diff, heading, true_h)))
@@ -360,8 +356,6 @@ def _entry_lines(rows: Sequence[float], fmt: str, first: bool) -> Iterator[str]:
     reprs of its columns, joined: the qibla column holds one bearing per
     place, and the guidance and flag columns together at most 12 triples,
     so each distinct one is formatted once, with the literals around it."""
-    from .pipeline import ENTRY, Guidance
-
     t, magnetic, true_heading, _, deviation, codes, calibrated, dynamic = (
         rows[k :: ENTRY.width].tolist() for k in range(ENTRY.width))
     values = [g.value for g in Guidance]  # ENTRY's guidance column indexes these

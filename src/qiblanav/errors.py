@@ -59,7 +59,7 @@ class ParseError(QiblaNavError):
         super().__init__(message)
 
 
-class ScenarioError(ParseError):
+class ScenarioError(ParseError, ValueError):
     """Simulation scenario has a missing or invalid field; `key` names the
     scenario file key of a value the Scenario refused."""
 

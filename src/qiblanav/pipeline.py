@@ -20,9 +20,10 @@ Frame and sign conventions (pinned by the simulator's oracle tests):
   and the magnetic heading is atan2(-yh, xh), normalized to [0, 360).
 
 Calibration and filter states are immutable values threaded through calls,
-and each sample's output is one too: `geodesy._Frozen` values, as every
-value class of the package is. The one module-level state is a bounded
-cache of qibla bearings, keyed on the user's location, which gives the bits
+and each sample's output is one too, a `columns.QiblaPointerState` built
+from its `ENTRY` row: `geodesy._Frozen` values, as every value class of the
+package is. The one module-level state is a bounded cache of qibla
+bearings, keyed on the user's location, which gives the bits
 `qibla_azimuth` gives and is safe to share, so distinct pipelines can run
 on distinct threads freely.
 
@@ -32,8 +33,8 @@ update, restart and pass-through rules), the carry-forward of a dynamic
 sample, declination, deviation and guidance, each written once. `process`
 runs it on one sample and `run_block` on a block's rows (see `columns`);
 `run_trace` is `run_block` on a whole trace, and returns a read-only
-sequence over its result rows (the `ENTRY` layout) that builds each
-(t_ms, QiblaPointerState) on demand.
+sequence over its result rows (the `ENTRY` layout of `columns`) that builds
+each (t_ms, QiblaPointerState) on demand.
 
 Every function of a sample is `math`'s, applied to floats, so one sample,
 a block and a whole trace get the same bits. Nothing here loads numpy:
@@ -46,12 +47,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from enum import Enum
 from functools import lru_cache
 from itertools import chain, compress, repeat
 from operator import add, mul, sub
 
-from .columns import SAMPLE, Layout, RecordView, all_finite, float_array
+from .columns import (ENTRY, SAMPLE, _GUIDANCES, Guidance, QiblaPointerState, RecordView, _entry, all_finite,
+                      float_array)
 from .declination import DeclinationDeg
 from .errors import DegenerateSweep, DynamicSample, InsufficientData, InvalidAngle
 from .geodesy import AzimuthDeg, GeoCoordinate, _Frozen, qibla_azimuth, wrap_azimuth, wrap_signed
@@ -122,52 +123,6 @@ class FilterState(_Frozen):
         _setattr(self, "s", s)
 
 
-class Guidance(str, Enum):
-    ALIGNED = "aligned"
-    TURN_LEFT = "turn_left"
-    TURN_RIGHT = "turn_right"
-
-
-class QiblaPointerState(_Frozen):
-    """Per-sample pipeline output.
-
-    deviation_deg is circular_diff(qibla, true_heading): positive means the
-    qibla lies clockwise of where the device points. dynamic flags samples
-    whose accelerometer was out of band, for which the previous filtered
-    heading was carried forward.
-
-    The three headings are built as AzimuthDeg, so one that is not finite
-    raises InvalidAngle and one outside [0, 360) is wrapped. A deviation
-    that is not finite or lies outside (-180, 180] raises InvalidAngle, and
-    one inside is kept as given. A guidance that is not a Guidance member,
-    such as the string "aligned", and a calibrated or dynamic flag that is
-    not a bool raise ValueError.
-    """
-
-    __slots__ = ("magnetic_heading", "true_heading", "qibla", "deviation_deg", "guidance", "calibrated", "dynamic")
-
-    def __init__(self, magnetic_heading: float, true_heading: float, qibla: float,
-                 deviation_deg: float, guidance: Guidance, calibrated: bool, dynamic: bool = False) -> None:
-        _setattr(self, "magnetic_heading", AzimuthDeg(magnetic_heading))
-        _setattr(self, "true_heading", AzimuthDeg(true_heading))
-        _setattr(self, "qibla", AzimuthDeg(qibla))
-        if not math.isfinite(deviation_deg):
-            raise InvalidAngle(f"deviation must be finite, got {deviation_deg!r}")
-        if not -180.0 < deviation_deg <= 180.0:
-            raise InvalidAngle(f"deviation must lie in (-180, 180], got {deviation_deg!r}")
-        if not isinstance(guidance, Guidance):
-            raise ValueError(f"guidance must be a Guidance member, got {guidance!r}")
-        if not (isinstance(calibrated, bool) and isinstance(dynamic, bool)):
-            raise ValueError(f"calibrated and dynamic must be bools, got {calibrated!r} and {dynamic!r}")
-        _setattr(self, "deviation_deg", deviation_deg)
-        _setattr(self, "guidance", guidance)
-        _setattr(self, "calibrated", calibrated)
-        _setattr(self, "dynamic", dynamic)
-
-
-_GUIDANCES = tuple(Guidance)  # definition order: aligned, turn_left, turn_right
-
-
 def _guidance_code(deviation_deg: float, threshold_deg: float) -> int:
     """Index into Guidance's members of a deviation."""
     return (deviation_deg > threshold_deg) * 2 + (deviation_deg < -threshold_deg)
@@ -217,16 +172,19 @@ def _ema(c: float | None, s: float | None, alpha: float, h: float) -> tuple[floa
     return c, s, wrap_azimuth(math.degrees(math.atan2(s, c)))
 
 
-def _run(rows: Iterable[Sequence[float]], qibla: float, cal: CalibrationState, filt: FilterState, decl: float,
-         threshold_deg: float) -> tuple[float | None, float | None, list[tuple]]:
+def _run(rows: Iterable[Sequence[float]], qibla: float, cal: CalibrationState, filt: FilterState,
+         decl: DeclinationDeg | float, threshold_deg: float) -> tuple[float | None, float | None, list[tuple]]:
     """Take sample rows (t_ms, ax, ay, az, mx, my, mz) of floats through the
     pointer, in order, from the filter state `filt`.
 
     Returns the filter vector (c, s) after them and one `ENTRY` row per
     sample that has output: a dynamic sample re-emits the heading the
-    filter holds, and before it holds one has none.
+    filter holds, and before it holds one has none. A `decl` that is not a
+    DeclinationDeg is built as one, so one out of its range raises
+    InvalidAngle naming the declination.
     """
     guidance(0.0, threshold_deg)  # checks the threshold once
+    decl = float(decl if isinstance(decl, DeclinationDeg) else DeclinationDeg(decl))  # a built one holds its rule
     alpha, hard_iron, calibrated = filt.alpha, cal.hard_iron, cal.converged
     c, s = filt.c, filt.s
     out = []
@@ -411,31 +369,11 @@ def process(
     nothing to emit and DynamicSample propagates.
     """
     qibla = _qibla(user)
-    c, s, out = _run((SAMPLE.row(sample),), float(qibla), cal, filt, float(decl), threshold_deg)
+    c, s, out = _run((SAMPLE.row(sample),), float(qibla), cal, filt, decl, threshold_deg)
     if not out:
         _require_static(sample)  # raises: there is no heading to carry forward yet
     state = _entry(out[0])[1]  # first, so a heading that is not finite raises InvalidAngle, not FilterState's ValueError
     return FilterState(filt.alpha, c, s), state
-
-
-def _entry_row(entry: tuple[float, QiblaPointerState]) -> tuple:
-    t_ms, s = entry
-    return (t_ms, s.magnetic_heading, s.true_heading, s.qibla, s.deviation_deg,
-            _GUIDANCES.index(s.guidance), s.calibrated, s.dynamic)
-
-
-def _entry(r: Sequence[float]) -> tuple[float, QiblaPointerState]:
-    """An ENTRY row as (t_ms, state), the one way the pipeline builds a
-    state: a guidance code other than 0, 1 or 2 raises ValueError, and the
-    state checks the rest."""
-    if r[5] not in (0, 1, 2):
-        raise ValueError(f"guidance code must be 0, 1 or 2, got {r[5]!r}")
-    return r[0], QiblaPointerState(r[1], r[2], r[3], r[4], _GUIDANCES[int(r[5])], r[6] == 1.0, r[7] == 1.0)
-
-
-# A run_trace entry as a row: t_ms, magnetic, true and qibla headings,
-# deviation, the index of its Guidance member, calibrated and dynamic (1.0 or 0.0).
-ENTRY = Layout(8, _entry_row, _entry)
 
 
 def run_block(
@@ -456,11 +394,11 @@ def run_block(
     holds no heading, dynamic samples before the first usable one produce
     no output (there is no heading to carry forward yet). The qibla bearing
     is computed once, so a user at the Kaaba or its antipode raises even
-    for an empty block; threshold_deg is checked once too. A heading that
-    is not finite raises InvalidAngle, as it does in `process`.
+    for an empty block; threshold_deg and decl are checked once too. A
+    heading that is not finite raises InvalidAngle, as it does in `process`.
     """
     rows = SAMPLE.tuples(SAMPLE.rows_of(samples).tolist())
-    c, s, out = _run(rows, float(_qibla(user)), cal, filt, float(decl), threshold_deg)
+    c, s, out = _run(rows, float(_qibla(user)), cal, filt, decl, threshold_deg)
     entries = float_array(list(chain.from_iterable(out)))
     if not all_finite(entries):  # a levelled heading is nan, as atan2 gives no infinity
         raise InvalidAngle("azimuth must be finite, got nan")
@@ -482,7 +420,7 @@ def run_trace(
     Returns a read-only sequence of (t_ms, state) pairs, the same ones
     `process` gives sample by sample. The qibla bearing is computed once,
     so a user at the Kaaba or its antipode raises even for an empty trace;
-    alpha and threshold_deg are checked once too. Dynamic samples before
+    alpha, threshold_deg and decl are checked once too. Dynamic samples before
     the first usable one produce no output (there is no heading to carry
     forward yet).
     """

@@ -80,17 +80,25 @@ Knots = tuple[tuple[float, float], ...]
 _KNOT_KEYS = ("heading_deg", "pitch_deg", "roll_deg")
 
 
+def _refuse(key: str, rule: str) -> NoReturn:
+    raise ScenarioError(f"{key} {rule}", key=key)
+
+
 class MagneticField(_Frozen):
-    """Locally uniform field: horizontal intensity, inclination, declination."""
+    """Locally uniform field: horizontal intensity, inclination, declination.
+    A value out of its field's range raises ScenarioError naming the
+    field's scenario file key."""
 
     __slots__ = ("horizontal_ut", "inclination_deg", "declination_deg")
 
     def __init__(self, horizontal_ut: float, inclination_deg: float = 0.0, declination_deg: float = 0.0) -> None:
+        if not (math.isfinite(horizontal_ut) and horizontal_ut > 0.0):
+            _refuse("field_horizontal_ut", "must be positive")
+        if not (abs(inclination_deg) < 90.0):
+            _refuse("field_inclination_deg", "must lie in (-90, 90)")
+        if not math.isfinite(declination_deg):
+            _refuse("field_declination_deg", "must be finite")
         self._set(horizontal_ut, inclination_deg, declination_deg)
-
-
-def _refuse(key: str, rule: str) -> NoReturn:
-    raise ScenarioError(f"{key} {rule}", key=key)
 
 
 def _pairs(key: str, knots: Knots) -> Knots:
@@ -139,12 +147,8 @@ class Scenario(_Frozen):
                 _refuse(name, "timestamps must be strictly increasing")
             if not all(math.isfinite(t) and math.isfinite(v) for t, v in knots):
                 _refuse(name, "values must be finite")
-        if not (math.isfinite(self.field.horizontal_ut) and self.field.horizontal_ut > 0.0):
-            _refuse("field_horizontal_ut", "must be positive")
-        if not (abs(self.field.inclination_deg) < 90.0):
-            _refuse("field_inclination_deg", "must lie in (-90, 90)")
-        if not math.isfinite(self.field.declination_deg):
-            _refuse("field_declination_deg", "must be finite")
+        if not isinstance(self.field, MagneticField):
+            _refuse("field", f"must be a MagneticField, got {self.field!r}")
         if len(self.hard_iron_ut) != 3 or not all(math.isfinite(c) for c in self.hard_iron_ut):
             _refuse("hard_iron_ut", "must be three finite components")
         for name in ("noise_sigma_mag_ut", "noise_sigma_accel_ms2"):

@@ -26,8 +26,7 @@ from qiblanav import (
 from qiblanav import dataio, records
 from qiblanav.dataio import REPORT_TAG
 from qiblanav.errors import ParseError
-from qiblanav.columns import SAMPLE, TRUTH, RecordView, float_array
-from qiblanav.pipeline import ENTRY
+from qiblanav.columns import ENTRY, SAMPLE, TRUTH, RecordView, float_array
 from qiblanav.records import finite_floats, read_body
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

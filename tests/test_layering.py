@@ -5,8 +5,9 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qiblanav"
 
-# A module may import only modules of a lower rank. simulator and dataio
-# share a rank, so neither may import the other.
+# A module may import only modules of a lower rank. pipeline, simulator and
+# dataio share a rank, so none of them may import another: each stands on
+# the data layer below, and only cli composes them.
 RANK = {
     "errors": 0,
     "geodesy": 1,
@@ -14,9 +15,9 @@ RANK = {
     "columns": 3,
     "declination": 3,
     "pipeline": 4,
-    "simulator": 5,
-    "dataio": 5,
-    "cli": 6,
+    "simulator": 4,
+    "dataio": 4,
+    "cli": 5,
 }
 
 
@@ -81,12 +82,14 @@ def test_pipeline_fits_with_no_matrix_product_or_library_solve():
 
 def test_only_entry_builds_a_pointer_state():
     """`process` and the `ENTRY` layout build a pipeline's output through
-    `pipeline._entry` alone, so each one is checked the same way."""
-    tree = ast.parse((PACKAGE / "pipeline.py").read_text(encoding="utf-8"))
-    entry = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_entry")
-    built = [node for node in ast.walk(tree)
-             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "QiblaPointerState"]
-    assert len(built) == 1 and built[0] in list(ast.walk(entry))
+    `columns._entry` alone, so each one is checked the same way: no other
+    module under `src/` calls `QiblaPointerState`."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    entry = next(n for n in trees["columns"].body if isinstance(n, ast.FunctionDef) and n.name == "_entry")
+    built = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "QiblaPointerState"]
+    assert len(built) == 1 and built[0][1] in list(ast.walk(entry)), [(name, n.lineno) for name, n in built]
 
 
 def test_no_value_is_built_around_its_constructor():

@@ -670,6 +670,43 @@ def test_a_heading_that_is_not_finite_raises_before_a_filter_state_is_built(monk
     assert built == []
 
 
+@pytest.mark.parametrize("decl", [100.0, -90.5, math.nan, math.inf])
+def test_a_declination_out_of_range_is_refused(decl):
+    """A float declination is held to DeclinationDeg's rule: one sample, a
+    block, an empty block and a whole trace each raise InvalidAngle naming
+    the declination, where a float used to shift the true heading as given."""
+    sample, cal = SensorSample(0.0, (0.0, 0.0, -9.81), (20.0, 0.0, 40.0)), CalibrationState()
+    runs = (lambda: process(sample, BANDUNG, cal, FilterState(), decl),
+            lambda: run_block([sample], BANDUNG, cal, FilterState(), decl),
+            lambda: run_block([], BANDUNG, cal, FilterState(), decl),
+            lambda: run_trace([sample], BANDUNG, cal, decl))
+    for run in runs:
+        with pytest.raises(InvalidAngle, match=r"^declination must be finite with \|value\| <= 90, got "):
+            run()
+
+
+@given(readings=st.lists(st.tuples(st.one_of(STATIC_ACCEL, DYNAMIC_ACCEL), MAG), max_size=12),
+       decl=st.floats(-90.0, 90.0))
+def test_a_float_declination_runs_as_its_declination_deg(readings, decl):
+    """A float in range gives the entries and the filter state its
+    DeclinationDeg gives, from process, run_block and run_trace."""
+    samples, cal = as_samples(readings), CalibrationState()
+    by_float, by_value = FilterState(), FilterState()
+    for sample in samples:
+        try:
+            by_float, state = process(sample, BANDUNG, cal, by_float, decl)
+        except DynamicSample:
+            with pytest.raises(DynamicSample):
+                process(sample, BANDUNG, cal, by_value, DeclinationDeg(decl))
+            continue
+        by_value, expected = process(sample, BANDUNG, cal, by_value, DeclinationDeg(decl))
+        assert (by_float, state) == (by_value, expected)
+    block = run_block(samples, BANDUNG, cal, FilterState(), decl)
+    assert block == run_block(samples, BANDUNG, cal, FilterState(), DeclinationDeg(decl))
+    assert block[0] == by_float
+    assert run_trace(samples, BANDUNG, cal, decl) == run_trace(samples, BANDUNG, cal, DeclinationDeg(decl))
+
+
 @given(readings=st.lists(st.tuples(st.one_of(STATIC_ACCEL, DYNAMIC_ACCEL), MAG), max_size=12),
        hard_iron=st.tuples(OFFSETS, OFFSETS, OFFSETS), alpha=st.floats(0.01, 1.0) | st.just(1.0),
        start=st.none() | VECTOR.filter(lambda v: 0.0 < math.hypot(*v) < math.inf))

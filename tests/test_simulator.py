@@ -215,7 +215,7 @@ class TestScenarioValidation:
             ("sample_rate_hz", {"sample_rate_hz": value}),
             *((name, {name: knots}) for name in ("heading_deg", "pitch_deg", "roll_deg")
               for knots in ((), ((0.0, value),), ((value, 0.0),))),
-            *((f"field_{name}", {"field": MagneticField(**{"horizontal_ut": 40.0, name: value})})
+            *((f"field_{name}", {"field": {"horizontal_ut": 40.0, name: value}})  # MagneticField's arguments
               for name in ("horizontal_ut", "inclination_deg", "declination_deg")),
             ("hard_iron_ut", {"hard_iron_ut": (1.0, 2.0)}),
             ("hard_iron_ut", {"hard_iron_ut": (0.0, value, 0.0)}),
@@ -224,6 +224,8 @@ class TestScenarioValidation:
             ("rng_seed", {"rng_seed": 2**64}),
         ]))
         with pytest.raises(ScenarioError) as exc:
+            if "field" in changes:  # the field refuses its own values
+                changes = {"field": MagneticField(**changes["field"])}
             Scenario(**{"duration_ms": 100.0, "sample_rate_hz": 50.0, "heading_deg": ((0.0, 0.0),), **changes})
         assert exc.value.key == key and str(exc.value).startswith(key)
 
