@@ -7,10 +7,11 @@ heading, pitch and roll (4 values), and a pipeline entry row (`ENTRY`) is
 t_ms, the three headings, deviation, guidance code and the two flags (8
 values). Each layout lives here with the record it builds, so the
 pipeline that makes a `QiblaPointerState` and the report that writes it
-need not import each other. A batch stage reaches the rows only through
-`Layout.rows_of`, which takes any sequence of records; a `RecordView` is
-such a sequence, a read-only one that builds each record on demand from
-its row. The buffer is the standard library's, an
+need not import each other, and only this module decodes an ENTRY row's
+guidance code and flags or states its ranges. A batch stage reaches the
+rows only through `Layout.rows_of`, which takes any sequence of records; a
+`RecordView` is such a sequence, a read-only one that builds each record
+on demand from its row. The buffer is the standard library's, an
 `array('d')` or a memoryview, so no stage needs numpy: only `simulate`
 makes one over a numpy array. A caller that wants the rows as an array
 makes one itself: `np.frombuffer(view.values).reshape(-1, view.layout.width)`.
@@ -174,15 +175,34 @@ def _entry_row(entry: tuple[float, QiblaPointerState]) -> tuple:
             _GUIDANCES.index(s.guidance), s.calibrated, s.dynamic)
 
 
+def guidance_and_flags(code: float, calibrated: float, dynamic: float) -> tuple[Guidance, bool, bool]:
+    """An ENTRY row's guidance code and flags as (Guidance, calibrated,
+    dynamic), the one decoding of them: a code other than 0, 1 or 2 and a
+    flag other than 0.0 or 1.0 raise ValueError."""
+    if code not in (0, 1, 2):
+        raise ValueError(f"guidance code must be 0, 1 or 2, got {code!r}")
+    if calibrated not in (0, 1) or dynamic not in (0, 1):
+        raise ValueError(f"calibrated and dynamic flags must be 0.0 or 1.0, got {calibrated!r} and {dynamic!r}")
+    return _GUIDANCES[int(code)], calibrated == 1, dynamic == 1
+
+
 def _entry(r: Sequence[float]) -> tuple[float, QiblaPointerState]:
     """An ENTRY row as (t_ms, state), the one way the package builds a
-    state: a guidance code other than 0, 1 or 2 raises ValueError, and the
-    state checks the rest."""
-    if r[5] not in (0, 1, 2):
-        raise ValueError(f"guidance code must be 0, 1 or 2, got {r[5]!r}")
-    return r[0], QiblaPointerState(r[1], r[2], r[3], r[4], _GUIDANCES[int(r[5])], r[6] == 1.0, r[7] == 1.0)
+    state: its guidance code and flags are decoded by `guidance_and_flags`,
+    and the state checks the rest."""
+    return r[0], QiblaPointerState(r[1], r[2], r[3], r[4], *guidance_and_flags(r[5], r[6], r[7]))
 
 
 # A pipeline entry as a row: t_ms, magnetic, true and qibla headings,
 # deviation, the index of its Guidance member, calibrated and dynamic (1.0 or 0.0).
 ENTRY = Layout(8, _entry_row, _entry)
+
+
+def entries_in_range(rows: Sequence[float]) -> bool:
+    """Whether every row of a flat buffer of finite ENTRY rows keeps the
+    ranges a state keeps, checked in bulk: headings in [0, 360) and the
+    deviation in (-180, 180]."""
+    headings = [rows[k :: ENTRY.width].tolist() for k in (1, 2, 3)]
+    deviations = rows[4 :: ENTRY.width].tolist()
+    return not deviations or (all(0.0 <= min(h) and max(h) < 360.0 for h in headings)
+                              and -180.0 < min(deviations) and max(deviations) <= 180.0)

@@ -10,7 +10,9 @@ trace and report stage reads and writes them in bulk, a block of rows at a
 time, builds no record, and gives the bytes the record-by-record rules
 below define, wherever the blocks end. The row layouts and records, the
 report's `ENTRY` and `QiblaPointerState` included, are `columns`', so no
-file format loads the pipeline.
+file format loads the pipeline or decodes an ENTRY row itself. The trace
+reader states each line rule once, in `_block_rows`, for a block and for a
+lone line alike.
 
 Trace format (read by `records.read_body`)::
 
@@ -47,7 +49,8 @@ from itertools import chain, repeat
 from operator import add, le
 from typing import Any
 
-from .columns import ENTRY, SAMPLE, TRUTH, Guidance, QiblaPointerState, RecordView, all_finite, float_array
+from .columns import (ENTRY, SAMPLE, TRUTH, QiblaPointerState, RecordView, all_finite, entries_in_range, float_array,
+                      guidance_and_flags)
 from .errors import EmptyReport, OutOfSpan, ParseError
 from .geodesy import AzimuthDeg, circular_diff, wrap_azimuth
 from . import records
@@ -127,44 +130,30 @@ def write_trace(trace: TraceFile, path: str) -> None:
             j = k
 
 
-def _check_line(lineno: int, tokens: list[str], last_t: dict[str, float]) -> None:
-    """Raise the ParseError of the first rule that trace line breaks: its
-    tag, its field count, a finite number per field, and its time not
-    before the last one of its stream in `last_t`, which it then becomes."""
-    tag, *fields = tokens
-    if tag not in _STREAMS:
-        raise ParseError(f"unknown record tag {tag!r}", line=lineno)
-    kind, layout = _STREAMS[tag]
-    if len(fields) != layout.width:
-        raise ParseError(f"{kind} needs {layout.width} fields, got {len(fields)}", line=lineno)
-    t = finite_floats(fields, lineno, kind)[0]
-    if t < last_t[tag]:
-        raise ParseError(f"{kind} timestamps must be monotone nondecreasing", line=lineno)
-    last_t[tag] = t
-
-
-def _block_rows(lines: list[list[str]], last_t: dict[str, float]) -> dict[str, RecordView] | None:
+def _block_rows(lines: list[list[str]], last_t: dict[str, float], line: int | None = None) -> dict[str, RecordView]:
     """Each stream's view of a block of trace lines, checked in bulk by the
-    rule `_check_line` states line by line, or None when a line breaks it.
-    Sets `last_t` as `_check_line` does, once the whole block keeps the rule."""
+    trace rule: a known tag, its stream's field count, finite numbers, and no
+    time before its stream's last in `last_t`, which the block's then become.
+    The first rule the block breaks raises its ParseError, naming `line`."""
     groups = {tag: [] for tag in _STREAMS}
     try:
         for tokens in lines:
             groups[tokens[0]].append(tokens)
-    except KeyError:  # an unknown tag
-        return None
+    except KeyError as exc:
+        raise ParseError(f"unknown record tag {exc.args[0]!r}", line) from None
     streams = {}
-    for (tag, (_, layout)), group in zip(_STREAMS.items(), groups.values()):
-        if set(map(len, group)) - {layout.width + 1}:
-            return None
+    for (tag, (kind, layout)), group in zip(_STREAMS.items(), groups.values()):
+        if counts := set(map(len, group)) - {layout.width + 1}:
+            raise ParseError(f"{kind} needs {layout.width} fields, got {min(counts) - 1}", line)
         fields = list(chain.from_iterable(group))
         del fields[:: layout.width + 1]  # the tags
         try:
             values = list(map(float, fields))
         except ValueError:
-            return None
+            values = [math.nan]
         if not _in_order(values, layout.width, last_t[tag]):
-            return None
+            finite_floats(fields, line, kind)  # raises for a token that is not a finite number
+            raise ParseError(f"{kind} timestamps must be monotone nondecreasing", line)
         streams[tag] = RecordView(layout, float_array(values))
     last_t.update((tag, view[-1].t_ms) for tag, view in streams.items() if view)
     return streams
@@ -178,10 +167,13 @@ def read_trace_blocks(path: str) -> Iterator[TraceFile]:
     _, blocks = read_body(read_line_blocks(path), TRACE_HEADER)
     last_t = dict.fromkeys(_STREAMS, -float("inf"))
     for linenos, lines in blocks:
-        streams = _block_rows(lines, last_t)
-        if streams is None:  # a line breaks the rule: re-read line by line to raise at the first
+        try:
+            streams = _block_rows(lines, last_t)
+        except ParseError:  # a line breaks the rule
+            streams = None
+        if streams is None:  # re-read line by line by the same rule, to raise at the first
             for lineno, tokens in zip(linenos, lines):
-                _check_line(lineno, tokens, last_t)
+                _block_rows([tokens], last_t, lineno)
         yield TraceFile(*streams.values())
 
 
@@ -268,6 +260,8 @@ class _Summary:
         entries, truth = ENTRY.rows_of(entries), TRUTH.rows_of(truth)
         if not all_finite(entries):
             raise ValueError("run_trace entries must be finite")
+        if not entries_in_range(entries):
+            raise ValueError("run_trace entries need headings in [0, 360) and deviations in (-180, 180]")
         if not _in_order(truth, TRUTH.width, self.truth[-TRUTH.width] if self.truth else -math.inf):
             raise ValueError("truth records must be finite, with timestamps monotone nondecreasing")
         if self.start is None and truth:
@@ -347,7 +341,7 @@ _JSON_ENTRY = tuple("""    {
       "calibrated": %s,
       "dynamic": %s
     }""".split("%s"))
-_TEXT_ENTRY = "{:>12.1f} {:>10.2f} {:>10.2f} {} {:>+10.2f} {}{}\n"
+_TEXT_ENTRY = "{:>12.1f} {:>10.2f} {:>10.2f} {} {:>+10.2f} {}\n"
 
 
 def _entry_lines(rows: Sequence[float], fmt: str, first: bool) -> Iterator[str]:
@@ -355,26 +349,23 @@ def _entry_lines(rows: Sequence[float], fmt: str, first: bool) -> Iterator[str]:
     was written before them. A JSON entry is its literal pieces and the
     reprs of its columns, joined: the qibla column holds one bearing per
     place, and the guidance and flag columns together at most 12 triples,
-    so each distinct one is formatted once, with the literals around it."""
-    t, magnetic, true_heading, _, deviation, codes, calibrated, dynamic = (
-        rows[k :: ENTRY.width].tolist() for k in range(ENTRY.width))
-    values = [g.value for g in Guidance]  # ENTRY's guidance column indexes these
+    so each distinct one is decoded by `columns` and formatted once, with
+    the literals around it."""
+    t, magnetic, true_heading, _, deviation, *encoded = (rows[k :: ENTRY.width].tolist() for k in range(ENTRY.width))
+    triples = list(zip(*encoded))  # each row's guidance code and flags
+    decoded = {triple: guidance_and_flags(*triple) for triple in set(triples)}
     if fmt == "json":
         piece = _JSON_ENTRY
         qibla = _each_distinct(lambda q: f"{piece[3]}{q!r}{piece[4]}", rows[3 :: ENTRY.width])
-        flag = {1.0: "true"}  # a flag is true when it is 1.0
-        triples = list(zip(codes, calibrated, dynamic))
-        tails = {(code, cal, dyn): f"{piece[5]}{values[int(code)]}{piece[6]}{flag.get(cal, 'false')}{piece[7]}"
-                                   f"{flag.get(dyn, 'false')}{piece[8]}"
-                 for code, cal, dyn in set(triples)}
+        tails = {triple: f"{piece[5]}{guidance.value}{piece[6]}{json.dumps(cal)}{piece[7]}{json.dumps(dyn)}{piece[8]}"
+                 for triple, (guidance, cal, dyn) in decoded.items()}
         heads = chain([piece[0] if first else ",\n" + piece[0]], repeat(",\n" + piece[0]))
         return chain.from_iterable(zip(heads, map(repr, t), repeat(piece[1]), map(repr, magnetic), repeat(piece[2]),
                                        map(repr, true_heading), qibla, map(repr, deviation),
                                        map(tails.__getitem__, triples)))
     qibla = _each_distinct("{:>10.2f}".format, rows[3 :: ENTRY.width])
-    guidances = list(map(values.__getitem__, map(int, codes)))
-    suffixes = list(map({1.0: " (dynamic)"}.get, dynamic, repeat("")))
-    return map(_TEXT_ENTRY.format, t, magnetic, true_heading, qibla, deviation, guidances, suffixes)
+    tails = {triple: guidance.value + (" (dynamic)" if dyn else "") for triple, (guidance, _, dyn) in decoded.items()}
+    return map(_TEXT_ENTRY.format, t, magnetic, true_heading, qibla, deviation, map(tails.__getitem__, triples))
 
 
 @contextmanager

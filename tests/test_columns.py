@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cli_checks import run_cli
+
 from qiblanav import (
     AzimuthDeg,
     Guidance,
@@ -159,9 +161,11 @@ def test_a_view_reads_whole_float64_rows_without_a_copy():
 # and not finite.
 ROW_HEADINGS = st.floats(-720.0, 720.0) | st.sampled_from([-0.0, 360.0, 400.0, math.nan, math.inf, -math.inf])
 GUIDANCE_OF = {0.0: Guidance.ALIGNED, 1.0: Guidance.TURN_LEFT, 2.0: Guidance.TURN_RIGHT}
-ENTRY_ROWS = st.tuples(FINITE, ROW_HEADINGS, ROW_HEADINGS, ROW_HEADINGS, FINITE,
-                       st.sampled_from([-1.0, 0.0, 1.0, 2.0, 3.0, 0.5]), st.sampled_from([0.0, 1.0]),
-                       st.sampled_from([0.0, 1.0]))
+# Deviations of an ENTRY row: in (-180, 180], at its ends and past them.
+ROW_DEVIATIONS = st.floats(-180.0, 180.0) | st.sampled_from([-0.0, 180.0, 180.5, -180.0, 500.0]) | FINITE
+ROW_FLAGS = st.sampled_from([0.0, 1.0, -0.0, 0.5, 7.0])
+ENTRY_ROWS = st.tuples(FINITE, ROW_HEADINGS, ROW_HEADINGS, ROW_HEADINGS, ROW_DEVIATIONS,
+                       st.sampled_from([-1.0, 0.0, 1.0, 2.0, 3.0, 0.5]), ROW_FLAGS, ROW_FLAGS)
 
 
 @given(rows=st.lists(ENTRY_ROWS, max_size=6))
@@ -170,7 +174,8 @@ def test_an_entry_view_hands_out_only_checked_records(rows):
     from the row's fields, or raises what that build raises: no heading
     outside [0, 360) or nan. A code that names no guidance raises
     ValueError in the view, and so does that code, or its name as a string,
-    given to the state as its guidance."""
+    given to the state as its guidance; so does a flag other than 0.0 or
+    1.0."""
     view = RecordView(ENTRY, float_array([x for row in rows for x in row]))
     for i, row in enumerate(rows):
         if row[5] not in GUIDANCE_OF:
@@ -178,6 +183,10 @@ def test_an_entry_view_hands_out_only_checked_records(rows):
                 view[i]
             with pytest.raises(ValueError):
                 QiblaPointerState(row[1], row[2], row[3], row[4], row[5], True)
+            continue
+        if not {row[6], row[7]} <= {0.0, 1.0}:
+            with pytest.raises(ValueError, match="flags must be 0.0 or 1.0"):
+                view[i]
             continue
         guidance = GUIDANCE_OF[row[5]]
         with pytest.raises(ValueError):
@@ -222,6 +231,73 @@ DEVIATIONS = st.sampled_from([0.0, -0.0, 1.5, 180.0]) | st.floats(-180.0, 180.0,
 ENTRIES = st.lists(st.tuples(VALUES, st.builds(QiblaPointerState, HEADINGS, HEADINGS, HEADINGS, DEVIATIONS,
                                                 st.sampled_from(Guidance), st.booleans(), st.booleans())),
                    min_size=1, max_size=8)
+
+
+def report_of(path, fmt):
+    """A report as its JSON document, or its text as lines of tokens, each
+    number as a float, so that -0.0 reads as 0.0."""
+    text = path.read_text(encoding="utf-8")
+    if fmt == "json":
+        return json.loads(text)
+
+    def token(word):
+        try:
+            return float(word)
+        except ValueError:
+            return word
+
+    return [list(map(token, line.split())) for line in text.splitlines()]
+
+
+# ENTRY rows that a view hands out as they are, qiblas of -0.0 among them.
+KEPT_HEADINGS = st.floats(0.0, 360.0, exclude_max=True) | st.just(-0.0)
+KEPT_ENTRY_ROWS = st.tuples(FINITE, KEPT_HEADINGS, KEPT_HEADINGS, KEPT_HEADINGS, DEVIATIONS,
+                            st.sampled_from([0.0, 1.0, 2.0]), st.sampled_from([0.0, 1.0]), st.sampled_from([0.0, 1.0]))
+
+
+# One field of an ENTRY row and a value at or past the edge of what a view
+# hands out as it is. A view checks no time, so the time is not among them.
+EDGES = [(1, 360.0), (1, -1e-300), (1, 400.0), (2, 360.0), (2, math.nan), (3, 360.0), (3, -5e-324),
+         (4, -180.0), (4, 180.5), (4, 500.0), (4, math.inf), (5, 3.0), (5, -1.0), (5, 0.5),
+         (6, 0.5), (6, 7.0), (7, -1.0), (7, 0.5)]
+
+
+@pytest.mark.parametrize("edge", [None, *EDGES], ids=str)
+@settings(deadline=None, max_examples=20)
+@given(first=KEPT_ENTRY_ROWS, rows=st.lists(KEPT_ENTRY_ROWS, max_size=4), wild=st.none() | ENTRY_ROWS,
+       fmt=st.sampled_from(["json", "text"]))
+def test_a_report_of_a_view_holds_what_the_view_hands_out(workdir, edge, first, rows, wild, fmt):
+    """A report written from a view of ENTRY rows, the first with one field
+    moved to its edge and perhaps one row of any fields after them, is
+    refused, with ValueError and no file, exactly when some record of the
+    view is refused or differs from its row, such as a heading outside
+    [0, 360), which the record wraps; otherwise it reads as the report of
+    the view's records."""
+    if edge is not None:
+        k, value = edge
+        first = first[:k] + (value,) + first[k + 1:]
+    rows = [first, *rows, *([] if wild is None else [wild])]
+    view = RecordView(ENTRY, float_array([x for row in rows for x in row]))
+    refused = False
+    for i, row in enumerate(rows):
+        try:
+            refused = ENTRY.row(view[i]) != row
+        except ValueError:
+            refused = True
+        if refused:
+            break
+    path, records_path = workdir / f"view-report.{fmt}", workdir / f"records-report.{fmt}"
+    path.unlink(missing_ok=True)
+    if refused:
+        with pytest.raises(ValueError):
+            write_report(view, str(path), fmt)
+        assert not path.exists()
+    else:
+        write_report(view, str(path), fmt)
+        write_report(list(view), str(records_path), fmt)
+        assert report_of(path, fmt) == report_of(records_path, fmt)
+
+
 JSON_VALUES = st.recursive(st.none() | st.booleans() | st.integers() | FINITE | st.text(max_size=8),
                            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
                                                                                         max_size=3),
@@ -339,6 +415,84 @@ def test_refusal_names_the_same_line_wherever_the_blocks_end(workdir, case, bloc
     assert str(exc.value) == f"line 40: {message}"
 
 
+def first_fault(lines):
+    """The reference trace rule, line by line: the (line, message) of the
+    first faulty line of a trace's lines, header first, or None. A line is
+    faulty when its tag is unknown, when its field count is not its
+    stream's, when a field is not a finite number, or when its time is
+    earlier than the last one of its stream."""
+    streams = {"s": ("sample record", 7), "t": ("truth record", 4)}
+    last = {"s": -math.inf, "t": -math.inf}
+    for lineno, line in enumerate(lines[1:], 2):
+        tokens = line.partition("#")[0].split()
+        if not tokens:
+            continue
+        tag, *fields = tokens
+        if tag not in streams:
+            return lineno, f"unknown record tag {tag!r}"
+        kind, width = streams[tag]
+        if len(fields) != width:
+            return lineno, f"{kind} needs {width} fields, got {len(fields)}"
+        try:
+            values = [float(field) for field in fields]
+        except ValueError:
+            values = [math.nan]
+        if not all(map(math.isfinite, values)):
+            return lineno, f"{kind}: expected finite numbers, got {' '.join(fields)!r}"
+        if values[0] < last[tag]:
+            return lineno, f"{kind} timestamps must be monotone nondecreasing"
+        last[tag] = values[0]
+    return None
+
+
+FIELDS = {"s": ["0.0", "0.0", "-9.81", "40.0", "0.0", "0.0"], "t": ["10.0", "0.0", "0.0"]}
+
+
+@st.composite
+def faulty_traces(draw):
+    """A valid trace of both streams, its times drawn, then one line
+    replaced by a faulty one: an unknown tag, a wrong field count, a token
+    that is not a number or not finite, or a time earlier than the first
+    of either stream."""
+    tags = draw(st.lists(st.sampled_from("st"), min_size=1, max_size=150))
+    times = sorted(draw(st.lists(st.integers(0, 40), min_size=len(tags), max_size=len(tags))))
+    lines = ["qtrace v1", *(" ".join([tag, f"{t}.0", *FIELDS[tag]]) for tag, t in zip(tags, times))]
+    at = draw(st.integers(1, len(lines) - 1))
+    tag, *fields = lines[at].split()
+    fault = draw(st.sampled_from(["tag", "count", "unparsable", "non-finite", "back"]))
+    if fault == "tag":
+        tag = draw(st.sampled_from(["x", "S", "st", "tt", "1"]))
+    elif fault == "count":
+        fields = fields[:-1] if draw(st.booleans()) else [*fields, "0.0"]
+    elif fault in ("unparsable", "non-finite"):
+        words = ["north", "1..0", "0x1p3", "1e", "--0"] if fault == "unparsable" else ["nan", "inf", "-inf", "1e999"]
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(words))
+    else:  # a line of either stream, earlier than every line before it
+        tag = draw(st.sampled_from("st"))
+        fields = ["-1.0", *FIELDS[tag]]
+    lines[at] = " ".join([tag, *fields])
+    return lines
+
+
+@settings(deadline=None)
+@given(lines=faulty_traces(), block=st.integers(1, 4099))
+def test_the_reader_refuses_as_the_line_by_line_rule(workdir, lines, block):
+    """read_trace raises the reference rule's message at its line, however
+    the reader cuts the file into blocks, and `qiblanav calibrate` exits 2
+    with that message; a trace the rule keeps is read."""
+    path = workdir / "one-fault.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    fault = first_fault(lines)
+    with mock.patch.object(records, "BLOCK_CHARS", block):
+        if fault is None:
+            read_trace(str(path))
+            return
+        with pytest.raises(ParseError) as exc:
+            read_trace(str(path))
+        assert (exc.value.line, str(exc.value)) == (fault[0], f"line {fault[0]}: {fault[1]}")
+        assert run_cli(["calibrate", "--trace", str(path)]) == (2, "", f"error: line {fault[0]}: {fault[1]}\n")
+
+
 # Tokens that float takes or refuses where a number parser of its own might
 # not: underscores, other scripts' digits, a NUL, C99 NaN payloads, a lone
 # surrogate (invalid UTF-8 in a file), underflow, overflow and signed zeros.
@@ -353,7 +507,8 @@ TOKENS = (st.sampled_from(ODD_TOKENS) | FINITE.map(repr) | st.from_regex(r"[-+]?
 def test_a_token_reads_as_float_reads_it(workdir, token, tag):
     """A block is read in one conversion; each token gives the bits float
     gives it, or the ParseError that the line-by-line rule, float on each
-    token, gives for its line."""
+    token, gives for its line: the block raises, and the token's line read
+    alone raises that error."""
     fields = ["1.0", token, *["0.0"] * ((6 if tag == "s" else 3) - 1)]
     kind = "sample record" if tag == "s" else "truth record"
     try:
@@ -361,11 +516,17 @@ def test_a_token_reads_as_float_reads_it(workdir, token, tag):
     except ParseError as exc:
         expected = exc
     lines = [["s", *["0.0"] * 7], ["t", *["0.0"] * 4], [tag, *fields]]
-    streams = dataio._block_rows(lines, dict.fromkeys("st", -math.inf))
     if isinstance(expected, ParseError):
-        assert streams is None
+        with pytest.raises(ParseError):
+            dataio._block_rows(lines, dict.fromkeys("st", -math.inf))
+        with pytest.raises(ParseError) as alone:
+            dataio._block_rows(lines[-1:], {"s": 0.0, "t": 0.0}, 4)
+        assert (type(alone.value), str(alone.value), alone.value.line) == \
+            (type(expected), str(expected), expected.line)
     else:
-        assert streams[tag].values[-len(expected):].tobytes() == np.array(expected).tobytes()
+        for block, line in ((lines, None), (lines[-1:], 4)):
+            streams = dataio._block_rows(block, {"s": 0.0, "t": 0.0}, line)
+            assert streams[tag].values[-len(expected):].tobytes() == np.array(expected).tobytes()
     path = workdir / "token.txt"
     path.write_bytes("\n".join(["qtrace v1", *map(" ".join, lines)]).encode("utf-8", "surrogateescape") + b"\n")
     if "\udcff" in token:  # the byte 0xff, which the decoder refuses before any number is read
