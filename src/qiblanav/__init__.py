@@ -16,8 +16,6 @@ _MODULE_OF = {
     "AzimuthDeg": "geodesy",
     "CalibrationState": "pipeline",
     "CityRecord": "records",
-    "DEFAULT_ALPHA": "pipeline",
-    "DEFAULT_GUIDANCE_THRESHOLD_DEG": "pipeline",
     "DeclinationDeg": "declination",
     "DeclinationGrid": "declination",
     "DistanceKm": "geodesy",
@@ -28,6 +26,7 @@ _MODULE_OF = {
     "Guidance": "columns",
     "KAABA": "geodesy",
     "MagneticField": "simulator",
+    "PointerSettings": "pipeline",
     "QiblaPointerState": "columns",
     "Scenario": "simulator",
     "SensorSample": "records",

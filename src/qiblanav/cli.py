@@ -153,7 +153,7 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[str]]:
     except ModuleNotFoundError as exc:
         if exc.name != "numpy":
             raise
-        raise QiblaNavError("simulate needs numpy, which is not installed: pip install numpy") from None
+        raise QiblaNavError("simulate needs numpy, which is not installed: pip install 'qiblanav[simulate]'") from None
 
     trace = simulate(load_scenario(args.scenario))
     write_trace(trace, args.out)
@@ -166,18 +166,16 @@ def cmd_pipeline(args: argparse.Namespace) -> tuple[dict, list[str]]:
     from operator import attrgetter
 
     from .dataio import REPORT_TAG, join_blocks, read_trace_blocks, write_report_blocks
-    from .pipeline import DEFAULT_ALPHA, DEFAULT_GUIDANCE_THRESHOLD_DEG, FilterState, calibrate, guidance, run_block
+    from .pipeline import FilterState, PointerSettings, calibrate, run_block
 
     where = _resolve_location(args)
     decl = _resolve_declination(args, where)
-    alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
-    threshold = DEFAULT_GUIDANCE_THRESHOLD_DEG if args.threshold is None else args.threshold
     if args.sweep_ms is not None and not math.isfinite(args.sweep_ms):
         raise ValueError(f"--sweep-ms must be finite, got {args.sweep_ms}")
     sweep_ms = math.inf if args.sweep_ms is None else args.sweep_ms  # no sweep given: the whole trace
-    # The library's own rules, applied before the trace is read.
-    filt = FilterState(alpha=alpha)
-    guidance(0.0, threshold)
+    # Checked before the trace is read; a flag not given keeps the library's default.
+    given = {"alpha": args.alpha, "threshold_deg": args.threshold}
+    settings = PointerSettings(**{name: value for name, value in given.items() if value is not None})
     run_decl = decl if decl is not None else DeclinationDeg(0.0)
     blocks = read_trace_blocks(args.trace)
     try:
@@ -194,16 +192,16 @@ def cmd_pipeline(args: argparse.Namespace) -> tuple[dict, list[str]]:
             "latitude_deg": where.latitude_deg,
             "longitude_deg": where.longitude_deg,
             **_declination_doc(decl),
-            "alpha": alpha,
-            "threshold_deg": threshold,
+            "alpha": settings.alpha,
+            "threshold_deg": settings.threshold_deg,
             "calibration": _calibration_doc(cal),
         }
         meta.update(args.stamp)
 
         def entry_blocks() -> Iterator:
-            state = filt
+            state = FilterState()
             for block in chain(held, blocks):
-                state, entries = run_block(block.samples, where, cal, state, run_decl, threshold_deg=threshold)
+                state, entries = run_block(block.samples, where, cal, state, run_decl, settings=settings)
                 yield entries, block.truth
 
         summary = write_report_blocks(entry_blocks(), args.out, args.format, meta=meta)
@@ -265,7 +263,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trace", required=True)
     _add_location_flags(p)
     _add_declination_flags(p)
-    # cmd_pipeline supplies the defaults of these two, so the parser needs no pipeline.
+    # PointerSettings supplies the defaults of these two, so the parser needs no pipeline.
     p.add_argument("--alpha", type=float, help="heading filter smoothing factor in (0, 1]")
     p.add_argument("--threshold", type=float, help="alignment threshold in degrees")
     p.add_argument("--sweep-ms", type=float, default=None,

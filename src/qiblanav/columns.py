@@ -188,8 +188,11 @@ def guidance_and_flags(code: float, calibrated: float, dynamic: float) -> tuple[
 
 def _entry(r: Sequence[float]) -> tuple[float, QiblaPointerState]:
     """An ENTRY row as (t_ms, state), the one way the package builds a
-    state: its guidance code and flags are decoded by `guidance_and_flags`,
-    and the state checks the rest."""
+    state: a time that is not finite raises ValueError, as a sample's does,
+    its guidance code and flags are decoded by `guidance_and_flags`, and the
+    state checks the rest."""
+    if not math.isfinite(r[0]):
+        raise ValueError(f"t_ms must be finite, got {r[0]!r}")
     return r[0], QiblaPointerState(r[1], r[2], r[3], r[4], *guidance_and_flags(r[5], r[6], r[7]))
 
 

@@ -20,7 +20,8 @@ Frame and sign conventions (pinned by the simulator's oracle tests):
   and the magnetic heading is atan2(-yh, xh), normalized to [0, 360).
 
 Calibration and filter states are immutable values threaded through calls,
-and each sample's output is one too, a `columns.QiblaPointerState` built
+the pointer's two tunables are one checked `PointerSettings` value, and
+each sample's output is a value too, a `columns.QiblaPointerState` built
 from its `ENTRY` row: `geodesy._Frozen` values, as every value class of the
 package is. The one module-level state is a bounded cache of qibla
 bearings, keyed on the user's location, which gives the bits
@@ -67,9 +68,6 @@ MIN_COVERAGE_DEG = 180.0
 # points lie on a plane circle).
 MAX_FIT_CONDITION = 1e12
 
-DEFAULT_ALPHA = 0.15
-DEFAULT_GUIDANCE_THRESHOLD_DEG = 2.0
-
 # A stream computes the bearing once per place it is at, not per sample.
 _qibla = lru_cache(maxsize=64)(qibla_azimuth)
 
@@ -97,19 +95,33 @@ class CalibrationState(_Frozen):
         return self.samples_used >= MIN_CALIBRATION_SAMPLES and self.coverage_deg >= MIN_COVERAGE_DEG
 
 
+class PointerSettings(_Frozen):
+    """The pointer's tunables, each checked here and nowhere else: the
+    heading filter's smoothing factor alpha, in (0, 1], and the alignment
+    threshold in degrees, finite and positive, within which a deviation is
+    ALIGNED. Both bad, alpha is named."""
+
+    __slots__ = ("alpha", "threshold_deg")
+
+    def __init__(self, alpha: float = 0.15, threshold_deg: float = 2.0) -> None:
+        if not (0.0 < alpha <= 1.0):
+            raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
+        if not (math.isfinite(threshold_deg) and threshold_deg > 0.0):
+            raise ValueError(f"threshold_deg must be finite and positive, got {threshold_deg!r}")
+        self._set(alpha, threshold_deg)
+
+
 class FilterState(_Frozen):
     """Circular EMA state: a unit vector (c, s) accumulating the heading.
 
     c/s are both None until the first heading initializes them; they are
     never both zero, which would hold no heading, and their length is
-    finite. alpha is fixed per pipeline instance.
+    finite.
     """
 
-    __slots__ = ("alpha", "c", "s")
+    __slots__ = ("c", "s")
 
-    def __init__(self, alpha: float = DEFAULT_ALPHA, c: float | None = None, s: float | None = None) -> None:
-        if not (0.0 < alpha <= 1.0):
-            raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
+    def __init__(self, c: float | None = None, s: float | None = None) -> None:
         if (c is None) != (s is None):
             raise ValueError(f"c and s must be set together, got c={c!r}, s={s!r}")
         if c is not None and not 0.0 < math.hypot(c, s) < math.inf:
@@ -118,7 +130,6 @@ class FilterState(_Frozen):
             if c == s == 0.0:
                 raise ValueError(f"c and s must not both be zero, got c={c!r}, s={s!r}")
             raise ValueError(f"c and s must have a finite length, got c={c!r}, s={s!r}")
-        _setattr(self, "alpha", alpha)
         _setattr(self, "c", c)
         _setattr(self, "s", s)
 
@@ -128,13 +139,11 @@ def _guidance_code(deviation_deg: float, threshold_deg: float) -> int:
     return (deviation_deg > threshold_deg) * 2 + (deviation_deg < -threshold_deg)
 
 
-def guidance(deviation_deg: float, threshold_deg: float = DEFAULT_GUIDANCE_THRESHOLD_DEG) -> Guidance:
-    """Classify a signed deviation against an alignment threshold."""
-    if not (math.isfinite(threshold_deg) and threshold_deg > 0.0):
-        raise ValueError(f"threshold_deg must be finite and positive, got {threshold_deg!r}")
+def guidance(deviation_deg: float, *, settings: PointerSettings = PointerSettings()) -> Guidance:
+    """Classify a signed deviation against the settings' alignment threshold."""
     if not math.isfinite(deviation_deg):
         raise InvalidAngle(f"deviation must be finite, got {deviation_deg!r}")
-    return _GUIDANCES[_guidance_code(deviation_deg, threshold_deg)]
+    return _GUIDANCES[_guidance_code(deviation_deg, settings.threshold_deg)]
 
 
 def _level_heading(ax: float, ay: float, az: float, mx: float, my: float, mz: float,
@@ -173,9 +182,9 @@ def _ema(c: float | None, s: float | None, alpha: float, h: float) -> tuple[floa
 
 
 def _run(rows: Iterable[Sequence[float]], qibla: float, cal: CalibrationState, filt: FilterState,
-         decl: DeclinationDeg | float, threshold_deg: float) -> tuple[float | None, float | None, list[tuple]]:
+         decl: DeclinationDeg | float, settings: PointerSettings) -> tuple[float | None, float | None, list[tuple]]:
     """Take sample rows (t_ms, ax, ay, az, mx, my, mz) of floats through the
-    pointer, in order, from the filter state `filt`.
+    pointer, in order, from the filter state `filt`, with `settings`.
 
     Returns the filter vector (c, s) after them and one `ENTRY` row per
     sample that has output: a dynamic sample re-emits the heading the
@@ -183,9 +192,8 @@ def _run(rows: Iterable[Sequence[float]], qibla: float, cal: CalibrationState, f
     DeclinationDeg is built as one, so one out of its range raises
     InvalidAngle naming the declination.
     """
-    guidance(0.0, threshold_deg)  # checks the threshold once
     decl = float(decl if isinstance(decl, DeclinationDeg) else DeclinationDeg(decl))  # a built one holds its rule
-    alpha, hard_iron, calibrated = filt.alpha, cal.hard_iron, cal.converged
+    alpha, threshold_deg, hard_iron, calibrated = settings.alpha, settings.threshold_deg, cal.hard_iron, cal.converged
     c, s = filt.c, filt.s
     out = []
     for t, ax, ay, az, mx, my, mz in rows:
@@ -338,16 +346,18 @@ def calibrate(samples: Sequence[SensorSample]) -> CalibrationState:
     return CalibrationState(hard_iron, n, max(360.0 - max_gap, 0.0))
 
 
-def filter_heading(state: FilterState, new_heading: AzimuthDeg) -> tuple[FilterState, AzimuthDeg]:
+def filter_heading(state: FilterState, new_heading: AzimuthDeg, *,
+                   settings: PointerSettings = PointerSettings()) -> tuple[FilterState, AzimuthDeg]:
     """Circular exponential moving average on the unit-vector embedding.
 
+    With alpha the settings' smoothing factor,
     (c, s) <- normalize((1 - alpha)*(c, s) + alpha*(cos h, sin h)); the
     returned heading is the angle of (c, s). The first heading initializes
     the state and passes through unchanged, as does every heading at
     alpha 1.
     """
-    c, s, filtered = _ema(state.c, state.s, state.alpha, AzimuthDeg(new_heading))
-    return FilterState(state.alpha, c, s), AzimuthDeg(filtered)
+    c, s, filtered = _ema(state.c, state.s, settings.alpha, AzimuthDeg(new_heading))
+    return FilterState(c, s), AzimuthDeg(filtered)
 
 
 def process(
@@ -357,7 +367,7 @@ def process(
     filt: FilterState,
     decl: DeclinationDeg = DeclinationDeg(0.0),
     *,
-    threshold_deg: float = DEFAULT_GUIDANCE_THRESHOLD_DEG,
+    settings: PointerSettings = PointerSettings(),
 ) -> tuple[FilterState, QiblaPointerState]:
     """Run one sample through the full pointer pipeline.
 
@@ -369,11 +379,11 @@ def process(
     nothing to emit and DynamicSample propagates.
     """
     qibla = _qibla(user)
-    c, s, out = _run((SAMPLE.row(sample),), float(qibla), cal, filt, decl, threshold_deg)
+    c, s, out = _run((SAMPLE.row(sample),), float(qibla), cal, filt, decl, settings)
     if not out:
         _require_static(sample)  # raises: there is no heading to carry forward yet
     state = _entry(out[0])[1]  # first, so a heading that is not finite raises InvalidAngle, not FilterState's ValueError
-    return FilterState(filt.alpha, c, s), state
+    return FilterState(c, s), state
 
 
 def run_block(
@@ -383,7 +393,7 @@ def run_block(
     filt: FilterState,
     decl: DeclinationDeg = DeclinationDeg(0.0),
     *,
-    threshold_deg: float = DEFAULT_GUIDANCE_THRESHOLD_DEG,
+    settings: PointerSettings = PointerSettings(),
 ) -> tuple[FilterState, RecordView]:
     """Process a block of samples in order, from the filter state `filt`.
 
@@ -394,15 +404,15 @@ def run_block(
     holds no heading, dynamic samples before the first usable one produce
     no output (there is no heading to carry forward yet). The qibla bearing
     is computed once, so a user at the Kaaba or its antipode raises even
-    for an empty block; threshold_deg and decl are checked once too. A
+    for an empty block; decl is checked once too. A
     heading that is not finite raises InvalidAngle, as it does in `process`.
     """
     rows = SAMPLE.tuples(SAMPLE.rows_of(samples).tolist())
-    c, s, out = _run(rows, float(_qibla(user)), cal, filt, decl, threshold_deg)
+    c, s, out = _run(rows, float(_qibla(user)), cal, filt, decl, settings)
     entries = float_array(list(chain.from_iterable(out)))
     if not all_finite(entries):  # a levelled heading is nan, as atan2 gives no infinity
         raise InvalidAngle("azimuth must be finite, got nan")
-    return FilterState(filt.alpha, c, s), RecordView(ENTRY, entries)
+    return FilterState(c, s), RecordView(ENTRY, entries)
 
 
 def run_trace(
@@ -411,8 +421,7 @@ def run_trace(
     cal: CalibrationState,
     decl: DeclinationDeg = DeclinationDeg(0.0),
     *,
-    alpha: float = DEFAULT_ALPHA,
-    threshold_deg: float = DEFAULT_GUIDANCE_THRESHOLD_DEG,
+    settings: PointerSettings = PointerSettings(),
 ) -> RecordView:
     """Process every sample in order, threading the filter state through:
     `run_block` on the whole trace, from the empty filter state.
@@ -420,8 +429,8 @@ def run_trace(
     Returns a read-only sequence of (t_ms, state) pairs, the same ones
     `process` gives sample by sample. The qibla bearing is computed once,
     so a user at the Kaaba or its antipode raises even for an empty trace;
-    alpha, threshold_deg and decl are checked once too. Dynamic samples before
+    decl is checked once too. Dynamic samples before
     the first usable one produce no output (there is no heading to carry
     forward yet).
     """
-    return run_block(samples, user, cal, FilterState(alpha=alpha), decl, threshold_deg=threshold_deg)[1]
+    return run_block(samples, user, cal, FilterState(), decl, settings=settings)[1]

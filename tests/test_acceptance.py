@@ -12,6 +12,7 @@ from qiblanav import (
     FilterState,
     GeoCoordinate,
     MagneticField,
+    PointerSettings,
     Scenario,
     TraceFile,
     calibrate,
@@ -176,20 +177,20 @@ def test_criterion_6_calibration_recovery_under_noise():
 
 def test_criterion_7_filter_properties():
     # fixed point: constant input converges to itself
-    state = FilterState(alpha=0.15)
+    state = FilterState()
     out = None
     for _ in range(150):
         state, out = filter_heading(state, 210.5)
     assert circular_abs_diff(float(out), 210.5) < 1e-9
 
     # passthrough at alpha = 1
-    state = FilterState(alpha=1.0)
+    state = FilterState()
     for h in (0.0, 359.999, 123.456, 42.0):
-        state, out = filter_heading(state, h)
+        state, out = filter_heading(state, h, settings=PointerSettings(alpha=1.0))
         assert float(out) == h
 
     # wrap-safe step: 350 -> 10 converges without transiting 180
-    state, _ = filter_heading(FilterState(alpha=0.15), 350.0)
+    state, _ = filter_heading(FilterState(), 350.0)
     prev_dist = circular_abs_diff(350.0, 10.0)
     for _ in range(300):
         state, out = filter_heading(state, 10.0)

@@ -20,8 +20,8 @@ from hypothesis import given, strategies as st
 import qiblanav
 from conftest import DATA_DIR
 from qiblanav import (AzimuthDeg, CalibrationState, CityRecord, DeclinationGrid, FilterState, GeoCoordinate, Guidance,
-                      MagneticField, QiblaPointerState, Scenario, SensorSample, TraceFile, TruthRecord, load_scenario,
-                      simulate, write_trace)
+                      MagneticField, PointerSettings, QiblaPointerState, Scenario, SensorSample, TraceFile, TruthRecord,
+                      load_scenario, simulate, write_trace)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CITIES = str(DATA_DIR / "cities.csv")
@@ -119,16 +119,17 @@ def test_grid_query_by_coordinates_does_not_load_csv():
 STREAM = """
 import json, sys
 before = set(sys.modules)
-from qiblanav import (CalibrationState, DeclinationDeg, FilterState, GeoCoordinate, Guidance, SensorSample,
-                      filter_heading, guidance, process, tilt_compensated_heading)
+from qiblanav import (CalibrationState, DeclinationDeg, FilterState, GeoCoordinate, Guidance, PointerSettings,
+                      SensorSample, filter_heading, guidance, process, tilt_compensated_heading)
 user, cal = GeoCoordinate(-6.9147, 107.6098), CalibrationState((25.0, -18.0, 9.0), 400, 360.0)
 static = SensorSample(0.0, (0.0, 0.0, -9.81), (40.0, 5.0, -20.0))
 dynamic = SensorSample(20.0, (0.0, 0.0, -30.0), (40.0, 5.0, -20.0))
 filt, first = process(static, user, cal, FilterState(), DeclinationDeg(0.8))
 filt, second = process(dynamic, user, cal, filt, DeclinationDeg(0.8))
 assert not first.dynamic and second.dynamic and second.true_heading == first.true_heading
-_, heading = filter_heading(FilterState(alpha=0.5), tilt_compensated_heading(static, cal))
-assert isinstance(guidance(float(heading) - 180.0), Guidance)
+settings = PointerSettings(alpha=0.5, threshold_deg=5.0)
+_, heading = filter_heading(FilterState(), tilt_compensated_heading(static, cal), settings=settings)
+assert isinstance(guidance(float(heading) - 180.0, settings=settings), Guidance)
 print(json.dumps("numpy" in sys.modules))
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
@@ -237,7 +238,7 @@ VALUES = [
      "CityRecord(name='Bandung', location=GeoCoordinate(latitude_deg=-6.9147, longitude_deg=107.6098))"),
     (CalibrationState, {"hard_iron": (25.0, -18.0, 9.0), "samples_used": 400, "coverage_deg": 360.0},
      "CalibrationState(hard_iron=(25.0, -18.0, 9.0), samples_used=400, coverage_deg=360.0)"),
-    (FilterState, {"alpha": 0.5, "c": 1.0, "s": -0.0}, "FilterState(alpha=0.5, c=1.0, s=-0.0)"),
+    (FilterState, {"c": 1.0, "s": -0.0}, "FilterState(c=1.0, s=-0.0)"),
     (QiblaPointerState, {"magnetic_heading": AzimuthDeg(10.0), "true_heading": AzimuthDeg(10.8),
                          "qibla": AzimuthDeg(295.1), "deviation_deg": -75.7, "guidance": Guidance.TURN_LEFT,
                          "calibrated": True, "dynamic": False},
@@ -253,6 +254,7 @@ VALUES = [
      "pitch_deg=((0.0, 15.0),), roll_deg=((0.0, -10.0),), "
      "field=MagneticField(horizontal_ut=40.0, inclination_deg=-30.0, declination_deg=0.8), "
      "hard_iron_ut=(25.0, -18.0, 9.0), noise_sigma_mag_ut=2.0, noise_sigma_accel_ms2=0.05, rng_seed=7)"),
+    (PointerSettings, {"alpha": 0.5, "threshold_deg": 5.0}, "PointerSettings(alpha=0.5, threshold_deg=5.0)"),
 ]
 
 
@@ -349,10 +351,11 @@ def test_a_scenario_simulates_the_knots_it_checked():
     assert trace.truth.values.tobytes() == expected.truth.values.tobytes()
 
 
-# A record or a pipeline state refuses a field it cannot hold (a number that
-# is not finite, a vector that is not three components or, for the filter,
-# zero or longer than the largest float, a count or an angle out of its
-# range), naming the field and the value.
+# A record, a pipeline state or the pointer's settings refuse a field they
+# cannot hold (a number that is not finite, a vector that is not three
+# components or, for the filter, zero or longer than the largest float, a
+# count, an angle or a knob out of its range), naming the field and the value.
+# Settings with both knobs out of range name alpha.
 REFUSALS = [
     (lambda: SensorSample(math.nan, (0.0, 0.0, 9.8), (1.0, 2.0, 3.0)), "t_ms must be finite, got nan"),
     (lambda: SensorSample(0.0, (0.0, 9.8), (1.0, 2.0, 3.0)), "accel must be three finite components, got (0.0, 9.8)"),
@@ -370,10 +373,16 @@ REFUSALS = [
     (lambda: CalibrationState(coverage_deg=math.nan), "coverage_deg must be finite and in [0, 360], got nan"),
     (lambda: CalibrationState(coverage_deg=360.5), "coverage_deg must be finite and in [0, 360], got 360.5"),
     (lambda: CalibrationState(coverage_deg=-math.inf), "coverage_deg must be finite and in [0, 360], got -inf"),
-    (lambda: FilterState(0.5, math.nan, math.nan), "c and s must be finite, got c=nan, s=nan"),
-    (lambda: FilterState(0.5, 1.0, math.inf), "c and s must be finite, got c=1.0, s=inf"),
-    (lambda: FilterState(0.5, 0.0, -0.0), "c and s must not both be zero, got c=0.0, s=-0.0"),
-    (lambda: FilterState(0.5, 1.5e308, -1.5e308), "c and s must have a finite length, got c=1.5e+308, s=-1.5e+308"),
+    (lambda: FilterState(math.nan, math.nan), "c and s must be finite, got c=nan, s=nan"),
+    (lambda: FilterState(1.0, math.inf), "c and s must be finite, got c=1.0, s=inf"),
+    (lambda: FilterState(0.0, -0.0), "c and s must not both be zero, got c=0.0, s=-0.0"),
+    (lambda: FilterState(1.5e308, -1.5e308), "c and s must have a finite length, got c=1.5e+308, s=-1.5e+308"),
+    *((lambda alpha=alpha: PointerSettings(alpha=alpha), f"alpha must be in (0, 1], got {alpha!r}")
+      for alpha in (0.0, -0.0, 1.5, math.nan, math.inf)),
+    *((lambda threshold=threshold: PointerSettings(threshold_deg=threshold),
+       f"threshold_deg must be finite and positive, got {threshold!r}")
+      for threshold in (0.0, -1.0, math.nan, math.inf)),
+    (lambda: PointerSettings(math.nan, -1.0), "alpha must be in (0, 1], got nan"),
     (lambda: QiblaPointerState(1.0, math.nan, 3.0, 1.0, Guidance.ALIGNED, True), "azimuth must be finite, got nan"),
     (lambda: QiblaPointerState(1.0, 2.0, 3.0, math.inf, Guidance.ALIGNED, True), "deviation must be finite, got inf"),
     (lambda: QiblaPointerState(1.0, 2.0, 3.0, 1.0, "aligned", True), "guidance must be a Guidance member, got 'aligned'"),
@@ -395,7 +404,7 @@ def test_records_name_what_they_refuse(build, message):
 
 
 def test_every_public_name_is_its_module_attribute():
-    assert len(qiblanav.__all__) == 47
+    assert len(qiblanav.__all__) == 46
     assert qiblanav.__all__ == sorted(set(qiblanav.__all__))
     for name in qiblanav.__all__:
         module = importlib.import_module(f"qiblanav.{qiblanav._MODULE_OF[name]}")

@@ -256,10 +256,10 @@ KEPT_ENTRY_ROWS = st.tuples(FINITE, KEPT_HEADINGS, KEPT_HEADINGS, KEPT_HEADINGS,
 
 
 # One field of an ENTRY row and a value at or past the edge of what a view
-# hands out as it is. A view checks no time, so the time is not among them.
-EDGES = [(1, 360.0), (1, -1e-300), (1, 400.0), (2, 360.0), (2, math.nan), (3, 360.0), (3, -5e-324),
-         (4, -180.0), (4, 180.5), (4, 500.0), (4, math.inf), (5, 3.0), (5, -1.0), (5, 0.5),
-         (6, 0.5), (6, 7.0), (7, -1.0), (7, 0.5)]
+# hands out as it is.
+EDGES = [(0, math.inf), (0, -math.inf), (0, math.nan), (1, 360.0), (1, -1e-300), (1, 400.0), (2, 360.0),
+         (2, math.nan), (3, 360.0), (3, -5e-324), (4, -180.0), (4, 180.5), (4, 500.0), (4, math.inf), (5, 3.0),
+         (5, -1.0), (5, 0.5), (6, 0.5), (6, 7.0), (7, -1.0), (7, 0.5)]
 
 
 @pytest.mark.parametrize("edge", [None, *EDGES], ids=str)

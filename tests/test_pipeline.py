@@ -13,6 +13,7 @@ from qiblanav import (
     GeoCoordinate,
     Guidance,
     MagneticField,
+    PointerSettings,
     QiblaPointerState,
     Scenario,
     SensorSample,
@@ -134,12 +135,22 @@ class TestGuidance:
          (15.0, Guidance.TURN_RIGHT), (-15.0, Guidance.TURN_LEFT)],
     )
     def test_examples(self, deviation, expected):
-        assert guidance(deviation, 2.0) is expected
+        assert guidance(deviation) is expected
+        assert guidance(deviation, settings=PointerSettings(threshold_deg=2.0)) is expected
 
-    def test_threshold_must_be_positive(self):
-        for threshold in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                guidance(0.0, threshold)
+    def test_the_settings_threshold_classifies_every_path(self):
+        """guidance, process, run_block and run_trace each classify by the
+        threshold of the settings they are given."""
+        sample, _ = one_sample(heading=float(qibla_azimuth(BANDUNG)) - 10.0)
+        cal, filt = CalibrationState(), FilterState()
+        deviation = process(sample, BANDUNG, cal, filt)[1].deviation_deg
+        assert 5.0 < deviation < 15.0
+        for threshold, expected in ((deviation - 1.0, Guidance.TURN_RIGHT), (deviation + 1.0, Guidance.ALIGNED)):
+            settings = PointerSettings(threshold_deg=threshold)
+            assert guidance(deviation, settings=settings) is expected
+            assert process(sample, BANDUNG, cal, filt, settings=settings)[1].guidance is expected
+            assert run_block([sample], BANDUNG, cal, filt, settings=settings)[1][0][1].guidance is expected
+            assert run_trace([sample], BANDUNG, cal, settings=settings)[0][1].guidance is expected
 
     @pytest.mark.parametrize("deviation", [math.nan, math.inf, -math.inf])
     def test_non_finite_deviation_refused(self, deviation):
@@ -376,34 +387,35 @@ class TestCalibrate:
 
 class TestFilterHeading:
     def test_first_sample_passes_through(self):
-        state, out = filter_heading(FilterState(alpha=0.15), 123.456)
+        state, out = filter_heading(FilterState(), 123.456)
         assert float(out) == 123.456
 
     def test_fixed_point(self):
-        state = FilterState(alpha=0.15)
+        state = FilterState()
         for _ in range(100):
             state, out = filter_heading(state, 77.25)
         assert circular_abs_diff(float(out), 77.25) < 1e-9
 
     def test_state_vector_stays_unit_length(self):
-        state = FilterState(alpha=0.3)
+        state, settings = FilterState(), PointerSettings(alpha=0.3)
         for h in (10.0, 200.0, 350.0, 90.0, 180.0):
-            state, _ = filter_heading(state, h)
+            state, _ = filter_heading(state, h, settings=settings)
             assert math.hypot(state.c, state.s) == pytest.approx(1.0, abs=1e-15)
 
     def test_alpha_one_passthrough_exact(self):
-        state = FilterState(alpha=1.0)
+        state = FilterState()
         for h in (0.0, 10.0, 123.456789, 359.999, 271.5):
-            state, out = filter_heading(state, h)
+            state, out = filter_heading(state, h, settings=PointerSettings(alpha=1.0))
             assert float(out) == h
 
     def test_step_response_matches_literal_recursion(self):
-        alpha = 0.15
-        state, _ = filter_heading(FilterState(alpha=alpha), 0.0)
+        alpha = 0.3
+        settings = PointerSettings(alpha=alpha)
+        state, _ = filter_heading(FilterState(), 0.0, settings=settings)
         c, s = 1.0, 0.0  # unit vector at 0 deg
         target = math.radians(90.0)
         for _ in range(50):
-            state, out = filter_heading(state, 90.0)
+            state, out = filter_heading(state, 90.0, settings=settings)
             c = (1 - alpha) * c + alpha * math.cos(target)
             s = (1 - alpha) * s + alpha * math.sin(target)
             norm = math.hypot(c, s)
@@ -413,13 +425,14 @@ class TestFilterHeading:
 
     @pytest.mark.parametrize("start", [20.0, 45.0, 90.0])
     def test_contraction_bound(self, start):
-        alpha = 0.15
+        alpha = 0.3
+        settings = PointerSettings(alpha=alpha)
         bound = math.ceil(math.log(1e-8) / math.log(1.0 - alpha))
-        state, _ = filter_heading(FilterState(alpha=alpha), start)
+        state, _ = filter_heading(FilterState(), start, settings=settings)
         prev = start
         steps = 0
         while circular_abs_diff(prev, 0.0) > 1e-6:
-            state, out = filter_heading(state, 0.0)
+            state, out = filter_heading(state, 0.0, settings=settings)
             dist = circular_abs_diff(float(out), 0.0)
             assert dist < circular_abs_diff(prev, 0.0)  # monotone decrease
             prev = float(out)
@@ -427,7 +440,7 @@ class TestFilterHeading:
             assert steps <= bound
 
     def test_wrap_safe_step_350_to_10(self):
-        state, _ = filter_heading(FilterState(alpha=0.15), 350.0)
+        state, _ = filter_heading(FilterState(), 350.0)
         for _ in range(200):
             state, out = filter_heading(state, 10.0)
             # stays on the short arc between 350 and 10, never near 180
@@ -437,7 +450,7 @@ class TestFilterHeading:
     @pytest.mark.parametrize("h", [0.0, 30.0, 123.456])
     def test_exactly_antipodal_update_restarts_at_the_input(self, h):
         uc, us = math.cos(math.radians(h)), math.sin(math.radians(h))
-        state, out = filter_heading(FilterState(0.5, -uc, -us), h)
+        state, out = filter_heading(FilterState(-uc, -us), h, settings=PointerSettings(alpha=0.5))
         assert (state.c, state.s) == (uc, us)
         assert float(out) == pytest.approx(h, abs=1e-12)
 
@@ -445,17 +458,11 @@ class TestFilterHeading:
         sample, _ = one_sample(heading=123.456, pitch=10.0, roll=-5.0)
         cal = CalibrationState()
         h = math.radians(tilt_compensated_heading(sample, cal))
-        filt = FilterState(0.5, -math.cos(h), -math.sin(h))
-        want = process(sample, BANDUNG, cal, filt)
-        assert want[0] == FilterState(0.5, math.cos(h), math.sin(h))
-        state, entries = run_block([sample], BANDUNG, cal, filt)
+        filt, settings = FilterState(-math.cos(h), -math.sin(h)), PointerSettings(alpha=0.5)
+        want = process(sample, BANDUNG, cal, filt, settings=settings)
+        assert want[0] == FilterState(math.cos(h), math.sin(h))
+        state, entries = run_block([sample], BANDUNG, cal, filt, settings=settings)
         assert (state, list(entries)) == (want[0], [(sample.t_ms, want[1])])
-
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            FilterState(alpha=0.0)
-        with pytest.raises(ValueError):
-            FilterState(alpha=1.5)
 
     def test_half_set_vector_refused(self):
         for half in ({"c": 1.0}, {"s": 0.0}):
@@ -612,23 +619,24 @@ def check_fold(samples, hard_iron, decl, alpha, threshold, cuts, start):
         first = next((sample for sample in samples if sample.usable_for_tilt), None)
         h = math.radians(tilt_compensated_heading(first, cal)) if first else 0.0
         alpha, start = 0.5, (-math.cos(h), -math.sin(h))
-    filt = begin = FilterState(alpha, *(start or (None, None)))
+    settings = PointerSettings(alpha, threshold)
+    filt = begin = FilterState(*(start or (None, None)))
     expected = []
     for sample in samples:
         try:
-            filt, state = process(sample, BANDUNG, cal, filt, DeclinationDeg(decl), threshold_deg=threshold)
+            filt, state = process(sample, BANDUNG, cal, filt, DeclinationDeg(decl), settings=settings)
         except DynamicSample:
             continue
         expected.append((sample.t_ms, state))
     chunked, state = [], begin
     bounds = [0, *sorted(cuts), len(samples)]
     for a, b in zip(bounds, bounds[1:]):  # blocks, empty ones among them
-        state, entries = run_block(samples[a:b], BANDUNG, cal, state, DeclinationDeg(decl), threshold_deg=threshold)
+        state, entries = run_block(samples[a:b], BANDUNG, cal, state, DeclinationDeg(decl), settings=settings)
         chunked += entries
     assert state == filt
     assert chunked == expected
     if start is None:
-        assert run_trace(samples, BANDUNG, cal, DeclinationDeg(decl), alpha=alpha, threshold_deg=threshold) == expected
+        assert run_trace(samples, BANDUNG, cal, DeclinationDeg(decl), settings=settings) == expected
 
 
 @pytest.mark.filterwarnings("error")
@@ -656,7 +664,7 @@ def test_a_heading_that_is_not_finite_raises_before_a_filter_state_is_built(monk
         built.append(fields)
         return FilterState(*fields)
 
-    starts = (FilterState(), FilterState(0.5, 1.0, 0.0))
+    starts = (FilterState(), FilterState(1.0, 0.0))
     monkeypatch.setattr("qiblanav.pipeline.FilterState", recording)
     cal = CalibrationState((-1e308,) * 3)
     sample = SensorSample(0.0, (0.0, 0.0, -9.81), (1e308,) * 3)
@@ -713,13 +721,13 @@ def test_a_float_declination_runs_as_its_declination_deg(readings, decl):
 def test_process_returns_a_state_that_filter_state_accepts(readings, hard_iron, alpha, start):
     """Each filter state process returns passes FilterState's checks, which
     it is built through, and equals the FilterState its fields construct."""
-    filt = FilterState(alpha, *(start or (None, None)))
+    filt, settings = FilterState(*(start or (None, None))), PointerSettings(alpha)
     for sample in as_samples(readings):
         try:
-            filt, _ = process(sample, BANDUNG, CalibrationState(hard_iron), filt)
+            filt, _ = process(sample, BANDUNG, CalibrationState(hard_iron), filt, settings=settings)
         except DynamicSample:
             continue
-        assert filt == FilterState(filt.alpha, filt.c, filt.s)
+        assert filt == FilterState(filt.c, filt.s)
 
 
 @given(lat=st.sampled_from([0.0, -0.0]) | st.floats(-90.0, 90.0),

@@ -83,7 +83,7 @@ def test_simulate_exits_2_saying_it_needs_numpy(bare, tmp_path):
     done = run_bare(bare, "-m", "qiblanav.cli", "simulate", "--scenario", str(DATA_DIR / "scenario_example.txt"),
                     "--out", "trace.txt", cwd=tmp_path)
     assert (done.returncode, done.stdout) == (2, b"")
-    assert done.stderr == b"error: simulate needs numpy, which is not installed: pip install numpy\n"
+    assert done.stderr == b"error: simulate needs numpy, which is not installed: pip install 'qiblanav[simulate]'\n"
     assert list(tmp_path.iterdir()) == []
 
 
