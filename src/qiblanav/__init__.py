@@ -2,10 +2,17 @@
 compass pipeline verified against a deterministic sensor simulator.
 
 Every public name is looked up on first use (PEP 562), so `import qiblanav`
-loads no submodule. numpy loads only with the names of `simulator`
-(`simulate`, `generate`, the scenario types and readers); every other
-name, the trace and report functions, `calibrate`, `run_trace` and the
-one-sample pipeline's `process` among them, works without it.
+loads no submodule, and a name loads only the module `_MODULE_OF` names for
+it: `geodesy` holds the coordinates, bearings and distances; `declination`
+the grid and the magnetic-to-true conversion; `columns` the records of a
+trace and of the pointer (`SensorSample`, `TruthRecord`, `TraceFile`,
+`QiblaPointerState`, `Guidance`) and `G`; `records` the city file
+(`CityRecord`, `load_cities`); `pipeline` the calibration, the filter and
+the pointer; `dataio` the trace and report files; and `simulator` the
+scenarios and the simulated traces. numpy loads only with the names of
+`simulator` (`simulate`, `generate`, the scenario types and readers); every
+other name, the trace and report functions, `calibrate`, `run_trace` and
+the one-sample pipeline's `process` among them, works without it.
 """
 
 import importlib
@@ -21,7 +28,7 @@ _MODULE_OF = {
     "DistanceKm": "geodesy",
     "EARTH_RADIUS_KM": "geodesy",
     "FilterState": "pipeline",
-    "G": "records",
+    "G": "columns",
     "GeoCoordinate": "geodesy",
     "Guidance": "columns",
     "KAABA": "geodesy",
@@ -29,9 +36,9 @@ _MODULE_OF = {
     "PointerSettings": "pipeline",
     "QiblaPointerState": "columns",
     "Scenario": "simulator",
-    "SensorSample": "records",
-    "TraceFile": "records",
-    "TruthRecord": "records",
+    "SensorSample": "columns",
+    "TraceFile": "columns",
+    "TruthRecord": "columns",
     "angular_separation": "geodesy",
     "calibrate": "pipeline",
     "circular_diff": "geodesy",

@@ -1,22 +1,29 @@
-"""The columnar core: a stream of records held in bulk, as one flat
-float64 buffer of their rows, one after another.
+"""The records of a trace and of the pipeline, and the columnar core that
+holds a stream of them in bulk, as one flat float64 buffer of their rows,
+one after another.
 
 A `Layout` says how a kind of record lies in a row: a sample row (`SAMPLE`)
 is t_ms, accel and mag (7 values), a truth row (`TRUTH`) is t_ms, true
 heading, pitch and roll (4 values), and a pipeline entry row (`ENTRY`) is
 t_ms, the three headings, deviation, guidance code and the two flags (8
-values). Each layout lives here with the record it builds, so the
-pipeline that makes a `QiblaPointerState` and the report that writes it
-need not import each other, and only this module decodes an ENTRY row's
-guidance code and flags or states its ranges. A batch stage reaches the
-rows only through `Layout.rows_of`, which takes any sequence of records; a
-`RecordView` is such a sequence, a read-only one that builds each record
-on demand from its row. The buffer is the standard library's, an
-`array('d')` or a memoryview, so no stage needs numpy: only `simulate`
-makes one over a numpy array. A caller that wants the rows as an array
-makes one itself: `np.frombuffer(view.values).reshape(-1, view.layout.width)`.
+values). Each layout lives here with the record it builds: `SensorSample`
+(with `G` and the static band that says whether a sample can be levelled),
+`TruthRecord` and `QiblaPointerState`; `TraceFile` holds a sample stream
+and its truth. So a record's fields, checks and row order are stated in
+one module, the pipeline that makes a `QiblaPointerState` and the report
+that writes it need not import each other, and only this module encodes
+and decodes an ENTRY row's guidance code and flags or states a deviation's
+range. A batch stage reaches the rows only through `Layout.rows_of`, which
+takes any sequence of records; a `RecordView` is such a sequence, a
+read-only one that builds each record on demand from its row. The buffer
+is the standard library's, an `array('d')` or a memoryview, so no stage
+needs numpy: only `simulate` makes one over a numpy array. A caller that
+wants the rows as an array makes one itself:
+`np.frombuffer(view.values).reshape(-1, view.layout.width)`.
 
-The query commands never import this module.
+This module imports only `errors` and `geodesy`, not the text reader of
+`records`, so the one-sample pointer loads no file code. The query
+commands never import it.
 """
 
 from __future__ import annotations
@@ -25,14 +32,13 @@ import math
 import operator
 import struct
 from array import array
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, MutableSequence, Sequence
 from enum import Enum
 from itertools import chain
 from typing import Any
 
 from .errors import InvalidAngle
 from .geodesy import AzimuthDeg, _Frozen
-from .records import SensorSample, TruthRecord, _setattr
 
 
 def float_array(values: list[float]) -> array:
@@ -117,16 +123,101 @@ class RecordView(Sequence):
         return f"RecordView({list(self)!r})"
 
 
+G = 9.81  # m/s^2
+
+# Accelerometer magnitude band for a sample to be usable for tilt.
+STATIC_ACCEL_BAND = (0.5 * G, 1.5 * G)
+
+# A view builds a SensorSample, a TruthRecord or a pipeline entry per row,
+# and `pipeline.process` a FilterState and an entry per sample, each
+# through its checking `__init__`, so these set their fields with a call
+# each rather than through the loop in `_set`.
+_setattr = object.__setattr__
+
+
+class SensorSample(_Frozen):
+    """One timestamped accelerometer + magnetometer reading, body frame.
+
+    accel is specific force in m/s^2, mag is microtesla, each held as a
+    tuple. All components must be finite; timestamps within a trace are
+    monotone nondecreasing (enforced by the trace reader/writer, not here).
+    """
+
+    __slots__ = ("t_ms", "accel", "mag")
+
+    def __init__(self, t_ms: float, accel: tuple[float, float, float], mag: tuple[float, float, float]) -> None:
+        accel, mag = tuple(accel), tuple(mag)
+        if not math.isfinite(t_ms):
+            raise ValueError(f"t_ms must be finite, got {t_ms!r}")
+        for name, vec in (("accel", accel), ("mag", mag)):
+            if len(vec) != 3 or not all(map(math.isfinite, vec)):
+                raise ValueError(f"{name} must be three finite components, got {vec!r}")
+        _setattr(self, "t_ms", t_ms)
+        _setattr(self, "accel", accel)
+        _setattr(self, "mag", mag)
+
+    @property
+    def usable_for_tilt(self) -> bool:
+        """True when the accelerometer magnitude is inside the static band."""
+        return in_static_band(math.hypot(*self.accel))
+
+
+def in_static_band(norm: float) -> bool:
+    """Whether an accelerometer magnitude lies inside the static band."""
+    lo, hi = STATIC_ACCEL_BAND
+    return (lo < norm) & (norm < hi)
+
+
+class TruthRecord(_Frozen):
+    """Exact per-sample attitude truth, all fields finite."""
+
+    __slots__ = ("t_ms", "true_heading_deg", "pitch_deg", "roll_deg")
+
+    def __init__(self, t_ms: float, true_heading_deg: float, pitch_deg: float, roll_deg: float) -> None:
+        # Set before the check, which reads only the arguments: a refusal prints the record.
+        _setattr(self, "t_ms", t_ms)
+        _setattr(self, "true_heading_deg", true_heading_deg)
+        _setattr(self, "pitch_deg", pitch_deg)
+        _setattr(self, "roll_deg", roll_deg)
+        if not all(map(math.isfinite, (t_ms, true_heading_deg, pitch_deg, roll_deg))):
+            raise ValueError(f"truth record fields must be finite, got {self!r}")
+
+
+class TraceFile(_Frozen):
+    """Ordered sensor samples with a paired truth stream, empty when the
+    trace has none. `read_trace` and `simulate` give `RecordView`s.
+
+    A stream given as a tuple or another read-only sequence, such as a
+    view, is held as given (a view's tuple would build every record); one
+    given as a list or any other iterable is held as its tuple."""
+
+    __slots__ = ("samples", "truth")
+
+    def __init__(self, samples: Iterable[SensorSample], truth: Iterable[TruthRecord] = ()) -> None:
+        self._set(*(records if isinstance(records, Sequence) and not isinstance(records, MutableSequence)
+                    else tuple(records) for records in (samples, truth)))
+
+
 SAMPLE = Layout(7, lambda s: (s.t_ms, *s.accel, *s.mag),
                 lambda r: SensorSample(r[0], (r[1], r[2], r[3]), (r[4], r[5], r[6])))
-TRUTH = Layout(4, operator.attrgetter("t_ms", "true_heading_deg", "pitch_deg", "roll_deg"),
-               lambda r: TruthRecord(*r))
+TRUTH = Layout(4, TruthRecord._values, lambda r: TruthRecord(*r))
 
 
 class Guidance(str, Enum):
     ALIGNED = "aligned"
     TURN_LEFT = "turn_left"
     TURN_RIGHT = "turn_right"
+
+
+def checked_deviation(deviation_deg: float) -> float:
+    """A deviation as given, once it is finite and lies in (-180, 180]: the
+    one statement of that rule, which a state and `pipeline.guidance` both
+    apply. A deviation that breaks it raises InvalidAngle saying how."""
+    if not math.isfinite(deviation_deg):
+        raise InvalidAngle(f"deviation must be finite, got {deviation_deg!r}")
+    if not -180.0 < deviation_deg <= 180.0:
+        raise InvalidAngle(f"deviation must lie in (-180, 180], got {deviation_deg!r}")
+    return deviation_deg
 
 
 class QiblaPointerState(_Frozen):
@@ -152,21 +243,23 @@ class QiblaPointerState(_Frozen):
         _setattr(self, "magnetic_heading", AzimuthDeg(magnetic_heading))
         _setattr(self, "true_heading", AzimuthDeg(true_heading))
         _setattr(self, "qibla", AzimuthDeg(qibla))
-        if not math.isfinite(deviation_deg):
-            raise InvalidAngle(f"deviation must be finite, got {deviation_deg!r}")
-        if not -180.0 < deviation_deg <= 180.0:
-            raise InvalidAngle(f"deviation must lie in (-180, 180], got {deviation_deg!r}")
+        _setattr(self, "deviation_deg", checked_deviation(deviation_deg))
         if not isinstance(guidance, Guidance):
             raise ValueError(f"guidance must be a Guidance member, got {guidance!r}")
         if not (isinstance(calibrated, bool) and isinstance(dynamic, bool)):
             raise ValueError(f"calibrated and dynamic must be bools, got {calibrated!r} and {dynamic!r}")
-        _setattr(self, "deviation_deg", deviation_deg)
         _setattr(self, "guidance", guidance)
         _setattr(self, "calibrated", calibrated)
         _setattr(self, "dynamic", dynamic)
 
 
 _GUIDANCES = tuple(Guidance)  # definition order: aligned, turn_left, turn_right
+
+
+def _guidance_code(deviation_deg: float, threshold_deg: float) -> int:
+    """The index into _GUIDANCES of a deviation against a threshold: the
+    encoding of an ENTRY row's guidance, which `guidance_and_flags` decodes."""
+    return (deviation_deg > threshold_deg) * 2 + (deviation_deg < -threshold_deg)
 
 
 def _entry_row(entry: tuple[float, QiblaPointerState]) -> tuple:

@@ -49,15 +49,15 @@ from itertools import chain, repeat
 from operator import add, le
 from typing import Any
 
-from .columns import (ENTRY, SAMPLE, TRUTH, QiblaPointerState, RecordView, all_finite, entries_in_range, float_array,
-                      guidance_and_flags)
+from .columns import (ENTRY, SAMPLE, TRUTH, QiblaPointerState, RecordView, TraceFile, TruthRecord, all_finite,
+                      entries_in_range, float_array, guidance_and_flags)
 from .errors import EmptyReport, OutOfSpan, ParseError
 from .geodesy import AzimuthDeg, circular_diff, wrap_azimuth
 from . import records
 # perfbench/cliquery.py times `dataio.load_cities`; this re-import keeps that
 # name until the benchmark reads it from `records`.
 from .records import load_cities  # noqa: F401
-from .records import TraceFile, TruthRecord, finite_floats, read_body, read_line_blocks, read_text
+from .records import finite_floats, read_body, read_line_blocks, read_text
 
 TRACE_HEADER = "qtrace v1"
 REPORT_TAG = "qibla-pipeline v1"

@@ -111,9 +111,17 @@ def declination_at(grid: DeclinationGrid, where: GeoCoordinate) -> DeclinationDe
     return DeclinationDeg(val)
 
 
-def to_true_heading(magnetic: AzimuthDeg, decl: DeclinationDeg) -> AzimuthDeg:
-    """Apply east-positive declination: true = magnetic + declination."""
-    return AzimuthDeg(magnetic + decl)
+def as_declination(decl: DeclinationDeg | float) -> DeclinationDeg:
+    """`decl` held to DeclinationDeg's rule: a DeclinationDeg as given, since
+    it holds the rule, and any other float built as one, so one that is not
+    finite or exceeds 90 in magnitude raises InvalidAngle."""
+    return decl if isinstance(decl, DeclinationDeg) else DeclinationDeg(decl)
+
+
+def to_true_heading(magnetic: AzimuthDeg, decl: DeclinationDeg | float) -> AzimuthDeg:
+    """Apply east-positive declination: true = magnetic + declination. A
+    `decl` that is not a DeclinationDeg is built as one."""
+    return AzimuthDeg(magnetic + as_declination(decl))
 
 
 def parse_grid(text: str) -> DeclinationGrid:

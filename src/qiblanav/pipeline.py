@@ -52,12 +52,11 @@ from functools import lru_cache
 from itertools import chain, compress, repeat
 from operator import add, mul, sub
 
-from .columns import (ENTRY, SAMPLE, _GUIDANCES, Guidance, QiblaPointerState, RecordView, _entry, all_finite,
-                      float_array)
-from .declination import DeclinationDeg
+from .columns import (ENTRY, SAMPLE, _GUIDANCES, Guidance, QiblaPointerState, RecordView, SensorSample, _entry,
+                      _guidance_code, _setattr, all_finite, checked_deviation, float_array, in_static_band)
+from .declination import DeclinationDeg, as_declination
 from .errors import DegenerateSweep, DynamicSample, InsufficientData, InvalidAngle
 from .geodesy import AzimuthDeg, GeoCoordinate, _Frozen, qibla_azimuth, wrap_azimuth, wrap_signed
-from .records import SensorSample, _setattr, in_static_band
 
 # Convergence thresholds for a calibration sweep.
 MIN_CALIBRATION_SAMPLES = 200
@@ -134,16 +133,11 @@ class FilterState(_Frozen):
         _setattr(self, "s", s)
 
 
-def _guidance_code(deviation_deg: float, threshold_deg: float) -> int:
-    """Index into Guidance's members of a deviation."""
-    return (deviation_deg > threshold_deg) * 2 + (deviation_deg < -threshold_deg)
-
-
 def guidance(deviation_deg: float, *, settings: PointerSettings = PointerSettings()) -> Guidance:
-    """Classify a signed deviation against the settings' alignment threshold."""
-    if not math.isfinite(deviation_deg):
-        raise InvalidAngle(f"deviation must be finite, got {deviation_deg!r}")
-    return _GUIDANCES[_guidance_code(deviation_deg, settings.threshold_deg)]
+    """Classify a signed deviation against the settings' alignment threshold.
+    A deviation that is not finite or lies outside (-180, 180] raises
+    InvalidAngle, as a `QiblaPointerState` does."""
+    return _GUIDANCES[_guidance_code(checked_deviation(deviation_deg), settings.threshold_deg)]
 
 
 def _level_heading(ax: float, ay: float, az: float, mx: float, my: float, mz: float,
@@ -192,7 +186,7 @@ def _run(rows: Iterable[Sequence[float]], qibla: float, cal: CalibrationState, f
     DeclinationDeg is built as one, so one out of its range raises
     InvalidAngle naming the declination.
     """
-    decl = float(decl if isinstance(decl, DeclinationDeg) else DeclinationDeg(decl))  # a built one holds its rule
+    decl = float(as_declination(decl))
     alpha, threshold_deg, hard_iron, calibrated = settings.alpha, settings.threshold_deg, cal.hard_iron, cal.converged
     c, s = filt.c, filt.s
     out = []

@@ -1,11 +1,12 @@
-"""Record types shared by the pipeline, the simulator and the file formats,
-plus the one file reader every loader goes through and the one line reader
-(`read_body`, paired up line by line by `read_lines`) every versioned text
-format goes through.
+"""The one file reader every loader goes through (`read_line_blocks`,
+joined by `read_text`), the one line reader every versioned text format
+goes through (`read_body`, paired up line by line by `read_lines`), and
+the city file (`CityRecord`, `load_cities`). The records of a trace live
+in `columns`, beside their row layouts.
 
 This module imports only `errors` and `geodesy`, so every module above them
-may import it. Its records are `geodesy._Frozen` values; `columns` holds
-them in bulk.
+may import it; `columns`, at its rank, and `pipeline` do not, so the
+one-sample pointer never loads it.
 
 The file reader is the standard library's text layer: UTF-8 with Python's
 universal newlines, so a line ends at \\n, \\r\\n or a lone \\r and nowhere
@@ -30,89 +31,15 @@ import io
 import itertools
 import math
 import operator
-from collections.abc import Iterable, Iterator, MutableSequence, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import DuplicateCity, InvalidCoordinate, ParseError
 from .geodesy import GeoCoordinate, _Frozen
-
-G = 9.81  # m/s^2
-
-# Accelerometer magnitude band for a sample to be usable for tilt.
-STATIC_ACCEL_BAND = (0.5 * G, 1.5 * G)
 
 # The characters read_line_blocks reads, and read_body tokenizes, at a time.
 # Its tokens take about 9 times as many bytes: 64 Ki characters, about 800
 # trace lines, make 0.6 MB.
 BLOCK_CHARS = 1 << 16
-
-# A view (see `columns`) builds a SensorSample, a TruthRecord or a pipeline
-# entry per row, and `pipeline.process` a FilterState and an entry per
-# sample, each through its checking `__init__`, so these set their fields
-# with a call each rather than through the loop in `_set`.
-_setattr = object.__setattr__
-
-
-class SensorSample(_Frozen):
-    """One timestamped accelerometer + magnetometer reading, body frame.
-
-    accel is specific force in m/s^2, mag is microtesla, each held as a
-    tuple. All components must be finite; timestamps within a trace are
-    monotone nondecreasing (enforced by the trace reader/writer, not here).
-    """
-
-    __slots__ = ("t_ms", "accel", "mag")
-
-    def __init__(self, t_ms: float, accel: tuple[float, float, float], mag: tuple[float, float, float]) -> None:
-        accel, mag = tuple(accel), tuple(mag)
-        if not math.isfinite(t_ms):
-            raise ValueError(f"t_ms must be finite, got {t_ms!r}")
-        for name, vec in (("accel", accel), ("mag", mag)):
-            if len(vec) != 3 or not all(map(math.isfinite, vec)):
-                raise ValueError(f"{name} must be three finite components, got {vec!r}")
-        _setattr(self, "t_ms", t_ms)
-        _setattr(self, "accel", accel)
-        _setattr(self, "mag", mag)
-
-    @property
-    def usable_for_tilt(self) -> bool:
-        """True when the accelerometer magnitude is inside the static band."""
-        return in_static_band(math.hypot(*self.accel))
-
-
-def in_static_band(norm: float) -> bool:
-    """Whether an accelerometer magnitude lies inside the static band."""
-    lo, hi = STATIC_ACCEL_BAND
-    return (lo < norm) & (norm < hi)
-
-
-class TruthRecord(_Frozen):
-    """Exact per-sample attitude truth, all fields finite."""
-
-    __slots__ = ("t_ms", "true_heading_deg", "pitch_deg", "roll_deg")
-
-    def __init__(self, t_ms: float, true_heading_deg: float, pitch_deg: float, roll_deg: float) -> None:
-        # Set before the check, which reads only the arguments: a refusal prints the record.
-        _setattr(self, "t_ms", t_ms)
-        _setattr(self, "true_heading_deg", true_heading_deg)
-        _setattr(self, "pitch_deg", pitch_deg)
-        _setattr(self, "roll_deg", roll_deg)
-        if not all(map(math.isfinite, (t_ms, true_heading_deg, pitch_deg, roll_deg))):
-            raise ValueError(f"truth record fields must be finite, got {self!r}")
-
-
-class TraceFile(_Frozen):
-    """Ordered sensor samples with a paired truth stream, empty when the
-    trace has none. `read_trace` and `simulate` give `columns.RecordView`s.
-
-    A stream given as a tuple or another read-only sequence, such as a
-    view, is held as given (a view's tuple would build every record); one
-    given as a list or any other iterable is held as its tuple."""
-
-    __slots__ = ("samples", "truth")
-
-    def __init__(self, samples: Iterable[SensorSample], truth: Iterable[TruthRecord] = ()) -> None:
-        self._set(*(records if isinstance(records, Sequence) and not isinstance(records, MutableSequence)
-                    else tuple(records) for records in (samples, truth)))
 
 
 def finite_floats(

@@ -60,10 +60,10 @@ from typing import NoReturn
 
 import numpy as np
 
-from .columns import SAMPLE, TRUTH, RecordView
+from .columns import SAMPLE, TRUTH, G, RecordView, SensorSample, TraceFile, TruthRecord
 from .errors import ScenarioError
 from .geodesy import _Frozen
-from .records import G, SensorSample, TraceFile, TruthRecord, finite_floats, read_lines, read_text
+from .records import finite_floats, read_lines, read_text
 
 SCENARIO_HEADER = "scenario v1"
 

@@ -142,6 +142,9 @@ def test_one_sample_pipeline_never_loads_numpy():
     numpy_loaded, new_modules = map(json.loads, done.stdout.splitlines())
     assert numpy_loaded is False
     assert set(new_modules) & {"dataclasses", "inspect", "numpy"} == set()
+    assert {m for m in new_modules if m.startswith("qiblanav")} == {
+        "qiblanav", "qiblanav.errors", "qiblanav.geodesy", "qiblanav.columns", "qiblanav.declination",
+        "qiblanav.pipeline"}
 
 
 def test_trace_commands_do_not_load_dataclasses(tmp_path):

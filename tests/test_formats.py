@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from qiblanav import load_cities, load_grid, load_scenario, read_report, read_trace, records
 from qiblanav.errors import DuplicateCity, ParseError, ScenarioError
-from qiblanav.records import (SensorSample, TruthRecord, finite_floats, read_body, read_line_blocks, read_lines,
-                              read_text)
+from qiblanav.columns import SensorSample, TruthRecord
+from qiblanav.records import finite_floats, read_body, read_line_blocks, read_lines, read_text
 
 from cli_checks import run_cli
 from conftest import DATA_DIR

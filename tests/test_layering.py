@@ -5,14 +5,16 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qiblanav"
 
-# A module may import only modules of a lower rank. pipeline, simulator and
-# dataio share a rank, so none of them may import another: each stands on
-# the data layer below, and only cli composes them.
+# A module may import only modules of a lower rank. records and columns
+# share a rank, so neither imports the other: the text reader knows no
+# record of a trace, and the records and their rows need no file. pipeline,
+# simulator and dataio share a rank, so none of them may import another:
+# each stands on the data layer below, and only cli composes them.
 RANK = {
     "errors": 0,
     "geodesy": 1,
     "records": 2,
-    "columns": 3,
+    "columns": 2,
     "declination": 3,
     "pipeline": 4,
     "simulator": 4,
@@ -43,6 +45,12 @@ def test_imports_point_down():
     for name, rank in RANK.items():
         for target in package_imports(PACKAGE / f"{name}.py"):
             assert RANK[target] < rank, f"{name} imports {target}"
+
+
+def test_the_pointer_imports_no_file_reader():
+    """The one-sample pointer takes its records from `columns`, so it
+    never loads the text reader."""
+    assert "records" not in package_imports(PACKAGE / "pipeline.py")
 
 
 def refers_to_numpy(node: ast.AST) -> bool:

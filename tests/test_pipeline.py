@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from qiblanav import (
     run_trace,
     simulate,
     tilt_compensated_heading,
+    to_true_heading,
     write_trace,
 )
 from qiblanav.errors import (
@@ -156,6 +158,20 @@ class TestGuidance:
     def test_non_finite_deviation_refused(self, deviation):
         with pytest.raises(InvalidAngle, match=f"deviation must be finite, got {deviation!r}"):
             guidance(deviation)
+
+    @pytest.mark.parametrize("deviation", [-300.0, 500.0, -180.0, 180.5, 1e300])
+    def test_a_deviation_out_of_range_is_refused(self, deviation):
+        """Refused as a state refuses it, not classified: -300 degrees lies
+        60 clockwise, so it may not read as TURN_LEFT."""
+        message = re.escape(f"deviation must lie in (-180, 180], got {deviation!r}")
+        with pytest.raises(InvalidAngle, match=f"^{message}$"):
+            guidance(deviation)
+        with pytest.raises(InvalidAngle, match=f"^{message}$"):
+            QiblaPointerState(1.0, 2.0, 3.0, deviation, Guidance.ALIGNED, True)
+
+    def test_the_range_edges(self):
+        assert guidance(180.0) is Guidance.TURN_RIGHT
+        assert guidance(math.nextafter(-180.0, 0.0)) is Guidance.TURN_LEFT
 
 
 class TestQiblaPointerState:
@@ -678,16 +694,18 @@ def test_a_heading_that_is_not_finite_raises_before_a_filter_state_is_built(monk
     assert built == []
 
 
-@pytest.mark.parametrize("decl", [100.0, -90.5, math.nan, math.inf])
+@pytest.mark.parametrize("decl", [100.0, 500.0, -90.5, math.nan, math.inf])
 def test_a_declination_out_of_range_is_refused(decl):
     """A float declination is held to DeclinationDeg's rule: one sample, a
-    block, an empty block and a whole trace each raise InvalidAngle naming
-    the declination, where a float used to shift the true heading as given."""
+    block, an empty block, a whole trace and `to_true_heading` each raise
+    InvalidAngle naming the declination, where a float used to shift the
+    true heading as given."""
     sample, cal = SensorSample(0.0, (0.0, 0.0, -9.81), (20.0, 0.0, 40.0)), CalibrationState()
     runs = (lambda: process(sample, BANDUNG, cal, FilterState(), decl),
             lambda: run_block([sample], BANDUNG, cal, FilterState(), decl),
             lambda: run_block([], BANDUNG, cal, FilterState(), decl),
-            lambda: run_trace([sample], BANDUNG, cal, decl))
+            lambda: run_trace([sample], BANDUNG, cal, decl),
+            lambda: to_true_heading(AzimuthDeg(10.0), decl))
     for run in runs:
         with pytest.raises(InvalidAngle, match=r"^declination must be finite with \|value\| <= 90, got "):
             run()
